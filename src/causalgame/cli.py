@@ -187,6 +187,8 @@ def cmd_optimize(args) -> int:
             "beta": args.beta,
             "value": result.value,
             "feasible": result.feasible,
+            "iterations": result.iterations,
+            "converged": result.converged,
             "alice": result.alice.to_record(),
             "bob": result.bob.to_record(),
         }
@@ -197,6 +199,8 @@ def cmd_optimize(args) -> int:
             "alpha": args.alpha,
             "value": result.value,
             "feasible": result.feasible,
+            "iterations": result.iterations,
+            "converged": result.converged,
             "coefficients": list(result.coefficients),
             "axis": result.axis.tolist(),
         }

@@ -1,8 +1,9 @@
 """Random-restart projected ascent for the game's two search problems.
 
-Both searches use the same engine: finite-difference gradients, a step
-that shrinks geometrically and halves on rejected moves, unit-norm blocks
-renormalized after every step, and batched evaluation across restarts.
+Both searches use the same engine: closed-form gradients of their
+polynomial objectives, a step that shrinks geometrically on rejected
+moves, unit-norm blocks renormalized after every step, and batched
+evaluation across restarts.
 The instrument search walks five Bloch vectors against a fixed process;
 the process-family search walks six correlation coefficients inside their
 positivity region together with Bob's decoding axis. Every reported
@@ -12,6 +13,8 @@ Born pipeline, so a search bug cannot ship a stale number.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +30,6 @@ from .instruments import ObservableSpec, alice_general, alice_z, bob_branch, bob
 from .processes import ProcessMatrix, validate, w_ansatz
 from .tensor import pauli_decompose
 
-GRADIENT_STEP = 1e-6
 REEVAL_ATOL = 1e-10
 
 
@@ -42,6 +44,14 @@ class OptimizerConfig:
     general_corr: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("restarts", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("initial_step", "decay", "tol"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.restarts <= 0 or self.max_iters <= 0:
             raise ValueError("restarts and max_iters must be positive")
         if self.initial_step <= 0 or not 0 < self.decay <= 1:
@@ -59,68 +69,37 @@ class OptimizationResult:
     (non-decreasing). Instrument searches fill ``alice`` and ``bob``;
     process-family searches fill ``coefficients`` and ``axis``.
     ``feasible`` records that the reported point passed its positivity
-    checks.
+    checks. ``converged`` is true when the winning restart retired
+    because its step collapsed, before the iteration cap.
     """
 
     value: float
     trace: tuple[float, ...]
     feasible: bool
+    converged: bool
     alice: ObservableSpec | None = None
     bob: ObservableSpec | None = None
     coefficients: tuple[float, ...] | None = None
     axis: np.ndarray | None = None
 
-
-def projected_step(
-    params: np.ndarray,
-    gradient: np.ndarray,
-    step: float,
-    *,
-    unit_blocks: tuple[slice, ...] = (),
-    feasible=None,
-    max_backtracks: int = 30,
-) -> np.ndarray:
-    """One ascent step with constraint restoration.
-
-    Adds ``step * gradient``, renormalizes each slice in ``unit_blocks``
-    back to unit length, and if a ``feasible`` predicate is given, halves
-    the step until it accepts the candidate. A zero update returns the
-    parameters unchanged; exhausting the backtracking budget does too.
-    """
-    params = np.asarray(params, dtype=float)
-    gradient = np.asarray(gradient, dtype=float)
-    if step == 0.0 or not np.any(gradient):
-        return params.copy()
-    for _ in range(max_backtracks):
-        candidate = params + step * gradient
-        for block in unit_blocks:
-            norm = np.linalg.norm(candidate[block])
-            if norm > 0.0:
-                candidate[block] /= norm
-        if feasible is None or feasible(candidate):
-            return candidate
-        step *= 0.5
-    return params.copy()
+    @property
+    def iterations(self) -> int:
+        """Ascent iterations the search ran, counted on ``trace``."""
+        return len(self.trace) - 1
 
 
-def _central_gradient(objective, theta: np.ndarray, h: float = GRADIENT_STEP) -> np.ndarray:
-    grad = np.empty_like(theta)
-    shift = np.zeros(theta.shape[1])
-    for p in range(theta.shape[1]):
-        shift[p] = h
-        grad[:, p] = (objective(theta + shift) - objective(theta - shift)) / (2 * h)
-        shift[p] = 0.0
-    return grad
+def _ascend(objective, gradient, project, theta: np.ndarray, config: OptimizerConfig, steer=None):
+    """Batched monotone ascent with closed-form gradients.
 
-
-def _ascend(objective, project, theta: np.ndarray, config: OptimizerConfig, steer=None):
-    """Batched monotone ascent; returns final points, values, and traces.
-
-    The step shrinks geometrically on each rejected move and re-expands
-    on acceptance up to its initial value, a trust-region style schedule
-    that survives long boundary crawls. A restart retires once its step
-    collapses. ``steer`` may bend the raw gradient into a
-    constraint-compatible direction before the step is taken.
+    Returns the final points, their values, the per-restart traces and
+    a mask of the restarts that retired. ``gradient`` gives the exact
+    rowwise gradient of ``objective``, so each iteration costs one
+    gradient call and one candidate evaluation. The step shrinks
+    geometrically on each rejected move and re-expands on acceptance up
+    to its initial value, a trust-region style schedule that survives
+    long boundary crawls. A restart retires once its step collapses.
+    ``steer`` may bend the raw gradient into a constraint-compatible
+    direction before the step is taken.
     """
     theta = project(theta.copy())
     values = objective(theta)
@@ -130,7 +109,7 @@ def _ascend(objective, project, theta: np.ndarray, config: OptimizerConfig, stee
     for _ in range(config.max_iters):
         if not active.any():
             break
-        grad = _central_gradient(objective, theta)
+        grad = gradient(theta)
         if steer is not None:
             grad = steer(theta, grad)
         candidate = project(theta + steps[:, None] * grad)
@@ -144,7 +123,7 @@ def _ascend(objective, project, theta: np.ndarray, config: OptimizerConfig, stee
         steps[reject] *= config.decay
         active &= steps >= 1e-9
         history.append(values.copy())
-    return theta, values, np.array(history).T
+    return theta, values, np.array(history).T, ~active
 
 
 def _restart_generators(config: OptimizerConfig) -> list[np.random.Generator]:
@@ -178,7 +157,34 @@ def _correlation_data(w) -> tuple[np.ndarray, np.ndarray]:
     return corr3, pair2
 
 
-_BLOCKS_RANK1 = {"m": slice(0, 3), "n": slice(3, 6), "r": slice(6, 9), "t": slice(9, 12), "o": slice(12, 15)}
+def _instrument_objective(theta: np.ndarray, corr3: np.ndarray, pair2: np.ndarray, beta: float) -> np.ndarray:
+    """Rowwise success probability of the rank-1 instrument parameters.
+
+    Each row of ``theta`` holds Alice's measure and encode axes (m, n)
+    and Bob's relay, decode and encode axes (r, t, o), three entries each.
+    """
+    m, n, r, t, o = (theta[:, 3 * b : 3 * b + 3] for b in range(5))
+    corr = np.einsum("ikl,ri,rk,rl->r", corr3, m, t, o)
+    pair = np.einsum("jk,rj,rk->r", pair2, n, r)
+    return 0.5 + 2.0 * beta * corr + 2.0 * (1.0 - beta) * pair
+
+
+def _instrument_gradient(theta: np.ndarray, corr3: np.ndarray, pair2: np.ndarray, beta: float) -> np.ndarray:
+    """Exact rowwise gradient of ``_instrument_objective``."""
+    m, n, r, t, o = (theta[:, 3 * b : 3 * b + 3] for b in range(5))
+    weighted = np.einsum("ikl,rl->rik", corr3, o)
+    grad = np.empty_like(theta)
+    grad[:, 0:3] = 2.0 * beta * np.einsum("rik,rk->ri", weighted, t)
+    grad[:, 3:6] = 2.0 * (1.0 - beta) * np.einsum("jk,rk->rj", pair2, r)
+    grad[:, 6:9] = 2.0 * (1.0 - beta) * np.einsum("jk,rj->rk", pair2, n)
+    grad[:, 9:12] = 2.0 * beta * np.einsum("ri,rik->rk", m, weighted)
+    grad[:, 12:15] = 2.0 * beta * np.einsum("ikl,ri,rk->rl", corr3, m, t)
+    return grad
+
+
+def _unit_blocks(theta: np.ndarray) -> np.ndarray:
+    """Renormalize each consecutive three-entry block of every row."""
+    return _unit_rows(theta.reshape(-1, 3)).reshape(theta.shape)
 
 
 def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) -> OptimizationResult:
@@ -199,35 +205,24 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
         raise ValueError("process matrix failed validation: " + "; ".join(report.failures))
     corr3, pair2 = _correlation_data(w)
 
-    def objective(theta: np.ndarray) -> np.ndarray:
-        m = theta[:, 0:3]
-        n = theta[:, 3:6]
-        r = theta[:, 6:9]
-        t = theta[:, 9:12]
-        o = theta[:, 12:15]
-        corr = np.einsum("ikl,ri,rk,rl->r", corr3, m, t, o)
-        pair = np.einsum("jk,rj,rk->r", pair2, n, r)
-        return 0.5 + 2.0 * beta * corr + 2.0 * (1.0 - beta) * pair
-
-    def project(theta: np.ndarray) -> np.ndarray:
-        for block in _BLOCKS_RANK1.values():
-            theta[:, block] = _unit_rows(theta[:, block])
-        return theta
-
     def steer(theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
         # The two scoring channels are separable and their gradients
         # scale with beta and 1 - beta; normalizing per block keeps the
         # weak channel moving at the same arc rate as the strong one.
-        out = grad.copy()
-        for block in _BLOCKS_RANK1.values():
-            out[:, block] = _unit_rows(out[:, block])
-        return out
+        return _unit_blocks(grad)
 
     rows = []
     for rng in _restart_generators(config):
         rows.append(rng.normal(size=15))
     theta0 = np.vstack(rows)
-    theta, values, traces = _ascend(objective, project, theta0, config, steer=steer)
+    theta, values, traces, retired = _ascend(
+        lambda theta: _instrument_objective(theta, corr3, pair2, beta),
+        lambda theta: _instrument_gradient(theta, corr3, pair2, beta),
+        _unit_blocks,
+        theta0,
+        config,
+        steer=steer,
+    )
 
     best = int(np.argmax(values))
     point = theta[best]
@@ -261,6 +256,7 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
         value=value,
         trace=tuple(traces[best]),
         feasible=True,
+        converged=bool(retired[best]),
         alice=alice_spec,
         bob=bob_spec,
     )
@@ -298,6 +294,30 @@ def ansatz_min_eigenvalue(coeffs) -> float:
     return float(0.25 * (1.0 - _gauge(np.asarray(coeffs, dtype=float))[0]))
 
 
+def _ansatz_objective(theta: np.ndarray, alpha: float) -> np.ndarray:
+    """Rowwise success of the six coefficients and Bob's decoding axis."""
+    c = theta[:, 0:6]
+    t = theta[:, 6:9]
+    return 0.25 * (
+        2.0
+        + c[:, 0]
+        + t[:, 0] * c[:, 1]
+        + t[:, 1] * c[:, 2]
+        + t[:, 2] * c[:, 3]
+        + (2.0 * alpha - 1.0) * (c[:, 4] + c[:, 5])
+    )
+
+
+def _ansatz_gradient(theta: np.ndarray, alpha: float) -> np.ndarray:
+    """Exact rowwise gradient of ``_ansatz_objective``."""
+    grad = np.empty_like(theta)
+    grad[:, 0] = 0.25
+    grad[:, 1:4] = 0.25 * theta[:, 6:9]
+    grad[:, 4:6] = 0.25 * (2.0 * alpha - 1.0)
+    grad[:, 6:9] = 0.25 * theta[:, 1:4]
+    return grad
+
+
 def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> OptimizationResult:
     """Best success probability over the six-term family at beta = 1/2.
 
@@ -308,18 +328,6 @@ def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> Opti
     """
     config = config or OptimizerConfig()
     spec = GameSpec(alpha, 0.5)
-
-    def objective(theta: np.ndarray) -> np.ndarray:
-        c = theta[:, 0:6]
-        t = theta[:, 6:9]
-        return 0.25 * (
-            2.0
-            + c[:, 0]
-            + t[:, 0] * c[:, 1]
-            + t[:, 1] * c[:, 2]
-            + t[:, 2] * c[:, 3]
-            + (2.0 * alpha - 1.0) * (c[:, 4] + c[:, 5])
-        )
 
     def project(theta: np.ndarray) -> np.ndarray:
         scale = np.maximum(_gauge(theta[:, 0:6]), 1.0)
@@ -360,7 +368,14 @@ def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> Opti
         axis = rng.normal(size=3)
         rows.append(np.concatenate([coeffs, axis / np.linalg.norm(axis)]))
     theta0 = np.vstack(rows)
-    theta, values, traces = _ascend(objective, project, theta0, config, steer=steer)
+    theta, values, traces, retired = _ascend(
+        lambda theta: _ansatz_objective(theta, alpha),
+        lambda theta: _ansatz_gradient(theta, alpha),
+        project,
+        theta0,
+        config,
+        steer=steer,
+    )
 
     best = int(np.argmax(values))
     coefficients = tuple(float(v) for v in theta[best, 0:6])
@@ -380,6 +395,7 @@ def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> Opti
         value=value,
         trace=tuple(traces[best]),
         feasible=report.is_valid,
+        converged=bool(retired[best]),
         coefficients=coefficients,
         axis=axis,
     )
@@ -396,8 +412,14 @@ def threshold_alpha(
 
     Bisects the sign of [best family success - causal bound] at beta = 1/2.
     The family optimum is essentially flat in alpha, so the crossing sits
-    where the causal bound overtakes it.
+    where the causal bound overtakes it. The bracket must satisfy
+    ``lo < hi`` and ``xtol`` must be a positive finite width; bisection
+    also stops once the bracket holds no float strictly inside it.
     """
+    if not lo < hi:
+        raise ValueError(f"bisection needs lo < hi, got lo={lo!r}, hi={hi!r}")
+    if not (math.isfinite(xtol) and xtol > 0):
+        raise ValueError(f"xtol must be positive and finite, got {xtol!r}")
     config = config or OptimizerConfig(restarts=16)
 
     def excess(alpha: float) -> float:
@@ -412,6 +434,8 @@ def threshold_alpha(
         )
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if excess(mid) > 0:
             lo = mid
         else:

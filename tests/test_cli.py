@@ -202,6 +202,20 @@ def test_optimize_ibit_json_is_seed_stable(capsys):
     assert payload["feasible"] is True
     assert len(payload["coefficients"]) == 6
     assert np.linalg.norm(payload["axis"]) == pytest.approx(1.0, abs=1e-9)
+    assert payload["iterations"] == 600
+    assert payload["converged"] is False
+
+
+def test_optimize_dbit_json_reports_convergence(capsys):
+    argv = ["optimize", "--mode", "dbit", "--process", "w_ocb", "--restarts", "4", "--max-iters", "600"]
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert text == f"{payload['value']:.9g}\n"
+    assert isinstance(payload["iterations"], int) and 0 < payload["iterations"] <= 600
+    assert payload["converged"] is (payload["iterations"] < 600)
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -10,12 +10,18 @@ from causalgame import (
     hermitian_eigenvalues,
     maximize_ansatz,
     maximize_instruments,
-    projected_step,
     threshold_alpha,
     validate,
     w_ansatz,
     w_beta,
     w_ocb,
+)
+from causalgame import optimizer
+from causalgame.optimizer import (
+    _ansatz_gradient,
+    _ansatz_objective,
+    _instrument_gradient,
+    _instrument_objective,
 )
 
 FAST = OptimizerConfig(restarts=8, seed=0)
@@ -33,47 +39,45 @@ def test_config_guards():
         OptimizerConfig(initial_step=-0.1)
     with pytest.raises(ValueError):
         OptimizerConfig(decay=1.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="initial_step"):
+            OptimizerConfig(initial_step=bad)
+    with pytest.raises(ValueError, match="tol"):
+        OptimizerConfig(tol=np.nan)
+    with pytest.raises(ValueError, match="decay"):
+        OptimizerConfig(decay=np.nan)
+    with pytest.raises(ValueError, match="restarts"):
+        OptimizerConfig(restarts=8.0)
+    with pytest.raises(ValueError, match="max_iters"):
+        OptimizerConfig(max_iters=True)
 
 
-def test_projected_step_zero_gradient_is_identity():
-    params = np.array([0.3, -0.4])
-    out = projected_step(params, np.zeros(2), 0.1)
-    npt.assert_array_equal(out, params)
-    assert out is not params
+def _central_difference(objective, theta, h=1e-6):
+    grad = np.empty_like(theta)
+    for p in range(theta.shape[1]):
+        shift = np.zeros(theta.shape[1])
+        shift[p] = h
+        grad[:, p] = (objective(theta + shift) - objective(theta - shift)) / (2 * h)
+    return grad
 
 
-def test_projected_step_renormalizes_unit_blocks():
-    params = np.array([1.0, 0.0, 0.0, 0.5])
-    gradient = np.array([0.0, 1.0, 0.0, 0.0])
-    out = projected_step(params, gradient, 0.5, unit_blocks=(slice(0, 3),))
-    npt.assert_allclose(np.linalg.norm(out[:3]), 1.0, atol=1e-12)
-    npt.assert_allclose(out[3], 0.5, atol=1e-15)
+def test_instrument_gradient_matches_central_differences():
+    rng = np.random.default_rng(5)
+    corr3 = rng.uniform(-0.25, 0.25, (3, 3, 3))
+    pair2 = rng.uniform(-0.25, 0.25, (3, 3))
+    theta = rng.normal(size=(20, 15))
+    for beta in (0.5, 0.8):
+        numeric = _central_difference(lambda x: _instrument_objective(x, corr3, pair2, beta), theta)
+        exact = _instrument_gradient(theta, corr3, pair2, beta)
+        npt.assert_allclose(exact, numeric, rtol=0, atol=1e-8)
 
 
-def test_projected_step_backtracks_into_the_feasible_set():
-    feasible = lambda p: np.linalg.norm(p) <= 1.0
-    params = np.array([0.9, 0.0])
-    out = projected_step(params, np.array([1.0, 0.0]), 0.8, feasible=feasible)
-    assert feasible(out)
-    assert out[0] > 0.9  # made progress before the boundary
-
-
-def test_projected_step_gives_up_cleanly():
-    never = lambda p: False
-    params = np.array([0.2])
-    out = projected_step(params, np.array([1.0]), 0.5, feasible=never)
-    npt.assert_array_equal(out, params)
-
-
-def test_projected_ascent_solves_a_quadratic():
-    target = np.array([0.2, -0.6])
-    point = np.zeros(2)
-    step = 0.5
-    for _ in range(200):
-        gradient = -2.0 * (point - target)
-        point = projected_step(point, gradient, step)
-        step = max(step * 0.95, 1e-3)
-    npt.assert_allclose(point, target, atol=1e-3)
+def test_ansatz_gradient_matches_central_differences():
+    rng = np.random.default_rng(6)
+    theta = rng.normal(size=(20, 9))
+    for alpha in (0.5, 0.8):
+        numeric = _central_difference(lambda x: _ansatz_objective(x, alpha), theta)
+        npt.assert_allclose(_ansatz_gradient(theta, alpha), numeric, rtol=0, atol=1e-8)
 
 
 def test_instruments_search_hits_the_family_maximum():
@@ -98,7 +102,18 @@ def test_instruments_search_is_seed_reproducible():
     first = maximize_instruments(w_ocb(), 0.5, FAST)
     second = maximize_instruments(w_ocb(), 0.5, FAST)
     assert first.value == second.value
+    assert first.trace == second.trace
     npt.assert_array_equal(first.alice.measure, second.alice.measure)
+
+
+def test_instruments_search_reports_convergence():
+    result = maximize_instruments(w_ocb(), 0.5, FAST)
+    assert result.iterations == len(result.trace) - 1
+    assert result.converged
+    assert result.iterations < FAST.max_iters
+    capped = maximize_instruments(w_ocb(), 0.5, OptimizerConfig(restarts=2, max_iters=5, seed=0))
+    assert capped.iterations == 5
+    assert not capped.converged
 
 
 def test_flat_process_scores_a_coin_flip():
@@ -137,6 +152,17 @@ def test_ansatz_search_reaches_the_family_ceiling():
     assert report.is_valid
 
 
+def test_ansatz_search_reports_the_iteration_cap():
+    config = OptimizerConfig(restarts=2, max_iters=50, seed=0)
+    result = maximize_ansatz(0.6, config)
+    assert result.iterations == len(result.trace) - 1 == config.max_iters
+    assert not result.converged
+    fast_decay = OptimizerConfig(restarts=2, decay=0.5, seed=0)
+    settled = maximize_ansatz(0.6, fast_decay)
+    assert settled.converged
+    assert settled.iterations < fast_decay.max_iters
+
+
 def test_ansatz_min_eigenvalue_matches_dense_algebra():
     rng = np.random.default_rng(13)
     for _ in range(40):
@@ -168,3 +194,29 @@ def test_threshold_requires_a_sign_change():
     light = OptimizerConfig(restarts=2, max_iters=300, seed=0)
     with pytest.raises(RuntimeError, match="bracket"):
         threshold_alpha(light, lo=0.9, hi=0.94, xtol=1e-2)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"xtol": 0.0},
+        {"xtol": -1e-3},
+        {"xtol": np.nan},
+        {"xtol": np.inf},
+        {"lo": 0.75, "hi": 0.65},
+        {"lo": 0.7, "hi": 0.7},
+    ],
+)
+def test_threshold_rejects_bad_brackets(kwargs):
+    with pytest.raises(ValueError):
+        threshold_alpha(OptimizerConfig(restarts=1, max_iters=1), **kwargs)
+
+
+def test_threshold_stops_when_the_bracket_cannot_shrink(monkeypatch):
+    # A flat family at its ceiling crosses the causal bound exactly at
+    # 1/sqrt(2); an xtol below the float spacing there must still end.
+    ceiling = 0.25 * (2.0 + np.sqrt(2.0))
+    flat = lambda alpha, config: optimizer.OptimizationResult(ceiling, (ceiling,), True, False)
+    monkeypatch.setattr(optimizer, "maximize_ansatz", flat)
+    value = threshold_alpha(xtol=1e-300)
+    assert abs(value - 1.0 / np.sqrt(2.0)) <= 1e-15
