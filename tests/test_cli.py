@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,3 +223,34 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# The README's command-line examples with plain output, each pinned to its
+# exact bytes: stdout, or the written file for the --out examples.
+README_EXAMPLES = [
+    ("validate_w_beta.txt", ["validate", "w_beta@0.75"], None),
+    ("game_w_ocb.txt", ["game", "--process", "w_ocb", "--alpha", "0.5", "--beta", "0.5"], None),
+    ("game_ordered_ab.txt", ["game", "--process", "ordered_ab"], None),
+    ("game_w_ocb_z.txt", ["game", "--process", "w_ocb", "--t-vector", "0", "0", "1"], None),
+    ("sweep_beta.csv", ["sweep-beta", "--from", "0.5", "--to", "0.99", "--steps", "50"], "sweep.csv"),
+    ("oracle.txt", ["oracle", "--alpha", "0.6", "--beta", "0.7"], None),
+    ("witness.txt", ["witness", "--process", "w_beta@0.5"], None),
+    ("decompose_w_ocb.txt", ["decompose", "--process", "w_ocb"], None),
+    ("decompose_mix.json", ["decompose", "--process", "mix@0.3", "--form", "dense"], "mix.json"),
+]
+
+
+@pytest.mark.parametrize("golden, argv, out", README_EXAMPLES, ids=[c[0] for c in README_EXAMPLES])
+def test_readme_examples_print_golden_bytes(capsys, tmp_path, golden, argv, out):
+    if out:
+        argv = [*argv, "--out", str(tmp_path / out)]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    if out:
+        assert stdout == ""
+        produced = (tmp_path / out).read_bytes()
+    else:
+        produced = stdout.encode()
+    assert produced == (GOLDEN / golden).read_bytes()

@@ -131,3 +131,13 @@ def test_signaling_profile_sees_the_channel_direction():
     profile = signaling_profile(dist)
     assert profile.a_to_b > 0.1
     assert profile.b_to_a > 0.1
+
+
+def test_joint_distribution_names_the_invalid_bob_setting():
+    def broken(y, b, bp):
+        # At (b, bp) = (1, 0) both outcomes carry the same element, so the
+        # pair sums to twice a projector: not trace preserving.
+        return bob_branch(0 if (b, bp) == (1, 0) else y, b, bp)
+
+    with pytest.raises(ValueError, match=r"party B instrument at setting \(1, 0\) is invalid: .*trace"):
+        joint_distribution(w_ocb(), alice_z, broken)
