@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -39,6 +40,22 @@ class UsageError(Exception):
 
 def _fmt(value: float) -> str:
     return f"{float(value):.9g}"
+
+
+def _print_json(payload: dict) -> None:
+    # Strict JSON: a NaN or infinity raises ValueError (exit 2) instead of
+    # printing a token no JSON parser accepts.
+    print(json.dumps(payload, allow_nan=False))
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}")
+    return value
 
 
 def resolve_process(token: str) -> ProcessMatrix:
@@ -91,7 +108,7 @@ def cmd_validate(args) -> int:
             },
             "failures": list(report.failures),
         }
-        print(json.dumps(payload))
+        _print_json(payload)
     elif report.is_valid:
         print("valid")
     else:
@@ -123,7 +140,7 @@ def cmd_game(args) -> int:
             "causal_bound": causal_bound(spec),
             "distribution": dist.table.ravel().tolist(),
         }
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print(dist.to_csv(), end="")
         print(f"success_probability {_fmt(value)}")
@@ -161,7 +178,7 @@ def cmd_oracle(args) -> int:
     spec = GameSpec(alpha=args.alpha, beta=args.beta)
     value = oracle_bound(spec)
     if args.json:
-        print(json.dumps({"alpha": spec.alpha, "beta": spec.beta, "oracle_bound": value}))
+        _print_json({"alpha": spec.alpha, "beta": spec.beta, "oracle_bound": value})
     else:
         print(_fmt(value))
     return 0
@@ -205,7 +222,7 @@ def cmd_optimize(args) -> int:
             "axis": result.axis.tolist(),
         }
     if args.json:
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print(_fmt(result.value))
     return 0
@@ -215,7 +232,7 @@ def cmd_witness(args) -> int:
     w = resolve_process(args.process)
     value = witness_value(witness_s(), w)
     if args.json:
-        print(json.dumps({"process": w.tag, "witness_value": value}))
+        _print_json({"process": w.tag, "witness_value": value})
     else:
         print(_fmt(value))
     return 0
@@ -224,7 +241,7 @@ def cmd_witness(args) -> int:
 def cmd_threshold(args) -> int:
     value = threshold_alpha(OptimizerConfig(restarts=16, seed=args.seed))
     if args.json:
-        print(json.dumps({"threshold_alpha": value}))
+        _print_json({"threshold_alpha": value})
     else:
         print(_fmt(value))
     return 0
@@ -249,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     common.add_argument(
-        "--tol", type=float, default=None, help="override validation tolerances uniformly"
+        "--tol", type=_tolerance, default=None, help="override validation tolerances uniformly"
     )
 
     parser = argparse.ArgumentParser(

@@ -15,6 +15,7 @@ anything else is parsed as Pauli text.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -110,9 +111,12 @@ def _parse_pauli(text: str) -> ProcessMatrix:
         if word in coefficients:
             raise ValueError(f"line {number}: duplicate Pauli word {label}")
         try:
-            coefficients[word] = float(value)
+            coefficient = float(value)
         except ValueError as exc:
             raise ValueError(f"line {number}: bad coefficient {value!r}") from exc
+        if not math.isfinite(coefficient):
+            raise ValueError(f"line {number}: coefficient must be finite, got {value!r}")
+        coefficients[word] = coefficient
     if not coefficients:
         raise ValueError("process file contains no Pauli terms")
     return ProcessMatrix(matrix=pauli_compose(coefficients), tag=tag)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instruments import CJOperator, Instrument, instrument_validate
+from .instruments import _check_stack
 
 BORN_IMAG_ATOL = 1e-10
 NORMALIZATION_ATOL = 1e-9
@@ -53,6 +53,8 @@ class JointDistribution:
         arr = np.array(self.table, dtype=float)
         if arr.shape != (2, 2, 2, 2, 2):
             raise ValueError(f"table must have shape (2,2,2,2,2), got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("table entries must be finite")
         if arr.min() < -ENTRY_ATOL or arr.max() > 1.0 + ENTRY_ATOL:
             raise ValueError(
                 f"entries outside [0, 1]: min {arr.min()!r}, max {arr.max()!r}"
@@ -77,6 +79,14 @@ def _operator_matrix(op) -> np.ndarray:
     return np.asarray(arr, dtype=complex)
 
 
+def _real(values: np.ndarray) -> np.ndarray:
+    """Real part of Born values, refusing any imaginary residue above 1e-10."""
+    residue = values.imag.flat[np.argmax(np.abs(values.imag))]
+    if not abs(residue) <= BORN_IMAG_ATOL:
+        raise NumericalIntegrityError(f"Born value has imaginary residue {residue:.3e}")
+    return values.real
+
+
 def born(w, m_a, m_b) -> float:
     """Probability of one outcome pair: Tr[W (M_A tensor M_B)].
 
@@ -91,27 +101,7 @@ def born(w, m_a, m_b) -> float:
         raise ValueError(
             f"operator dimensions {a_arr.shape[0]}x{b_arr.shape[0]} do not match process {w_arr.shape}"
         )
-    value = complex(np.einsum("ij,ji->", w_arr, local))
-    if abs(value.imag) > BORN_IMAG_ATOL:
-        raise NumericalIntegrityError(
-            f"Born value has imaginary residue {value.imag:.3e}"
-        )
-    return value.real
-
-
-def _validate_family(elements: dict[int, np.ndarray], party: str, setting: tuple[int, ...]) -> None:
-    instrument = Instrument(
-        {
-            outcome: CJOperator(matrix, party=party, outcome=outcome, setting=setting)
-            for outcome, matrix in elements.items()
-        }
-    )
-    report = instrument_validate(instrument)
-    if not report.is_valid:
-        raise ValueError(
-            f"party {party} instrument at setting {setting} is invalid: "
-            + "; ".join(report.failures)
-        )
+    return float(_real(np.einsum("ij,ji->", w_arr, local)))
 
 
 def joint_distribution(w, alice_family, bob_family) -> JointDistribution:
@@ -120,28 +110,33 @@ def joint_distribution(w, alice_family, bob_family) -> JointDistribution:
     ``alice_family(x, a)`` and ``bob_family(y, b, b_prime)`` return the
     Choi operators of the corresponding instrument elements. Every family
     is checked to be a valid instrument per setting before evaluation.
+    The table is one contraction of W, viewed as [A, B, A', B'] over the
+    parties' 4-dimensional spaces, with the stacked elements.
     """
-    alice = {
-        (x, a): _operator_matrix(alice_family(x, a))
-        for x in (0, 1)
-        for a in (0, 1)
-    }
-    bob = {
-        (y, b, bp): _operator_matrix(bob_family(y, b, bp))
-        for y in (0, 1)
-        for b in (0, 1)
-        for bp in (0, 1)
-    }
-    for a in (0, 1):
-        _validate_family({x: alice[(x, a)] for x in (0, 1)}, "A", (a,))
-    for b in (0, 1):
-        for bp in (0, 1):
-            _validate_family({y: bob[(y, b, bp)] for y in (0, 1)}, "B", (b, bp))
-
-    table = np.empty((2, 2, 2, 2, 2))
-    for x, y, a, b, bp in np.ndindex(2, 2, 2, 2, 2):
-        table[x, y, a, b, bp] = born(w, alice[(x, a)], bob[(y, b, bp)])
-    return JointDistribution(table)
+    alice = np.array(
+        [[_operator_matrix(alice_family(x, a)) for a in (0, 1)] for x in (0, 1)]
+    )
+    bob = np.array(
+        [
+            [[_operator_matrix(bob_family(y, b, bp)) for bp in (0, 1)] for b in (0, 1)]
+            for y in (0, 1)
+        ]
+    )
+    w_arr = _operator_matrix(w)
+    if alice.shape != (2, 2, 4, 4) or bob.shape != (2, 2, 2, 4, 4) or w_arr.shape != (16, 16):
+        raise ValueError(
+            f"need 4x4 instrument elements and a 16x16 process, got stacks {alice.shape}, "
+            f"{bob.shape} and process {w_arr.shape}"
+        )
+    for party, stack in (("A", alice), ("B", bob)):
+        _, _, failures = _check_stack(stack, (0, 1))
+        if failures:
+            setting, found = next(iter(failures.items()))
+            raise ValueError(
+                f"party {party} instrument at setting {setting} is invalid: " + "; ".join(found)
+            )
+    table = np.einsum("pqrs,xarp,ybcsq->xyabc", w_arr.reshape(4, 4, 4, 4), alice, bob)
+    return JointDistribution(_real(table))
 
 
 def _input_weights(alpha: float) -> np.ndarray:

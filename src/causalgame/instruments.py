@@ -14,21 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    HERMITICITY_ATOL,
-    PAULI,
-    SubsystemLayout,
-    hermitian_eigenvalues,
-    hermiticity_residual,
-    kron,
-    partial_trace,
-)
+from .tensor import HERMITICITY_ATOL, PAULI, hermitian_eigenvalues, hermiticity_residual
 
 CP_ATOL = 1e-9
 TP_ATOL = 1e-10
 UNIT_ATOL = 1e-10
-
-IO_LAYOUT = SubsystemLayout((("in", 2), ("out", 2)))
 
 # Default encoding tables, indexed [outcome, input bit].
 ALICE_TABLE = np.array([[0, 1], [0, 1]])  # send the input bit a
@@ -103,7 +93,7 @@ def _unit3(vec, name: str) -> np.ndarray:
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
     norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > UNIT_ATOL:
+    if not abs(norm - 1.0) <= UNIT_ATOL:
         raise ValueError(f"{name} must be a unit vector, got norm {norm!r}")
     return arr
 
@@ -113,7 +103,7 @@ def _unit3_or_zero(vec, name: str) -> np.ndarray:
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
     norm = float(np.linalg.norm(arr))
-    if norm > UNIT_ATOL and abs(norm - 1.0) > UNIT_ATOL:
+    if not (norm <= UNIT_ATOL or abs(norm - 1.0) <= UNIT_ATOL):
         raise ValueError(f"{name} must be a unit vector (or zero to omit it), got norm {norm!r}")
     return arr
 
@@ -124,9 +114,9 @@ def _check_density(rho) -> np.ndarray:
     arr = np.asarray(rho, dtype=complex)
     if arr.shape != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got shape {arr.shape}")
-    if hermiticity_residual(arr) > HERMITICITY_ATOL:
+    if not hermiticity_residual(arr) <= HERMITICITY_ATOL:
         raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(arr).real - 1.0) > UNIT_ATOL:
+    if not abs(np.trace(arr).real - 1.0) <= UNIT_ATOL:
         raise ValueError(f"density matrix must have unit trace, got {np.trace(arr).real!r}")
     if hermitian_eigenvalues(arr)[0] < -CP_ATOL:
         raise ValueError("density matrix must be positive semidefinite")
@@ -142,7 +132,7 @@ def _corr_operator(tensor: np.ndarray) -> np.ndarray:
     for k in range(3):
         for l in range(3):
             if tensor[k, l] != 0.0:
-                out += tensor[k, l] * kron(PAULI[k + 1], PAULI[l + 1])
+                out += tensor[k, l] * np.kron(PAULI[k + 1], PAULI[l + 1])
     return out
 
 
@@ -187,7 +177,7 @@ class ObservableSpec:
             if corr.shape != (3, 3):
                 raise ValueError(f"corr must be 3x3, got shape {corr.shape}")
             norm = float(np.linalg.norm(corr))
-            if norm > UNIT_ATOL and abs(norm - 1.0) > UNIT_ATOL:
+            if not (norm <= UNIT_ATOL or abs(norm - 1.0) <= UNIT_ATOL):
                 raise ValueError(
                     f"corr must have Frobenius norm 1 (or 0 to omit the term), got {norm!r}"
                 )
@@ -241,7 +231,7 @@ def alice_z(x, a) -> CJOperator:
     a = _check_bit(a, "a")
     meas = (np.eye(2) + _sign(x) * PAULI[3]) / 2
     prep = (np.eye(2) + _sign(a) * PAULI[3]) / 2
-    return CJOperator(kron(meas, prep), party="A", outcome=x, setting=(a,))
+    return CJOperator(np.kron(meas, prep), party="A", outcome=x, setting=(a,))
 
 
 def bob_branch(y, b, b_prime, t=X_AXIS, rho=None) -> CJOperator:
@@ -257,12 +247,12 @@ def bob_branch(y, b, b_prime, t=X_AXIS, rho=None) -> CJOperator:
     b_prime = _check_bit(b_prime, "b_prime")
     if b_prime:
         rho = _check_density(rho)
-        matrix = kron((np.eye(2) + _sign(y) * PAULI[3]) / 2, rho)
+        matrix = np.kron((np.eye(2) + _sign(y) * PAULI[3]) / 2, rho)
     else:
         axis = _unit3(t, "t")
         meas = (np.eye(2) + _sign(y) * _bloch(axis)) / 2
         prep = (np.eye(2) + _sign(b ^ y) * PAULI[3]) / 2
-        matrix = kron(meas, prep)
+        matrix = np.kron(meas, prep)
     return CJOperator(matrix, party="B", outcome=y, setting=(b, b_prime))
 
 
@@ -280,8 +270,8 @@ def alice_general(x, a, spec: ObservableSpec) -> CJOperator:
     f = int(table[x, a])
     matrix = 0.25 * (
         np.eye(4, dtype=complex)
-        + _sign(x) * kron(_bloch(spec.measure), np.eye(2))
-        + _sign(f) * kron(np.eye(2), _bloch(spec.encode))
+        + _sign(x) * np.kron(_bloch(spec.measure), np.eye(2))
+        + _sign(f) * np.kron(np.eye(2), _bloch(spec.encode))
         + _sign(x ^ f) * _corr_operator(spec.corr)
     )
     _guard_psd(matrix, "Alice")
@@ -301,41 +291,65 @@ def bob_general(y, b, b_prime, spec: ObservableSpec, rho=None) -> CJOperator:
     b_prime = _check_bit(b_prime, "b_prime")
     if b_prime:
         rho = _check_density(rho)
-        matrix = kron((np.eye(2) + _sign(y) * _bloch(spec.relay)) / 2, rho)
+        matrix = np.kron((np.eye(2) + _sign(y) * _bloch(spec.relay)) / 2, rho)
     else:
         table = BOB_TABLE if spec.table is None else spec.table
         g = int(table[y, b])
         matrix = 0.25 * (
             np.eye(4, dtype=complex)
-            + _sign(y) * kron(_bloch(spec.measure), np.eye(2))
-            + _sign(g) * kron(np.eye(2), _bloch(spec.encode))
+            + _sign(y) * np.kron(_bloch(spec.measure), np.eye(2))
+            + _sign(g) * np.kron(np.eye(2), _bloch(spec.encode))
             + _sign(y ^ g) * _corr_operator(spec.corr)
         )
     _guard_psd(matrix, "Bob")
     return CJOperator(matrix, party="B", outcome=y, setting=(b, b_prime))
 
 
+def _check_stack(elements: np.ndarray, outcomes) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Positivity and trace preservation of stacked instrument elements.
+
+    ``elements`` holds 4x4 Choi matrices with the outcome on axis 0 and any
+    setting axes after it, so one call checks a whole family. Returns the
+    minimum eigenvalue of every element's Hermitian part (nan for an element
+    with non-finite entries), the trace-preservation residual of every
+    setting, and the failure messages of each failing setting, keyed by its
+    index tuple in row-major order. ``outcomes`` labels axis 0 in messages.
+    """
+    finite = np.isfinite(elements).all(axis=(-2, -1))
+    safe = np.where(finite[..., None, None], elements, 0.0)
+    herm = (safe + np.swapaxes(safe, -1, -2).conj()) / 2
+    low = np.where(finite, np.linalg.eigvalsh(herm)[..., 0], np.nan)
+    # Trace out the output qubit of the summed map: in (2,2,2,2) form an
+    # element is indexed [in, out, in', out'].
+    total = safe.sum(axis=0).reshape(*elements.shape[1:-2], 2, 2, 2, 2)
+    reduced = np.einsum("...iojo->...ij", total)
+    tp = np.linalg.norm(reduced - np.eye(2), axis=(-2, -1))
+    failures = {}
+    for setting in np.ndindex(tp.shape):
+        found = []
+        for k, outcome in enumerate(outcomes):
+            value = low[(k, *setting)]
+            if not finite[(k, *setting)]:
+                found.append(f"element {outcome} has non-finite entries")
+            elif value < -CP_ATOL:
+                found.append(f"element {outcome} is not positive: minimum eigenvalue {value:.6e}")
+        if not tp[setting] <= TP_ATOL:
+            found.append(f"summed map is not trace preserving: residual {tp[setting]:.3e}")
+        if found:
+            failures[setting] = found
+    return low, tp, failures
+
+
 def instrument_validate(instrument: Instrument) -> InstrumentReport:
     """Check every element for positivity and the summed map for trace
     preservation on the input space."""
-    failures: list[str] = []
-    eigen_report: list[tuple[int, float]] = []
-    total = np.zeros((4, 4), dtype=complex)
-    for outcome in sorted(instrument.elements):
-        element = instrument.elements[outcome]
-        herm = (element.matrix + element.matrix.conj().T) / 2
-        low = float(hermitian_eigenvalues(herm)[0])
-        eigen_report.append((outcome, low))
-        if low < -CP_ATOL:
-            failures.append(f"element {outcome} is not positive: minimum eigenvalue {low:.6e}")
-        total += element.matrix
-    reduced = partial_trace(total, IO_LAYOUT, keep=("in",))
-    tp_residual = float(np.linalg.norm(reduced - np.eye(2)))
-    if tp_residual > TP_ATOL:
-        failures.append(f"summed map is not trace preserving: residual {tp_residual:.3e}")
+    outcomes = sorted(instrument.elements)
+    elements = np.stack([instrument.elements[k].matrix for k in outcomes])
+    low, tp, failures = _check_stack(elements, outcomes)
+    found = failures.get((), [])
     return InstrumentReport(
-        is_valid=not failures,
-        min_eigenvalues=tuple(eigen_report),
-        tp_residual=tp_residual,
-        failures=tuple(failures),
+        is_valid=not found,
+        min_eigenvalues=tuple((k, float(v)) for k, v in zip(outcomes, low)),
+        tp_residual=float(tp),
+        failures=tuple(found),
     )

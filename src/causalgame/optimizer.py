@@ -66,7 +66,8 @@ class OptimizationResult:
 
     ``value`` is the Born-rule success probability of the reported
     parameters; ``trace`` is the winning restart's objective history
-    (non-decreasing). Instrument searches fill ``alice`` and ``bob``;
+    (non-decreasing), ending at the iteration where that restart retired
+    or at the cap. Instrument searches fill ``alice`` and ``bob``;
     process-family searches fill ``coefficients`` and ``axis``.
     ``feasible`` records that the reported point passed its positivity
     checks. ``converged`` is true when the winning restart retired
@@ -84,15 +85,16 @@ class OptimizationResult:
 
     @property
     def iterations(self) -> int:
-        """Ascent iterations the search ran, counted on ``trace``."""
+        """Ascent iterations the winning restart ran, counted on ``trace``."""
         return len(self.trace) - 1
 
 
 def _ascend(objective, gradient, project, theta: np.ndarray, config: OptimizerConfig, steer=None):
     """Batched monotone ascent with closed-form gradients.
 
-    Returns the final points, their values, the per-restart traces and
-    a mask of the restarts that retired. ``gradient`` gives the exact
+    Returns the final points, their values, the per-restart traces, the
+    iterations each restart ran and a mask of the restarts that retired.
+    ``gradient`` gives the exact
     rowwise gradient of ``objective``, so each iteration costs one
     gradient call and one candidate evaluation. The step shrinks
     geometrically on each rejected move and re-expands on acceptance up
@@ -105,10 +107,12 @@ def _ascend(objective, gradient, project, theta: np.ndarray, config: OptimizerCo
     values = objective(theta)
     steps = np.full(theta.shape[0], config.initial_step)
     active = np.ones(theta.shape[0], dtype=bool)
+    ran = np.zeros(theta.shape[0], dtype=int)
     history = [values.copy()]
     for _ in range(config.max_iters):
         if not active.any():
             break
+        ran += active
         grad = gradient(theta)
         if steer is not None:
             grad = steer(theta, grad)
@@ -123,7 +127,7 @@ def _ascend(objective, gradient, project, theta: np.ndarray, config: OptimizerCo
         steps[reject] *= config.decay
         active &= steps >= 1e-9
         history.append(values.copy())
-    return theta, values, np.array(history).T, ~active
+    return theta, values, np.array(history).T, ran, ~active
 
 
 def _restart_generators(config: OptimizerConfig) -> list[np.random.Generator]:
@@ -215,7 +219,7 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
     for rng in _restart_generators(config):
         rows.append(rng.normal(size=15))
     theta0 = np.vstack(rows)
-    theta, values, traces, retired = _ascend(
+    theta, values, traces, ran, retired = _ascend(
         lambda theta: _instrument_objective(theta, corr3, pair2, beta),
         lambda theta: _instrument_gradient(theta, corr3, pair2, beta),
         _unit_blocks,
@@ -254,7 +258,7 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
         )
     return OptimizationResult(
         value=value,
-        trace=tuple(traces[best]),
+        trace=tuple(traces[best, : ran[best] + 1]),
         feasible=True,
         converged=bool(retired[best]),
         alice=alice_spec,
@@ -368,7 +372,7 @@ def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> Opti
         axis = rng.normal(size=3)
         rows.append(np.concatenate([coeffs, axis / np.linalg.norm(axis)]))
     theta0 = np.vstack(rows)
-    theta, values, traces, retired = _ascend(
+    theta, values, traces, ran, retired = _ascend(
         lambda theta: _ansatz_objective(theta, alpha),
         lambda theta: _ansatz_gradient(theta, alpha),
         project,
@@ -393,7 +397,7 @@ def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> Opti
         )
     return OptimizationResult(
         value=value,
-        trace=tuple(traces[best]),
+        trace=tuple(traces[best, : ran[best] + 1]),
         feasible=report.is_valid,
         converged=bool(retired[best]),
         coefficients=coefficients,

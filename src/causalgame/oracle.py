@@ -80,23 +80,25 @@ def _vertex_data() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (C0, C1, V): C0[k, a, b] flags x = b at bp = 0 for strategy k,
     C1[k, a, b] flags y = a at bp = 1, and V[:, k] is the flattened
-    correlation table of strategy k.
+    correlation table of strategy k, in ``enumerate_strategies`` order.
+    Within each order's block of 1024, bits 9-8 of the vertex index hold
+    the leader's two answers and bits 7-0 the follower's eight, the answer
+    to inputs (a, b, bp) sitting at bit 7 - (4a + 2b + bp).
     """
     if not _CACHE:
-        strategies = enumerate_strategies()
-        count = len(strategies)
-        c0 = np.zeros((count, 2, 2))
-        c1 = np.zeros((count, 2, 2))
-        tables = np.zeros((32, count))
-        for k, strategy in enumerate(strategies):
-            for a, b in np.ndindex(2, 2):
-                x0, _ = strategy.outcomes(a, b, 0)
-                _, y1 = strategy.outcomes(a, b, 1)
-                c0[k, a, b] = 1.0 if x0 == b else 0.0
-                c1[k, a, b] = 1.0 if y1 == a else 0.0
-            tables[:, k] = strategy.correlation_table().reshape(32)
-        _CACHE["c0"] = c0
-        _CACHE["c1"] = c1
+        vertex = np.arange(1024)
+        m = np.arange(8)[:, None]  # 4a + 2b + bp
+        follower = (vertex >> (7 - m)) & 1
+        x = np.hstack([(vertex >> (9 - (m >> 2))) & 1, follower])  # leader reads a
+        y = np.hstack([follower, (vertex >> (9 - ((m >> 1) & 1))) & 1])  # leader reads b
+        tables = np.zeros((32, 2048))
+        tables[16 * x + 8 * y + m, np.arange(2048)] = 1.0
+        bit = np.arange(2)
+        # [k, a, b, bp] views of each vertex's answers.
+        x = x.T.reshape(2048, 2, 2, 2)
+        y = y.T.reshape(2048, 2, 2, 2)
+        _CACHE["c0"] = (x[..., 0] == bit).astype(float)
+        _CACHE["c1"] = (y[..., 1] == bit[:, None]).astype(float)
         _CACHE["tables"] = tables
     return _CACHE["c0"], _CACHE["c1"], _CACHE["tables"]
 

@@ -61,6 +61,8 @@ class ProcessMatrix:
         arr = np.array(self.matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"process matrix must be square, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("process matrix entries must be finite")
         if arr.shape[0] != self.layout.dim:
             raise ValueError(
                 f"matrix dimension {arr.shape[0]} does not match layout dimension {self.layout.dim}"

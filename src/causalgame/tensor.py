@@ -1,17 +1,17 @@
 """Dense complex linear algebra over labeled tensor-product spaces.
 
 Everything downstream works on small (at most 16x16) complex matrices living
-on an ordered list of qubit subsystems. This module supplies the Kronecker
-product, partial traces over named subsystems, an in-repo Hermitian
-eigensolver, and the Hilbert-Schmidt (Pauli) decomposition used to classify
-process-matrix terms.
+on an ordered list of qubit subsystems. This module supplies Kronecker
+products of several factors, partial traces over named subsystems, a guarded
+Hermitian eigenvalue routine (numpy's ``eigvalsh`` behind Hermiticity and
+finiteness checks), and the Hilbert-Schmidt (Pauli) decomposition used to
+classify process-matrix terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
 
 import numpy as np
 
@@ -24,6 +24,7 @@ PAULI = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 PAULI_LABELS = "IXYZ"
+_PAULI_STACK = np.stack(PAULI)
 
 
 @dataclass(frozen=True)
@@ -85,15 +86,6 @@ def hermiticity_residual(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
 
 
-def is_hermitian(matrix: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
-    return hermiticity_residual(matrix) <= atol
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square complex matrices."""
-    return np.kron(_as_square(a), _as_square(b))
-
-
 def kron_all(*operators: np.ndarray) -> np.ndarray:
     """Kronecker product of several factors, left to right."""
     if not operators:
@@ -135,69 +127,19 @@ def partial_trace(matrix: np.ndarray, layout: SubsystemLayout, keep) -> np.ndarr
 def hermitian_eigenvalues(matrix: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix in ascending order.
 
-    Cyclic Jacobi iteration with complex plane rotations. The problem sizes
-    here never exceed 16x16, where Jacobi is both simple and accurate; the
-    eigenvalue sum matches the trace to working precision.
+    Raises ValueError on non-finite entries, which LAPACK would turn into
+    plausible-looking numbers, and on a Hermiticity residual above ``atol``.
+    The eigenvalues are those of the Hermitian part.
     """
     arr = _as_square(matrix)
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix has non-finite entries")
     residual = hermiticity_residual(arr)
     if residual > atol:
         raise ValueError(
             f"matrix is not Hermitian: residual {residual:.3e} exceeds {atol:.1e}"
         )
-    a = ((arr + arr.conj().T) / 2).astype(complex)
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-
-    scale = max(1.0, float(np.linalg.norm(a)))
-    stop = 1e-14 * scale
-    for _ in range(100):
-        off = np.sqrt(max(np.sum(np.abs(a) ** 2) - np.sum(np.abs(np.diag(a)) ** 2), 0.0))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                g = abs(apq)
-                if g <= stop / n:
-                    continue
-                phase = apq / g
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2 * g)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary acting on the (p, q) plane: first absorb the phase of
-                # a_pq, then the real rotation that annihilates it.
-                col_p = c * a[:, p] - s * np.conj(phase) * a[:, q]
-                col_q = s * phase * a[:, p] + c * a[:, q]
-                a[:, p] = col_p
-                a[:, q] = col_q
-                row_p = c * a[p, :] - s * phase * a[q, :]
-                row_q = s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return np.sort(np.diag(a).real)
-
-
-def _pauli_basis(n_qubits: int) -> np.ndarray:
-    basis = _BASIS_CACHE.get(n_qubits)
-    if basis is None:
-        mats = [reduce(np.kron, [PAULI[i] for i in word]) for word in product(range(4), repeat=n_qubits)]
-        basis = np.stack(mats, axis=0)
-        basis.setflags(write=False)
-        _BASIS_CACHE[n_qubits] = basis
-    return basis
-
-
-_BASIS_CACHE: dict[int, np.ndarray] = {}
+    return np.linalg.eigvalsh((arr + arr.conj().T) / 2)
 
 
 def pauli_word(indices: tuple[int, ...]) -> np.ndarray:
@@ -229,8 +171,12 @@ def pauli_decompose(
             f"matrix dimension {arr.shape[0]} does not match layout dimension {layout.dim}"
         )
     n = len(layout.dims)
-    basis = _pauli_basis(n)
-    coeffs = np.einsum("ij,tji->t", arr, basis) / layout.dim
+    # Tr[M sigma(t)] factorizes over qubits: view M as a rank-2n tensor and
+    # contract each row/column index pair with the stacked Pauli matrices.
+    operands = [arr.reshape((2,) * 2 * n), list(range(2 * n))]
+    for k in range(n):
+        operands += [_PAULI_STACK, [2 * n + k, n + k, k]]
+    coeffs = np.einsum(*operands, list(range(2 * n, 3 * n))).ravel() / layout.dim
     worst_imag = float(np.max(np.abs(coeffs.imag)))
     if worst_imag > HERMITICITY_ATOL:
         raise ValueError(
@@ -253,15 +199,9 @@ def pauli_compose(
     if not layout.all_qubits():
         raise ValueError("Pauli composition requires an all-qubit layout")
     n = len(layout.dims)
-    basis = _pauli_basis(n)
     out = np.zeros((layout.dim, layout.dim), dtype=complex)
     for word, value in coefficients.items():
         if len(word) != n:
             raise ValueError(f"index tuple {word} does not match {n} subsystems")
-        if any(i not in (0, 1, 2, 3) for i in word):
-            raise ValueError(f"Pauli indices must lie in 0..3, got {word}")
-        flat = 0
-        for i in word:
-            flat = flat * 4 + i
-        out += value * basis[flat]
+        out += value * pauli_word(word)
     return out

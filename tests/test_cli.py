@@ -254,3 +254,31 @@ def test_readme_examples_print_golden_bytes(capsys, tmp_path, golden, argv, out)
     else:
         produced = stdout.encode()
     assert produced == (GOLDEN / golden).read_bytes()
+
+
+def test_non_finite_t_vector_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "game", "--process", "w_ocb", "--t-vector", "nan", "0", "0")
+    assert code == 2
+    assert out == ""
+    assert "unit vector" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+def test_non_finite_or_negative_tol_is_a_usage_error(capsys, tmp_path, tol):
+    # Trace 4.8 and eigenvalue -0.6: invalid at any meaningful tolerance.
+    path = tmp_path / "bad.txt"
+    path.write_text("IIII 0.3\nIZZI 0.9\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["validate", str(path), "--tol", tol])
+    assert excinfo.value.code == 2
+    assert "valid" not in capsys.readouterr().out
+
+
+def test_json_output_refuses_non_finite_numbers(capsys, monkeypatch):
+    from causalgame import cli
+
+    monkeypatch.setattr(cli, "oracle_bound", lambda spec: float("nan"))
+    code, out, err = run(capsys, "oracle", "--alpha", "0.6", "--beta", "0.7", "--json")
+    assert code == 2
+    assert out == ""
+    assert "JSON" in err

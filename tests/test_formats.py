@@ -129,3 +129,16 @@ def test_dense_parse_errors():
 def test_first_tag_comment_wins():
     text = "# tag: first\n# tag: second\nIIII 0.25\n"
     assert parse_process(text).tag == "first"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_pauli_text_rejects_non_finite_coefficients(value):
+    with pytest.raises(ValueError, match="finite"):
+        parse_process(f"IIII 0.25\nIZZI {value}\n")
+
+
+def test_dense_text_rejects_non_finite_entries():
+    payload = json.loads(dense_text(w_ocb()))
+    payload["entries"][17] = [float("nan"), 0.0]
+    with pytest.raises(ValueError, match="finite"):
+        parse_process(json.dumps(payload))

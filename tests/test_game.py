@@ -141,3 +141,10 @@ def test_joint_distribution_names_the_invalid_bob_setting():
 
     with pytest.raises(ValueError, match=r"party B instrument at setting \(1, 0\) is invalid: .*trace"):
         joint_distribution(w_ocb(), alice_z, broken)
+
+
+def test_distribution_rejects_non_finite_entries():
+    table = joint_distribution(w_ocb(), alice_z, bob_branch).table.copy()
+    table[0, 0, 0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        JointDistribution(table)

@@ -143,3 +143,31 @@ def test_instrument_validate_catches_broken_families():
     report = instrument_validate(Instrument({0: doubled, 1: elements[1]}))
     assert not report.is_valid
     assert any("trace" in f.lower() for f in report.failures)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"measure": [np.nan, 0.0, 0.0], "encode": X_AXIS},
+        {"measure": Z_AXIS, "encode": [np.inf, 0.0, 0.0]},
+        {"measure": Z_AXIS, "encode": X_AXIS, "corr": np.full((3, 3), np.nan)},
+        {"measure": Z_AXIS, "encode": X_AXIS, "relay": [np.nan, 0.0, 1.0]},
+    ],
+)
+def test_observable_spec_rejects_non_finite_axes(kwargs):
+    with pytest.raises(ValueError):
+        ObservableSpec(**kwargs)
+
+
+def test_bob_branch_rejects_a_non_finite_axis():
+    with pytest.raises(ValueError, match="unit vector"):
+        bob_branch(0, 0, 0, t=np.array([np.nan, 0.0, 0.0]))
+
+
+def test_instrument_validate_flags_non_finite_elements():
+    poisoned = np.array(alice_z(0, 0).matrix)
+    poisoned[0, 3] = np.nan  # off the blocks the trace-preservation check reads
+    element = CJOperator(poisoned, party="A", outcome=0, setting=(0,))
+    report = instrument_validate(Instrument({0: element, 1: alice_z(1, 0)}))
+    assert not report.is_valid
+    assert any("non-finite" in f for f in report.failures)

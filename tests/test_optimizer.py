@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -220,3 +222,16 @@ def test_threshold_stops_when_the_bracket_cannot_shrink(monkeypatch):
     monkeypatch.setattr(optimizer, "maximize_ansatz", flat)
     value = threshold_alpha(xtol=1e-300)
     assert abs(value - 1.0 / np.sqrt(2.0)) <= 1e-15
+
+
+def test_trace_ends_where_the_winning_restart_retired():
+    config = OptimizerConfig(restarts=16, seed=0)
+    result = maximize_instruments(w_ocb(), 0.6, config)
+    trace = np.array(result.trace)
+    last_move = int(np.flatnonzero(np.diff(trace))[-1]) + 1
+    # After its last accepted move a restart retires once the step has
+    # decayed below 1e-9, which takes at most this many rejections.
+    to_retire = math.ceil(math.log(1e-9 / config.initial_step) / math.log(config.decay))
+    assert result.converged
+    assert result.iterations == len(result.trace) - 1
+    assert result.iterations - last_move <= to_retire

@@ -200,3 +200,11 @@ def test_process_matrix_shape_guard():
 def test_term_label():
     assert term_label((0, 3, 3, 0)) == "IZZI"
     assert term_label((3, 0, 1, 3)) == "ZIXZ"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_process_matrix_rejects_non_finite_entries(bad):
+    matrix = np.array(w_ocb().matrix)
+    matrix[3, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ProcessMatrix(matrix)

@@ -107,3 +107,11 @@ def test_hermitian_eigenvalues_reject_skew_input():
     matrix[0, 1] = 2.0
     with pytest.raises(ValueError):
         hermitian_eigenvalues(matrix)
+
+
+def test_hermitian_eigenvalues_reject_non_finite_input():
+    # LAPACK alone answers [0, -0, 1, 1] here without any error.
+    matrix = np.eye(4, dtype=complex)
+    matrix[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eigenvalues(matrix)
