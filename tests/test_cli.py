@@ -263,7 +263,7 @@ def test_non_finite_t_vector_is_a_usage_error(capsys):
     assert "unit vector" in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.001"])
 def test_non_finite_or_negative_tol_is_a_usage_error(capsys, tmp_path, tol):
     # Trace 4.8 and eigenvalue -0.6: invalid at any meaningful tolerance.
     path = tmp_path / "bad.txt"
