@@ -206,6 +206,8 @@ def cmd_optimize(args) -> int:
             "feasible": result.feasible,
             "iterations": result.iterations,
             "converged": result.converged,
+            "upper_bound": result.upper_bound,
+            "gap": result.gap,
             "alice": result.alice.to_record(),
             "bob": result.bob.to_record(),
         }
@@ -218,6 +220,8 @@ def cmd_optimize(args) -> int:
             "feasible": result.feasible,
             "iterations": result.iterations,
             "converged": result.converged,
+            "upper_bound": result.upper_bound,
+            "gap": result.gap,
             "coefficients": list(result.coefficients),
             "axis": result.axis.tolist(),
         }

@@ -1,14 +1,19 @@
-"""Random-restart projected ascent for the game's two search problems.
+"""Random-restart exact block-coordinate ascent for the game's two searches.
 
-Both searches use the same engine: closed-form gradients of their
-polynomial objectives, a step that shrinks geometrically on rejected
-moves, unit-norm blocks renormalized after every step, and batched
-evaluation across restarts.
-The instrument search walks five Bloch vectors against a fixed process;
-the process-family search walks six correlation coefficients inside their
-positivity region together with Bob's decoding axis. Every reported
-optimum is rebuilt from its parameters and re-scored through the full
-Born pipeline, so a search bug cannot ship a stale number.
+Both objectives are multilinear in their blocks, and every block has a
+closed-form maximizer given the others: a unit-normalized partial
+gradient on a Bloch sphere, or the dual-gauge point of the positivity
+ball. One engine sweeps every block in turn to its maximizer
+(Gauss-Seidel, the higher-order power method of De Lathauwer, De Moor
+and Vandewalle, SIAM J. Matrix Anal. Appl. 21, 1324, 2000), batched
+across restarts, and retires a restart at its first sweep that gains no
+more than ``tol``.
+The instrument search moves five Bloch vectors against a fixed process;
+the process-family search moves six correlation coefficients inside
+their positivity region together with Bob's decoding axis. Every
+reported optimum is rebuilt from its parameters and re-scored through
+the full Born pipeline, so a search bug cannot ship a stale number, and
+carries a closed-form upper bound on what any point could score.
 """
 
 from __future__ import annotations
@@ -31,14 +36,13 @@ from .processes import ProcessMatrix, validate, w_ansatz
 from .tensor import pauli_decompose
 
 REEVAL_ATOL = 1e-10
+ANSATZ_CEILING = 0.25 * (2.0 + math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 64
     max_iters: int = 2000
-    initial_step: float = 0.1
-    decay: float = 0.97
     tol: float = 1e-9
     seed: int = 0
     general_corr: bool = False
@@ -48,14 +52,10 @@ class OptimizerConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("initial_step", "decay", "tol"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.tol, numbers.Real) or not math.isfinite(self.tol):
+            raise ValueError(f"tol must be a finite number, got {self.tol!r}")
         if self.restarts <= 0 or self.max_iters <= 0:
             raise ValueError("restarts and max_iters must be positive")
-        if self.initial_step <= 0 or not 0 < self.decay <= 1:
-            raise ValueError("step sizes must be positive and decay in (0, 1]")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
 
@@ -66,18 +66,21 @@ class OptimizationResult:
 
     ``value`` is the Born-rule success probability of the reported
     parameters; ``trace`` is the winning restart's objective history
-    (non-decreasing), ending at the iteration where that restart retired
-    or at the cap. Instrument searches fill ``alice`` and ``bob``;
-    process-family searches fill ``coefficients`` and ``axis``.
-    ``feasible`` records that the reported point passed its positivity
-    checks. ``converged`` is true when the winning restart retired
-    because its step collapsed, before the iteration cap.
+    (non-decreasing), one entry per sweep, ending at the sweep where that
+    restart retired or at the cap. Instrument searches fill ``alice``
+    and ``bob``; process-family searches fill ``coefficients`` and
+    ``axis``. ``feasible`` records that the reported point passed its
+    positivity checks. ``converged`` is true when the winning restart
+    retired, at a sweep that gained no more than ``tol``, before the
+    sweep cap. ``upper_bound`` is a closed-form ceiling on the score of
+    any point of the searched space.
     """
 
     value: float
     trace: tuple[float, ...]
     feasible: bool
     converged: bool
+    upper_bound: float
     alice: ObservableSpec | None = None
     bob: ObservableSpec | None = None
     coefficients: tuple[float, ...] | None = None
@@ -85,27 +88,31 @@ class OptimizationResult:
 
     @property
     def iterations(self) -> int:
-        """Ascent iterations the winning restart ran, counted on ``trace``."""
+        """Sweeps the winning restart ran, counted on ``trace``."""
         return len(self.trace) - 1
 
+    @property
+    def gap(self) -> float:
+        """Certified optimality gap, ``upper_bound`` minus ``value``.
 
-def _ascend(objective, gradient, project, theta: np.ndarray, config: OptimizerConfig, steer=None):
-    """Batched monotone ascent with closed-form gradients.
+        Both searches refuse a value above the ceiling by more than
+        ``REEVAL_ATOL``; a rounding-sized excess reads as 0.
+        """
+        return max(self.upper_bound - self.value, 0.0)
 
-    Returns the final points, their values, the per-restart traces, the
-    iterations each restart ran and a mask of the restarts that retired.
-    ``gradient`` gives the exact
-    rowwise gradient of ``objective``, so each iteration costs one
-    gradient call and one candidate evaluation. The step shrinks
-    geometrically on each rejected move and re-expands on acceptance up
-    to its initial value, a trust-region style schedule that survives
-    long boundary crawls. A restart retires once its step collapses.
-    ``steer`` may bend the raw gradient into a constraint-compatible
-    direction before the step is taken.
+
+def _ascend(objective, sweep, theta: np.ndarray, config: OptimizerConfig):
+    """Batched exact block-coordinate ascent.
+
+    ``sweep`` replaces every block of every row, in turn, by its exact
+    maximizer given the other blocks, so no sweep lowers the objective.
+    A sweep is accepted where it gains more than ``config.tol``; a
+    restart retires at its first sweep that does not, keeping its
+    previous point. Returns the final points, their values, the
+    per-restart traces, the sweeps each restart ran and a mask of the
+    restarts that retired.
     """
-    theta = project(theta.copy())
     values = objective(theta)
-    steps = np.full(theta.shape[0], config.initial_step)
     active = np.ones(theta.shape[0], dtype=bool)
     ran = np.zeros(theta.shape[0], dtype=int)
     history = [values.copy()]
@@ -113,21 +120,24 @@ def _ascend(objective, gradient, project, theta: np.ndarray, config: OptimizerCo
         if not active.any():
             break
         ran += active
-        grad = gradient(theta)
-        if steer is not None:
-            grad = steer(theta, grad)
-        candidate = project(theta + steps[:, None] * grad)
+        candidate = sweep(theta.copy())
         cand_values = objective(candidate)
-        improve = cand_values > values + config.tol
-        accept = improve & active
-        reject = ~improve & active
-        theta[accept] = candidate[accept]
-        values[accept] = cand_values[accept]
-        steps[accept] = np.minimum(steps[accept] / config.decay, config.initial_step)
-        steps[reject] *= config.decay
-        active &= steps >= 1e-9
+        active &= cand_values > values + config.tol
+        theta[active] = candidate[active]
+        values[active] = cand_values[active]
         history.append(values.copy())
     return theta, values, np.array(history).T, ran, ~active
+
+
+def _check_rescore(value: float, searched: float, upper_bound: float) -> None:
+    """Refuse a Born-rule re-score that misses the search's own value or
+    beats the closed-form ceiling."""
+    if abs(value - searched) > REEVAL_ATOL:
+        raise NumericalIntegrityError(
+            f"search value {searched!r} not reproduced by the Born pipeline ({value!r})"
+        )
+    if value > upper_bound + REEVAL_ATOL:
+        raise NumericalIntegrityError(f"value {value!r} exceeds its ceiling {upper_bound!r}")
 
 
 def _restart_generators(config: OptimizerConfig) -> list[np.random.Generator]:
@@ -135,9 +145,11 @@ def _restart_generators(config: OptimizerConfig) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in seeds]
 
 
-def _unit_rows(block: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(block, axis=1, keepdims=True)
-    return np.divide(block, norms, out=block.copy(), where=norms > 0)
+def _set_unit(block: np.ndarray, direction: np.ndarray) -> None:
+    """Overwrite each row of ``block`` with the unit vector along the same
+    row of ``direction``, keeping the old row where the direction is zero."""
+    norms = np.linalg.norm(direction, axis=1, keepdims=True)
+    np.divide(direction, norms, out=block, where=norms > 0)
 
 
 def _correlation_data(w) -> tuple[np.ndarray, np.ndarray]:
@@ -173,22 +185,21 @@ def _instrument_objective(theta: np.ndarray, corr3: np.ndarray, pair2: np.ndarra
     return 0.5 + 2.0 * beta * corr + 2.0 * (1.0 - beta) * pair
 
 
-def _instrument_gradient(theta: np.ndarray, corr3: np.ndarray, pair2: np.ndarray, beta: float) -> np.ndarray:
-    """Exact rowwise gradient of ``_instrument_objective``."""
+def _instrument_sweep(theta: np.ndarray, corr3: np.ndarray, pair2: np.ndarray) -> np.ndarray:
+    """One Gauss-Seidel sweep of ``_instrument_objective``, in place.
+
+    The objective is linear in each Bloch vector, so a block's maximizer
+    on the unit sphere is its unit partial gradient; the positive channel
+    weights 2 beta and 2 (1 - beta) drop out. Blocks go m, t, o (the
+    trilinear channel), then n, r (the bilinear channel).
+    """
     m, n, r, t, o = (theta[:, 3 * b : 3 * b + 3] for b in range(5))
-    weighted = np.einsum("ikl,rl->rik", corr3, o)
-    grad = np.empty_like(theta)
-    grad[:, 0:3] = 2.0 * beta * np.einsum("rik,rk->ri", weighted, t)
-    grad[:, 3:6] = 2.0 * (1.0 - beta) * np.einsum("jk,rk->rj", pair2, r)
-    grad[:, 6:9] = 2.0 * (1.0 - beta) * np.einsum("jk,rj->rk", pair2, n)
-    grad[:, 9:12] = 2.0 * beta * np.einsum("ri,rik->rk", m, weighted)
-    grad[:, 12:15] = 2.0 * beta * np.einsum("ikl,ri,rk->rl", corr3, m, t)
-    return grad
-
-
-def _unit_blocks(theta: np.ndarray) -> np.ndarray:
-    """Renormalize each consecutive three-entry block of every row."""
-    return _unit_rows(theta.reshape(-1, 3)).reshape(theta.shape)
+    _set_unit(m, np.einsum("ikl,rk,rl->ri", corr3, t, o))
+    _set_unit(t, np.einsum("ikl,ri,rl->rk", corr3, m, o))
+    _set_unit(o, np.einsum("ikl,ri,rk->rl", corr3, m, t))
+    _set_unit(n, np.einsum("jk,rk->rj", pair2, r))
+    _set_unit(r, np.einsum("jk,rj->rk", pair2, n))
+    return theta
 
 
 def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) -> OptimizationResult:
@@ -209,23 +220,14 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
         raise ValueError("process matrix failed validation: " + "; ".join(report.failures))
     corr3, pair2 = _correlation_data(w)
 
-    def steer(theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        # The two scoring channels are separable and their gradients
-        # scale with beta and 1 - beta; normalizing per block keeps the
-        # weak channel moving at the same arc rate as the strong one.
-        return _unit_blocks(grad)
-
-    rows = []
-    for rng in _restart_generators(config):
-        rows.append(rng.normal(size=15))
-    theta0 = np.vstack(rows)
+    theta0 = np.vstack([rng.normal(size=15) for rng in _restart_generators(config)])
+    blocks = theta0.reshape(-1, 3)
+    _set_unit(blocks, blocks)
     theta, values, traces, ran, retired = _ascend(
         lambda theta: _instrument_objective(theta, corr3, pair2, beta),
-        lambda theta: _instrument_gradient(theta, corr3, pair2, beta),
-        _unit_blocks,
+        lambda theta: _instrument_sweep(theta, corr3, pair2),
         theta0,
         config,
-        steer=steer,
     )
 
     best = int(np.argmax(values))
@@ -252,15 +254,17 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
         lambda y, b, bp: bob_general(y, b, bp, bob_spec),
     )
     value = success_probability(dist, GameSpec(0.5, beta))
-    if abs(value - values[best]) > REEVAL_ATOL:
-        raise NumericalIntegrityError(
-            f"search value {values[best]!r} not reproduced by the Born pipeline ({value!r})"
-        )
+    # t (x) o is a unit vector, so sigma_max of corr3 flattened to 3x9
+    # bounds the trilinear channel; the bilinear one peaks at sigma_max(pair2).
+    corr, pair = np.linalg.norm(corr3.reshape(3, 9), 2), np.linalg.norm(pair2, 2)
+    upper_bound = float(0.5 + 2.0 * beta * corr + 2.0 * (1.0 - beta) * pair)
+    _check_rescore(value, values[best], upper_bound)
     return OptimizationResult(
         value=value,
         trace=tuple(traces[best, : ran[best] + 1]),
         feasible=True,
         converged=bool(retired[best]),
+        upper_bound=upper_bound,
         alice=alice_spec,
         bob=bob_spec,
     )
@@ -278,19 +282,27 @@ def _gauge(coeffs: np.ndarray) -> np.ndarray:
     return np.abs(coeffs[:, 4]) + np.sqrt(coeffs[:, 1] ** 2 + coeffs[:, 2] ** 2 + heavy**2)
 
 
-def _gauge_subgradient(coeffs: np.ndarray) -> np.ndarray:
-    """A subgradient of the gauge, rowwise; zero entries at kinks."""
-    sub = np.zeros_like(coeffs)
-    heavy = np.abs(coeffs[:, 0]) + np.abs(coeffs[:, 3]) + np.abs(coeffs[:, 5])
-    root = np.sqrt(coeffs[:, 1] ** 2 + coeffs[:, 2] ** 2 + heavy**2)
-    safe = root > 0
-    ratio = np.divide(heavy, root, out=np.zeros_like(root), where=safe)
-    for col in (0, 3, 5):
-        sub[:, col] = np.sign(coeffs[:, col]) * ratio
-    for col in (1, 2):
-        sub[:, col] = np.divide(coeffs[:, col], root, out=np.zeros_like(root), where=safe)
-    sub[:, 4] = np.sign(coeffs[:, 4])
-    return sub
+def _gauge_maximizer(g: np.ndarray) -> np.ndarray:
+    """Rowwise maximizer of g . c over the positivity ball gauge(c) <= 1.
+
+    The gauge is |c4| + ||(c1, c2, |c0| + |c3| + |c5|)||, so the best
+    score is the dual gauge max(|g4|, rho) with h = max(|g0|, |g3|, |g5|)
+    and rho = ||(g1, g2, h)||. Where |g4| wins, the maximizer is
+    sign(g4) e4; otherwise it is (g1, g2, g_k) / rho on coordinates
+    1, 2 and the first k in (0, 3, 5) reaching h, and zero elsewhere.
+    Either point has gauge exactly 1.
+    """
+    rows = np.arange(g.shape[0])
+    heavy = np.array([0, 3, 5])[np.argmax(np.abs(g[:, [0, 3, 5]]), axis=1)]
+    rho = np.sqrt(g[:, 1] ** 2 + g[:, 2] ** 2 + g[rows, heavy] ** 2)
+    scale = np.divide(1.0, rho, out=np.zeros_like(rho), where=rho > 0)
+    c = np.zeros_like(g)
+    c[:, 1:3] = g[:, 1:3] * scale[:, None]
+    c[rows, heavy] = g[rows, heavy] * scale
+    edge = np.abs(g[:, 4]) > rho
+    c[edge] = 0.0
+    c[edge, 4] = np.sign(g[edge, 4])
+    return c
 
 
 def ansatz_min_eigenvalue(coeffs) -> float:
@@ -322,48 +334,30 @@ def _ansatz_gradient(theta: np.ndarray, alpha: float) -> np.ndarray:
     return grad
 
 
+def _ansatz_sweep(theta: np.ndarray, alpha: float) -> np.ndarray:
+    """One Gauss-Seidel sweep of ``_ansatz_objective``, in place.
+
+    Bob's axis t becomes the unit vector along (c1, c2, c3) (kept where
+    that is zero); the coefficients then move to the positivity-ball
+    point that maximizes their linear score given t.
+    """
+    _set_unit(theta[:, 6:9], theta[:, 1:4])
+    theta[:, 0:6] = _gauge_maximizer(_ansatz_gradient(theta, alpha)[:, 0:6])
+    return theta
+
+
 def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> OptimizationResult:
     """Best success probability over the six-term family at beta = 1/2.
 
-    Jointly searches the coefficients (projected radially into their
-    positivity ball, whose defining gauge is a norm) and Bob's decoding
-    axis. The optimum sits on the positivity boundary, so candidates are
-    projected rather than discarded.
+    Jointly searches the coefficients, inside their positivity ball
+    (whose defining gauge is a norm), and Bob's decoding axis. The
+    optimum sits on the positivity boundary, where every coefficient
+    block maximizer lands. The family's ceiling is (2 + sqrt 2) / 4 at
+    every alpha: the dual gauge of the coefficient gradient is at most
+    sqrt(2) / 4.
     """
     config = config or OptimizerConfig()
     spec = GameSpec(alpha, 0.5)
-
-    def project(theta: np.ndarray) -> np.ndarray:
-        scale = np.maximum(_gauge(theta[:, 0:6]), 1.0)
-        theta[:, 0:6] /= scale[:, None]
-        theta[:, 6:9] = _unit_rows(theta[:, 6:9])
-        return theta
-
-    # Coefficients entering the gauge through an absolute value kink at 0.
-    pin_cols = np.array([True, False, False, True, True, True])
-
-    def steer(theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        # On the positivity boundary, slide along it: remove the
-        # outward component of the coefficient gradient so the radial
-        # rescale in `project` only has to absorb curvature, not the
-        # whole step. Without this the walk stalls where the gradient
-        # is radial, which is not the constrained optimum. Coordinates
-        # sitting on an absolute-value kink are pinned there; their
-        # sign-based subgradient would otherwise promise gauge budget
-        # that evaporates after a sub-step-size crossing.
-        coeffs = theta[:, 0:6]
-        pinned = pin_cols[None, :] & (np.abs(coeffs) <= 1e-6)
-        normal = np.where(pinned, 0.0, _gauge_subgradient(coeffs))
-        reduced = np.where(pinned, 0.0, grad[:, 0:6])
-        outward = np.einsum("rp,rp->r", reduced, normal)
-        weight = np.einsum("rp,rp->r", normal, normal)
-        at_boundary = (_gauge(coeffs) >= 1.0 - 1e-9) & (outward > 0) & (weight > 0)
-        scale = np.where(at_boundary, outward / np.where(weight > 0, weight, 1.0), 0.0)
-        steered = grad.copy()
-        steered[:, 0:6] = np.where(
-            at_boundary[:, None], reduced - scale[:, None] * normal, grad[:, 0:6]
-        )
-        return steered
 
     rows = []
     for rng in _restart_generators(config):
@@ -374,11 +368,9 @@ def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> Opti
     theta0 = np.vstack(rows)
     theta, values, traces, ran, retired = _ascend(
         lambda theta: _ansatz_objective(theta, alpha),
-        lambda theta: _ansatz_gradient(theta, alpha),
-        project,
+        lambda theta: _ansatz_sweep(theta, alpha),
         theta0,
         config,
-        steer=steer,
     )
 
     best = int(np.argmax(values))
@@ -391,15 +383,14 @@ def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> Opti
         lambda y, b, bp: bob_branch(y, b, bp, t=axis),
     )
     value = success_probability(dist, spec)
-    if abs(value - values[best]) > REEVAL_ATOL:
-        raise NumericalIntegrityError(
-            f"search value {values[best]!r} not reproduced by the Born pipeline ({value!r})"
-        )
+    upper_bound = ANSATZ_CEILING
+    _check_rescore(value, values[best], upper_bound)
     return OptimizationResult(
         value=value,
         trace=tuple(traces[best, : ran[best] + 1]),
         feasible=report.is_valid,
         converged=bool(retired[best]),
+        upper_bound=upper_bound,
         coefficients=coefficients,
         axis=axis,
     )
@@ -415,8 +406,8 @@ def threshold_alpha(
     """Input bias above which the six-term family stops violating the bound.
 
     Bisects the sign of [best family success - causal bound] at beta = 1/2.
-    The family optimum is essentially flat in alpha, so the crossing sits
-    where the causal bound overtakes it. The bracket must satisfy
+    The family optimum is (2 + sqrt 2) / 4 at every alpha, so the crossing
+    sits where the causal bound overtakes it. The bracket must satisfy
     ``lo < hi`` and ``xtol`` must be a positive finite width; bisection
     also stops once the bracket holds no float strictly inside it.
     """

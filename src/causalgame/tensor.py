@@ -11,7 +11,7 @@ classify process-matrix terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -151,6 +151,29 @@ def pauli_word(indices: tuple[int, ...]) -> np.ndarray:
     return reduce(np.kron, [PAULI[i] for i in indices])
 
 
+@cache
+def _trace_pattern(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero entry of each column of every n-qubit Pauli word.
+
+    Column r of sigma(t) is nonzero only in row c = r ^ x(t), where x(t)
+    flags the X and Y factors, and that entry is the product of the
+    per-qubit phases. Returns c and the entry as (2**n, 4**n) arrays
+    indexed by r and the flat word t.
+    """
+    rows = np.arange(2**n)[:, None]
+    words = np.arange(4**n)[None, :]
+    cols = np.zeros((2**n, 4**n), dtype=np.intp)
+    phase = np.ones((2**n, 4**n), dtype=complex)
+    for k in range(n):
+        r = (rows >> (n - 1 - k)) & 1
+        t = (words >> (2 * (n - 1 - k))) & 3
+        c = r ^ ((t == 1) | (t == 2))
+        cols |= c << (n - 1 - k)
+        phase = phase * _PAULI_STACK[t, c, r]
+    cols.flags.writeable = phase.flags.writeable = False  # shared by every caller
+    return cols, phase
+
+
 def pauli_decompose(
     matrix: np.ndarray,
     layout: SubsystemLayout = DEFAULT_LAYOUT,
@@ -171,23 +194,26 @@ def pauli_decompose(
             f"matrix dimension {arr.shape[0]} does not match layout dimension {layout.dim}"
         )
     n = len(layout.dims)
-    # Tr[M sigma(t)] factorizes over qubits: view M as a rank-2n tensor and
-    # contract each row/column index pair with the stacked Pauli matrices.
-    operands = [arr.reshape((2,) * 2 * n), list(range(2 * n))]
-    for k in range(n):
-        operands += [_PAULI_STACK, [2 * n + k, n + k, k]]
-    coeffs = np.einsum(*operands, list(range(2 * n, 3 * n))).ravel() / layout.dim
+    cols, phase = _trace_pattern(n)
+    # Tr[M sigma(t)] = sum_r M[r, c] sigma(t)[c, r] over the one nonzero c
+    # of each column of sigma(t). The products are exact (unit phases), so
+    # only the row sum rounds; summing the rows in order keeps every
+    # coefficient bit-identical to a single contraction over all indices.
+    terms = np.take_along_axis(arr, cols, axis=1) * phase
+    coeffs = terms[0].copy()
+    for row in terms[1:]:
+        coeffs += row
+    coeffs /= layout.dim
     worst_imag = float(np.max(np.abs(coeffs.imag)))
     if worst_imag > HERMITICITY_ATOL:
         raise ValueError(
             f"coefficients are not real (residual {worst_imag:.3e}); input is not Hermitian"
         )
+    values = coeffs.real
     out: dict[tuple[int, ...], float] = {}
-    drop = max(zero_atol, 0.0)
-    for flat, value in enumerate(coeffs.real):
-        if abs(value) > drop:
-            word = tuple((flat >> (2 * (n - 1 - k))) & 3 for k in range(n))
-            out[word] = float(value)
+    for flat in np.flatnonzero(np.abs(values) > max(zero_atol, 0.0)).tolist():
+        word = tuple((flat >> (2 * (n - 1 - k))) & 3 for k in range(n))
+        out[word] = float(values[flat])
     return out
 
 

@@ -203,8 +203,8 @@ def test_optimize_ibit_json_is_seed_stable(capsys):
     assert payload["feasible"] is True
     assert len(payload["coefficients"]) == 6
     assert np.linalg.norm(payload["axis"]) == pytest.approx(1.0, abs=1e-9)
-    assert payload["iterations"] == 600
-    assert payload["converged"] is False
+    assert payload["converged"] is True
+    assert payload["iterations"] < 600
 
 
 def test_optimize_dbit_json_reports_convergence(capsys):
@@ -217,6 +217,20 @@ def test_optimize_dbit_json_reports_convergence(capsys):
     assert text == f"{payload['value']:.9g}\n"
     assert isinstance(payload["iterations"], int) and 0 < payload["iterations"] <= 600
     assert payload["converged"] is (payload["iterations"] < 600)
+    assert payload["gap"] == max(payload["upper_bound"] - payload["value"], 0.0)
+    assert 0.0 <= payload["gap"] <= 1e-12
+
+
+def test_readme_ibit_json_reaches_the_family_ceiling(capsys):
+    code, out, _ = run(capsys, "optimize", "--mode", "ibit", "--alpha", "0.8", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    ceiling = 0.25 * (2.0 + np.sqrt(2.0))
+    assert abs(payload["value"] - ceiling) <= 1e-12
+    assert payload["upper_bound"] == pytest.approx(ceiling, abs=1e-15)
+    assert 0.0 <= payload["gap"] <= 1e-12
+    assert payload["iterations"] == 3
+    assert payload["converged"] is True
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -239,6 +253,8 @@ README_EXAMPLES = [
     ("witness.txt", ["witness", "--process", "w_beta@0.5"], None),
     ("decompose_w_ocb.txt", ["decompose", "--process", "w_ocb"], None),
     ("decompose_mix.json", ["decompose", "--process", "mix@0.3", "--form", "dense"], "mix.json"),
+    ("optimize_dbit.txt", ["optimize", "--mode", "dbit", "--process", "w_beta@0.75", "--beta", "0.75"], None),
+    ("threshold.txt", ["threshold"], None),
 ]
 
 

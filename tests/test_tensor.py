@@ -52,6 +52,36 @@ def test_decompose_compose_round_trip():
         npt.assert_allclose(pauli_compose(coeffs), matrix, atol=1e-12)
 
 
+def _reference_coefficients(matrix, n):
+    """Tr[M sigma(t)] / 2**n as one einsum over every row and column bit."""
+    operands = [matrix.reshape((2,) * 2 * n), list(range(2 * n))]
+    for k in range(n):
+        operands += [np.stack(PAULI), [2 * n + k, n + k, k]]
+    return np.einsum(*operands, list(range(2 * n, 3 * n))).ravel().real / 2**n
+
+
+def test_decompose_is_bit_identical_to_one_contraction():
+    from causalgame import causal_mixture, ordered_identity_channel_process, w_beta, w_ocb
+
+    mix = causal_mixture(
+        ordered_identity_channel_process("b_to_a"), ordered_identity_channel_process("a_to_b"), 0.3
+    )
+    rng = np.random.default_rng(29)
+    cases = [(w.matrix, DEFAULT_LAYOUT) for w in (w_ocb(), w_beta(0.7), mix)]
+    for n in (1, 2, 3, 4, 4, 4):
+        raw = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        layout = SubsystemLayout(tuple((f"q{k}", 2) for k in range(n)))
+        cases.append((raw + raw.conj().T, layout))
+    for matrix, layout in cases:
+        n = len(layout.dims)
+        reference = _reference_coefficients(matrix, n)
+        coeffs = pauli_decompose(matrix, layout)
+        dense = np.zeros(4**n)
+        for word, value in coeffs.items():
+            dense[sum(index << (2 * (n - 1 - k)) for k, index in enumerate(word))] = value
+        assert dense.tobytes() == np.where(reference == 0.0, 0.0, reference).tobytes()
+
+
 def test_decompose_rejects_non_hermitian_input():
     matrix = np.zeros((16, 16), dtype=complex)
     matrix[0, 1] = 1.0
