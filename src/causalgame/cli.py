@@ -4,8 +4,9 @@ Every subcommand accepts either a process file (dense JSON or Pauli
 text) or a built-in name: ``w_ocb``, ``w_beta@<beta>``, ``ordered_ab``,
 ``ordered_ba``, or ``mix@<q>`` (q weighs ordered_ba against ordered_ab).
 Exit codes: 0 on success, 1 when a check fails validation, 2 on usage
-errors including unreadable or malformed files. CSV output uses nine
-significant digits, a header row, and LF line endings.
+errors including unreadable or malformed files and numerical overflow.
+CSV output uses nine significant digits, a header row, and LF line
+endings.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -185,12 +187,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    config = OptimizerConfig(
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        general_corr=args.general_corr,
-    )
+    config = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     if args.mode == "dbit":
         w = resolve_process(args.process)
         report = validate(w, **_validation_tolerances(args))
@@ -316,11 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5, help="input bias for ibit mode")
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument(
-        "--general-corr",
-        action="store_true",
-        help="report the decode element as an explicit correlation tensor",
-    )
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("witness", parents=[common], help="causal witness value of a process")
@@ -333,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", parents=[common], help="print or write a process encoding")
     p.add_argument("--process", required=True, help="process file or built-in name")
     p.add_argument("--form", choices=("pauli", "dense"), default="pauli")
-    p.add_argument("--zero-atol", type=float, default=1e-12, help="drop Pauli terms at or below")
+    p.add_argument("--zero-atol", type=_tolerance, default=1e-12, help="drop Pauli terms at or below")
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
     p.set_defaults(func=cmd_decompose)
     return parser
@@ -343,11 +335,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            # A numpy overflow or invalid value is an error with one message,
+            # not a warning printed ahead of (or instead of) an answer.
+            warnings.simplefilter("error", RuntimeWarning)
+            return args.func(args)
+    except (UsageError, ValueError, RuntimeWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .processes import ProcessMatrix
-from .tensor import DEFAULT_LAYOUT, PAULI_LABELS, pauli_compose, pauli_decompose
+from .tensor import LABELS, PAULI_LABELS, pauli_compose, pauli_decompose
 
 _WORD_INDEX = {letter: index for index, letter in enumerate(PAULI_LABELS)}
 
@@ -29,8 +29,8 @@ def dense_text(w: ProcessMatrix) -> str:
     """Serialize as the dense JSON document, ending with a newline."""
     entries = [[float(z.real), float(z.imag)] for z in w.matrix.ravel()]
     document = {
-        "dimension": w.dim,
-        "layout": list(w.layout.labels),
+        "dimension": 16,
+        "layout": list(LABELS),
         "tag": w.tag,
         "entries": entries,
     }
@@ -45,7 +45,7 @@ def pauli_text(w: ProcessMatrix, zero_atol: float = 0.0) -> str:
     last-ulp dust that Hilbert-Schmidt coefficients of composed
     matrices carry.
     """
-    coefficients = pauli_decompose(w.matrix, w.layout, zero_atol=zero_atol)
+    coefficients = pauli_decompose(w.matrix, zero_atol=zero_atol)
     lines = []
     if w.tag:
         lines.append(f"# tag: {w.tag}")
@@ -66,13 +66,11 @@ def _parse_dense(text: str) -> ProcessMatrix:
         if key not in document:
             raise ValueError(f"dense process file missing key {key!r}")
     labels = tuple(document["layout"])
-    if labels != DEFAULT_LAYOUT.labels:
-        raise ValueError(
-            f"unsupported layout {labels!r}, expected {DEFAULT_LAYOUT.labels!r}"
-        )
+    if labels != LABELS:
+        raise ValueError(f"unsupported layout {labels!r}, expected {LABELS!r}")
     dim = document["dimension"]
-    if dim != DEFAULT_LAYOUT.dim:
-        raise ValueError(f"dimension must be {DEFAULT_LAYOUT.dim}, got {dim!r}")
+    if dim != 16:
+        raise ValueError(f"dimension must be 16, got {dim!r}")
     entries = document["entries"]
     if len(entries) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")

@@ -4,8 +4,8 @@ One round runs both tasks at once: Bob holds a round bit b_prime with
 p(b_prime=0) = beta deciding whether his bit b must reach Alice (she wins
 if x = b) or whether he must guess Alice's bit a (he wins if y = a). The
 input bits a and b are drawn with p(0) = alpha. Probabilities come from
-the bilinear pairing of a process matrix with the two parties' Choi
-operators.
+the generalized Born rule Tr[W (M_A tensor M_B)], the bilinear pairing
+of a process matrix with the two parties' 4x4 Choi matrices.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instruments import _check_stack
+from .processes import _matrix_of
 
 BORN_IMAG_ATOL = 1e-10
 NORMALIZATION_ATOL = 1e-9
@@ -74,11 +75,6 @@ class JointDistribution:
         return "\n".join(lines) + "\n"
 
 
-def _operator_matrix(op) -> np.ndarray:
-    arr = op.matrix if hasattr(op, "matrix") else op
-    return np.asarray(arr, dtype=complex)
-
-
 def _real(values: np.ndarray) -> np.ndarray:
     """Real part of Born values, refusing any imaginary residue above 1e-10."""
     residue = values.imag.flat[np.argmax(np.abs(values.imag))]
@@ -87,49 +83,30 @@ def _real(values: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def born(w, m_a, m_b) -> float:
-    """Probability of one outcome pair: Tr[W (M_A tensor M_B)].
-
-    The trace must be real; an imaginary residue above 1e-10 raises
-    NumericalIntegrityError instead of being discarded.
-    """
-    w_arr = _operator_matrix(w)
-    a_arr = _operator_matrix(m_a)
-    b_arr = _operator_matrix(m_b)
-    local = np.kron(a_arr, b_arr)
-    if w_arr.shape != local.shape:
-        raise ValueError(
-            f"operator dimensions {a_arr.shape[0]}x{b_arr.shape[0]} do not match process {w_arr.shape}"
-        )
-    return float(_real(np.einsum("ij,ji->", w_arr, local)))
-
-
 def joint_distribution(w, alice_family, bob_family) -> JointDistribution:
     """Evaluate the full conditional table for the given local families.
 
     ``alice_family(x, a)`` and ``bob_family(y, b, b_prime)`` return the
-    Choi operators of the corresponding instrument elements. Every family
-    is checked to be a valid instrument per setting before evaluation.
-    The table is one contraction of W, viewed as [A, B, A', B'] over the
-    parties' 4-dimensional spaces, with the stacked elements.
+    4x4 Choi matrices of the corresponding instrument elements. Every
+    family is checked to be a valid instrument per setting before
+    evaluation. The table is one contraction of W, viewed as [A, B, A', B']
+    over the parties' 4-dimensional spaces, with the stacked elements; an
+    imaginary residue above 1e-10 in any entry raises
+    NumericalIntegrityError instead of being discarded.
     """
-    alice = np.array(
-        [[_operator_matrix(alice_family(x, a)) for a in (0, 1)] for x in (0, 1)]
-    )
+    alice = np.array([[alice_family(x, a) for a in (0, 1)] for x in (0, 1)], dtype=complex)
     bob = np.array(
-        [
-            [[_operator_matrix(bob_family(y, b, bp)) for bp in (0, 1)] for b in (0, 1)]
-            for y in (0, 1)
-        ]
+        [[[bob_family(y, b, bp) for bp in (0, 1)] for b in (0, 1)] for y in (0, 1)],
+        dtype=complex,
     )
-    w_arr = _operator_matrix(w)
+    w_arr = _matrix_of(w)
     if alice.shape != (2, 2, 4, 4) or bob.shape != (2, 2, 2, 4, 4) or w_arr.shape != (16, 16):
         raise ValueError(
             f"need 4x4 instrument elements and a 16x16 process, got stacks {alice.shape}, "
             f"{bob.shape} and process {w_arr.shape}"
         )
     for party, stack in (("A", alice), ("B", bob)):
-        _, _, failures = _check_stack(stack, (0, 1))
+        failures = _check_stack(stack)
         if failures:
             setting, found = next(iter(failures.items()))
             raise ValueError(

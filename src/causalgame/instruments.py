@@ -1,11 +1,13 @@
-"""Local operations as Choi operators on an input-output qubit pair.
+"""Local operations as 4x4 Choi matrices on an input-output qubit pair.
 
-Alice measures in the z basis and reprepares a z eigenstate. Bob runs one
-of two branches: measure immediately and forward a fixed state, or decode
-along an axis and encode his own bit. Both parties also have general forms
-parameterized by Bloch vectors, a correlation tensor and an explicit
-encoding table, with a positivity guard so parameter searches can treat
-unphysical points as infeasible rather than crashing.
+Each instrument element is a plain array on the party's input qubit
+tensor its output qubit, input factor first. Alice measures in the z
+basis and reprepares a z eigenstate. Bob runs one of two branches:
+measure immediately and forward the maximally mixed state, or decode
+along an axis and encode his own bit. Both parties also have general
+forms parameterized by Bloch vectors, a correlation tensor and an
+explicit encoding table, with a positivity guard so parameter searches
+can treat unphysical points as infeasible rather than crashing.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import HERMITICITY_ATOL, PAULI, hermitian_eigenvalues, hermiticity_residual
+from .tensor import PAULI, hermitian_eigenvalues
 
 CP_ATOL = 1e-9
 TP_ATOL = 1e-10
@@ -27,6 +29,7 @@ BOB_TABLE = np.array([[0, 1], [1, 0]])  # send b xor y
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
+_MIXED = np.eye(2, dtype=complex) / 2  # the state Bob forwards when b_prime = 1
 
 
 class InfeasibleOperationError(ValueError):
@@ -35,47 +38,6 @@ class InfeasibleOperationError(ValueError):
     def __init__(self, message: str, min_eigenvalue: float):
         super().__init__(message)
         self.min_eigenvalue = min_eigenvalue
-
-
-@dataclass(frozen=True, eq=False)
-class CJOperator:
-    """Choi operator of one instrument element, tagged with its labels.
-
-    The matrix acts on the party's input space tensor its output space,
-    input factor first. ``setting`` holds the classical inputs the element
-    was built for: (a,) for Alice, (b, b_prime) for Bob.
-    """
-
-    matrix: np.ndarray
-    party: str
-    outcome: int
-    setting: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.matrix, dtype=complex)
-        if arr.shape != (4, 4):
-            raise ValueError(f"Choi operator must be 4x4, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
-
-
-@dataclass(frozen=True, eq=False)
-class Instrument:
-    """A complete set of instrument elements keyed by outcome."""
-
-    elements: dict[int, CJOperator]
-    input_dim: int = 2
-    output_dim: int = 2
-
-
-@dataclass(frozen=True)
-class InstrumentReport:
-    """Complete-positivity and trace-preservation checks for an instrument."""
-
-    is_valid: bool
-    min_eigenvalues: tuple[tuple[int, float], ...]
-    tp_residual: float
-    failures: tuple[str, ...] = ()
 
 
 def _sign(bit: int) -> float:
@@ -105,21 +67,6 @@ def _unit3_or_zero(vec, name: str) -> np.ndarray:
     norm = float(np.linalg.norm(arr))
     if not (norm <= UNIT_ATOL or abs(norm - 1.0) <= UNIT_ATOL):
         raise ValueError(f"{name} must be a unit vector (or zero to omit it), got norm {norm!r}")
-    return arr
-
-
-def _check_density(rho) -> np.ndarray:
-    if rho is None:
-        return np.eye(2, dtype=complex) / 2
-    arr = np.asarray(rho, dtype=complex)
-    if arr.shape != (2, 2):
-        raise ValueError(f"density matrix must be 2x2, got shape {arr.shape}")
-    if not hermiticity_residual(arr) <= HERMITICITY_ATOL:
-        raise ValueError("density matrix must be Hermitian")
-    if not abs(np.trace(arr).real - 1.0) <= UNIT_ATOL:
-        raise ValueError(f"density matrix must have unit trace, got {np.trace(arr).real!r}")
-    if hermitian_eigenvalues(arr)[0] < -CP_ATOL:
-        raise ValueError("density matrix must be positive semidefinite")
     return arr
 
 
@@ -200,7 +147,7 @@ class ObservableSpec:
         object.__setattr__(self, "table", table)
 
     def to_record(self) -> dict:
-        """Plain-data form for logging and checkpoint files."""
+        """Plain-data form, as ``optimize --json`` prints it."""
         return {
             "measure": self.measure.tolist(),
             "encode": self.encode.tolist(),
@@ -209,18 +156,8 @@ class ObservableSpec:
             "relay": self.relay.tolist(),
         }
 
-    @classmethod
-    def from_record(cls, record: dict) -> "ObservableSpec":
-        return cls(
-            measure=np.asarray(record["measure"], dtype=float),
-            encode=np.asarray(record["encode"], dtype=float),
-            corr=np.asarray(record["corr"], dtype=float),
-            table=None if record.get("table") is None else np.asarray(record["table"], dtype=int),
-            relay=np.asarray(record["relay"], dtype=float),
-        )
 
-
-def alice_z(x, a) -> CJOperator:
+def alice_z(x, a) -> np.ndarray:
     """Measure the input in the z basis, reprepare the z eigenstate of a.
 
     Outcome x is the measurement result; the repreparation encodes the
@@ -231,32 +168,29 @@ def alice_z(x, a) -> CJOperator:
     a = _check_bit(a, "a")
     meas = (np.eye(2) + _sign(x) * PAULI[3]) / 2
     prep = (np.eye(2) + _sign(a) * PAULI[3]) / 2
-    return CJOperator(np.kron(meas, prep), party="A", outcome=x, setting=(a,))
+    return np.kron(meas, prep)
 
 
-def bob_branch(y, b, b_prime, t=X_AXIS, rho=None) -> CJOperator:
+def bob_branch(y, b, b_prime, t=X_AXIS) -> np.ndarray:
     """Bob's two-branch operation, selected by the round bit b_prime.
 
     For b_prime = 1 he measures z immediately (outcome y) and forwards the
-    state rho (default maximally mixed). For b_prime = 0 he decodes the
-    incoming qubit along the axis t and encodes b xor y on the output, so
-    the receiving side can recover b from a z measurement.
+    maximally mixed state. For b_prime = 0 he decodes the incoming qubit
+    along the axis t and encodes b xor y on the output, so the receiving
+    side can recover b from a z measurement.
     """
     y = _check_bit(y, "y")
     b = _check_bit(b, "b")
     b_prime = _check_bit(b_prime, "b_prime")
     if b_prime:
-        rho = _check_density(rho)
-        matrix = np.kron((np.eye(2) + _sign(y) * PAULI[3]) / 2, rho)
-    else:
-        axis = _unit3(t, "t")
-        meas = (np.eye(2) + _sign(y) * _bloch(axis)) / 2
-        prep = (np.eye(2) + _sign(b ^ y) * PAULI[3]) / 2
-        matrix = np.kron(meas, prep)
-    return CJOperator(matrix, party="B", outcome=y, setting=(b, b_prime))
+        return np.kron((np.eye(2) + _sign(y) * PAULI[3]) / 2, _MIXED)
+    axis = _unit3(t, "t")
+    meas = (np.eye(2) + _sign(y) * _bloch(axis)) / 2
+    prep = (np.eye(2) + _sign(b ^ y) * PAULI[3]) / 2
+    return np.kron(meas, prep)
 
 
-def alice_general(x, a, spec: ObservableSpec) -> CJOperator:
+def alice_general(x, a, spec: ObservableSpec) -> np.ndarray:
     """Alice's operation for arbitrary axes and encoding table.
 
     Builds (1/4)[1 + (-1)^x measure . sigma on the input
@@ -275,23 +209,23 @@ def alice_general(x, a, spec: ObservableSpec) -> CJOperator:
         + _sign(x ^ f) * _corr_operator(spec.corr)
     )
     _guard_psd(matrix, "Alice")
-    return CJOperator(matrix, party="A", outcome=x, setting=(a,))
+    return matrix
 
 
-def bob_general(y, b, b_prime, spec: ObservableSpec, rho=None) -> CJOperator:
+def bob_general(y, b, b_prime, spec: ObservableSpec) -> np.ndarray:
     """Bob's operation for arbitrary axes and encoding table.
 
-    The b_prime = 1 branch measures along ``spec.relay`` and forwards rho;
-    the b_prime = 0 branch decodes along ``spec.measure`` and encodes
-    G = table[y, b] along ``spec.encode`` with the corr term signed by
-    y xor G. Positivity is guarded the same way as for Alice.
+    The b_prime = 1 branch measures along ``spec.relay`` and forwards the
+    maximally mixed state; the b_prime = 0 branch decodes along
+    ``spec.measure`` and encodes G = table[y, b] along ``spec.encode``
+    with the corr term signed by y xor G. Positivity is guarded the same
+    way as for Alice.
     """
     y = _check_bit(y, "y")
     b = _check_bit(b, "b")
     b_prime = _check_bit(b_prime, "b_prime")
     if b_prime:
-        rho = _check_density(rho)
-        matrix = np.kron((np.eye(2) + _sign(y) * _bloch(spec.relay)) / 2, rho)
+        matrix = np.kron((np.eye(2) + _sign(y) * _bloch(spec.relay)) / 2, _MIXED)
     else:
         table = BOB_TABLE if spec.table is None else spec.table
         g = int(table[y, b])
@@ -302,23 +236,21 @@ def bob_general(y, b, b_prime, spec: ObservableSpec, rho=None) -> CJOperator:
             + _sign(y ^ g) * _corr_operator(spec.corr)
         )
     _guard_psd(matrix, "Bob")
-    return CJOperator(matrix, party="B", outcome=y, setting=(b, b_prime))
+    return matrix
 
 
-def _check_stack(elements: np.ndarray, outcomes) -> tuple[np.ndarray, np.ndarray, dict]:
+def _check_stack(elements: np.ndarray) -> dict:
     """Positivity and trace preservation of stacked instrument elements.
 
     ``elements`` holds 4x4 Choi matrices with the outcome on axis 0 and any
     setting axes after it, so one call checks a whole family. Returns the
-    minimum eigenvalue of every element's Hermitian part (nan for an element
-    with non-finite entries), the trace-preservation residual of every
-    setting, and the failure messages of each failing setting, keyed by its
-    index tuple in row-major order. ``outcomes`` labels axis 0 in messages.
+    failure messages of each failing setting, keyed by its index tuple in
+    row-major order; an empty dict means every setting is an instrument.
     """
     finite = np.isfinite(elements).all(axis=(-2, -1))
     safe = np.where(finite[..., None, None], elements, 0.0)
     herm = (safe + np.swapaxes(safe, -1, -2).conj()) / 2
-    low = np.where(finite, np.linalg.eigvalsh(herm)[..., 0], np.nan)
+    low = np.linalg.eigvalsh(herm)[..., 0]
     # Trace out the output qubit of the summed map: in (2,2,2,2) form an
     # element is indexed [in, out, in', out'].
     total = safe.sum(axis=0).reshape(*elements.shape[1:-2], 2, 2, 2, 2)
@@ -327,9 +259,9 @@ def _check_stack(elements: np.ndarray, outcomes) -> tuple[np.ndarray, np.ndarray
     failures = {}
     for setting in np.ndindex(tp.shape):
         found = []
-        for k, outcome in enumerate(outcomes):
-            value = low[(k, *setting)]
-            if not finite[(k, *setting)]:
+        for outcome in range(elements.shape[0]):
+            value = low[(outcome, *setting)]
+            if not finite[(outcome, *setting)]:
                 found.append(f"element {outcome} has non-finite entries")
             elif value < -CP_ATOL:
                 found.append(f"element {outcome} is not positive: minimum eigenvalue {value:.6e}")
@@ -337,19 +269,4 @@ def _check_stack(elements: np.ndarray, outcomes) -> tuple[np.ndarray, np.ndarray
             found.append(f"summed map is not trace preserving: residual {tp[setting]:.3e}")
         if found:
             failures[setting] = found
-    return low, tp, failures
-
-
-def instrument_validate(instrument: Instrument) -> InstrumentReport:
-    """Check every element for positivity and the summed map for trace
-    preservation on the input space."""
-    outcomes = sorted(instrument.elements)
-    elements = np.stack([instrument.elements[k].matrix for k in outcomes])
-    low, tp, failures = _check_stack(elements, outcomes)
-    found = failures.get((), [])
-    return InstrumentReport(
-        is_valid=not found,
-        min_eigenvalues=tuple((k, float(v)) for k, v in zip(outcomes, low)),
-        tp_residual=float(tp),
-        failures=tuple(found),
-    )
+    return failures

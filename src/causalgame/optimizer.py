@@ -32,7 +32,7 @@ from .game import (
     success_probability,
 )
 from .instruments import ObservableSpec, alice_general, alice_z, bob_branch, bob_general
-from .processes import ProcessMatrix, validate, w_ansatz
+from .processes import _matrix_of, validate, w_ansatz
 from .tensor import pauli_decompose
 
 REEVAL_ATOL = 1e-10
@@ -45,7 +45,6 @@ class OptimizerConfig:
     max_iters: int = 2000
     tol: float = 1e-9
     seed: int = 0
-    general_corr: bool = False
 
     def __post_init__(self) -> None:
         for name in ("restarts", "max_iters"):
@@ -67,8 +66,8 @@ class OptimizationResult:
     ``value`` is the Born-rule success probability of the reported
     parameters; ``trace`` is the winning restart's objective history
     (non-decreasing), one entry per sweep, ending at the sweep where that
-    restart retired or at the cap. Instrument searches fill ``alice``
-    and ``bob``; process-family searches fill ``coefficients`` and
+    restart retired or at the cap. The instrument search fills ``alice``
+    and ``bob``, the process-family search ``coefficients`` and
     ``axis``. ``feasible`` records that the reported point passed its
     positivity checks. ``converged`` is true when the winning restart
     retired, at a sweep that gained no more than ``tol``, before the
@@ -160,8 +159,7 @@ def _correlation_data(w) -> tuple[np.ndarray, np.ndarray]:
     Alice's encode axis against Bob's relay axis (the message-to-Bob
     channel).
     """
-    matrix = w.matrix if isinstance(w, ProcessMatrix) else np.asarray(w, dtype=complex)
-    coefficients = pauli_decompose(matrix)
+    coefficients = pauli_decompose(_matrix_of(w))
     corr3 = np.zeros((3, 3, 3))
     pair2 = np.zeros((3, 3))
     for word, value in coefficients.items():
@@ -203,14 +201,16 @@ def _instrument_sweep(theta: np.ndarray, corr3: np.ndarray, pair2: np.ndarray) -
 
 
 def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) -> OptimizationResult:
-    """Best success probability of a fixed process over local operations.
+    """Best success probability of a fixed process over one instrument family.
 
-    Searches Alice's measure/encode axes and Bob's decode/encode/relay
-    axes at alpha = 1/2. With ``config.general_corr`` Bob's decode
-    element is reported as an explicit unit-Frobenius correlation tensor
-    with no single-axis terms; positivity confines such tensors to the
-    rank-1 products, so the search space is unchanged. The returned
-    value is the Born-rule score of the best parameters.
+    The family is the measure/encode/relay traceless-observable one of
+    ``alice_general`` and ``bob_general`` with rank-1 correlation terms and
+    the default encoding tables: Alice's measure and encode axes, Bob's
+    decode, encode and relay axes, at alpha = 1/2. It is not every local
+    operation, and ``upper_bound`` bounds only this family: on
+    ``ordered_ba`` at beta = 1/2 the search and its bound both read 0.5,
+    while deterministic causal strategies reach 0.75. The returned value
+    is the Born-rule score of the best parameters.
     """
     config = config or OptimizerConfig()
     if not 0.5 <= beta < 1.0:
@@ -233,21 +233,7 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
     best = int(np.argmax(values))
     point = theta[best]
     alice_spec = ObservableSpec(measure=point[0:3], encode=point[3:6])
-    if config.general_corr:
-        # Unit-Frobenius decode tensors compatible with positivity at
-        # both corr signs are exactly the rank-1 products (the nuclear
-        # norm is bounded by 1 yet can never drop below the Frobenius
-        # norm), so the free-tensor search walks the same manifold; the
-        # tensor is reported explicitly with the single-axis terms
-        # dropped.
-        bob_spec = ObservableSpec(
-            measure=np.zeros(3),
-            encode=np.zeros(3),
-            corr=np.outer(point[9:12], point[12:15]),
-            relay=point[6:9],
-        )
-    else:
-        bob_spec = ObservableSpec(measure=point[9:12], encode=point[12:15], relay=point[6:9])
+    bob_spec = ObservableSpec(measure=point[9:12], encode=point[12:15], relay=point[6:9])
     dist = joint_distribution(
         w,
         lambda x, a: alice_general(x, a, alice_spec),

@@ -153,13 +153,14 @@ class CausalDecision:
     value: float | None = None
 
 
-def is_causal(table, tol: float = MEMBERSHIP_TOL) -> CausalDecision:
+def is_causal(table) -> CausalDecision:
     """Decide whether a correlation table admits a causal model.
 
     ``table`` is a JointDistribution or a (2,2,2,2,2) array of conditional
     probabilities p[x, y, a, b, bp]. Membership in the convex hull of the
-    deterministic strategies is solved as a linear feasibility problem;
-    failure produces a separating functional certifying the violation.
+    deterministic strategies is solved as a linear feasibility problem,
+    with a leftover mass up to MEMBERSHIP_TOL counted as feasible; failure
+    produces a separating functional certifying the violation.
     """
     if not isinstance(table, JointDistribution):
         table = JointDistribution(np.asarray(table, dtype=float))
@@ -173,7 +174,7 @@ def is_causal(table, tol: float = MEMBERSHIP_TOL) -> CausalDecision:
         raise RuntimeError(
             f"feasibility solve did not converge within {result.iterations} iterations"
         )
-    if result.objective <= tol:
+    if result.objective <= MEMBERSHIP_TOL:
         return CausalDecision(
             is_causal=True,
             residual=float(result.objective),

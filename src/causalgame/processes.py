@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    DEFAULT_LAYOUT,
     HERMITICITY_ATOL,
+    LABELS,
     PAULI_LABELS,
-    SubsystemLayout,
     hermitian_eigenvalues,
     hermiticity_residual,
     pauli_compose,
@@ -47,14 +46,13 @@ ALLOWED_SUPPORTS = frozenset(
 
 @dataclass(frozen=True, eq=False)
 class ProcessMatrix:
-    """A validated-shape process matrix with its subsystem layout.
+    """A 16x16 process matrix on A_I, A_O, B_I, B_O (the order of LABELS).
 
     The matrix itself is stored read-only; ``tag`` records which family and
     parameters produced it, for reports and serialized files.
     """
 
     matrix: np.ndarray
-    layout: SubsystemLayout = DEFAULT_LAYOUT
     tag: str = ""
 
     def __post_init__(self) -> None:
@@ -63,16 +61,10 @@ class ProcessMatrix:
             raise ValueError(f"process matrix must be square, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("process matrix entries must be finite")
-        if arr.shape[0] != self.layout.dim:
-            raise ValueError(
-                f"matrix dimension {arr.shape[0]} does not match layout dimension {self.layout.dim}"
-            )
+        if arr.shape[0] != 16:
+            raise ValueError(f"process matrix dimension must be 16, got {arr.shape[0]}")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
 
 
 @dataclass(frozen=True)
@@ -100,7 +92,6 @@ def term_label(word: tuple[int, ...]) -> str:
 
 def validate(
     w,
-    layout: SubsystemLayout = DEFAULT_LAYOUT,
     *,
     psd_atol: float = PSD_ATOL,
     trace_atol: float = TRACE_ATOL,
@@ -108,21 +99,18 @@ def validate(
 ) -> ValidityReport:
     """Check Hermiticity, positivity, normalization and term structure.
 
-    A process matrix must be positive semidefinite, have trace equal to the
-    product of output dimensions, and carry Pauli weight only on the words
-    listed in ALLOWED_SUPPORTS. Each violated condition contributes one
-    entry to ``failures``; a non-Hermitian input is reported rather than
-    raised, with the remaining checks run on its Hermitian part.
+    A process matrix must be positive semidefinite, have trace 4 (the
+    product of the two output dimensions), and carry Pauli weight only on
+    the words listed in ALLOWED_SUPPORTS. Each violated condition
+    contributes one entry to ``failures``; a non-Hermitian input is
+    reported rather than raised, with the remaining checks run on its
+    Hermitian part.
     """
     arr = _matrix_of(w)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] != layout.dim:
-        raise ValueError(
-            f"matrix dimension {arr.shape[0]} does not match layout dimension {layout.dim}"
-        )
-    if set(layout.labels) != {"A_I", "A_O", "B_I", "B_O"} or not layout.all_qubits():
-        raise ValueError("validation is defined for the two-party qubit layout only")
+    if arr.shape[0] != 16:
+        raise ValueError(f"process matrix dimension must be 16, got {arr.shape[0]}")
 
     failures: list[str] = []
 
@@ -141,22 +129,17 @@ def validate(
         )
 
     trace = float(np.trace(arr).real)
-    expected = 1.0
-    for label, dim in layout.subsystems:
-        if label.endswith("_O"):
-            expected *= dim
+    expected = 4.0
     if abs(trace - expected) > trace_atol:
         failures.append(f"trace {trace!r} differs from {expected!r}")
 
-    coefficients = pauli_decompose(herm, layout)
+    coefficients = pauli_decompose(herm)
     forbidden: list[tuple[tuple[int, ...], float]] = []
     for word in sorted(coefficients):
         value = coefficients[word]
         if abs(value) <= support_atol:
             continue
-        support = frozenset(
-            label for label, index in zip(layout.labels, word) if index != 0
-        )
+        support = frozenset(label for label, index in zip(LABELS, word) if index != 0)
         if support not in ALLOWED_SUPPORTS:
             forbidden.append((word, value))
     if forbidden:
@@ -281,8 +264,7 @@ def causal_mixture(w_b_to_a, w_a_to_b, q: float) -> ProcessMatrix:
     second = _matrix_of(w_a_to_b)
     if first.shape != second.shape:
         raise ValueError(f"component shapes differ: {first.shape} vs {second.shape}")
-    layout = w_b_to_a.layout if isinstance(w_b_to_a, ProcessMatrix) else DEFAULT_LAYOUT
-    return ProcessMatrix(q * first + (1.0 - q) * second, layout, tag=f"mix@{float(q)!r}")
+    return ProcessMatrix(q * first + (1.0 - q) * second, tag=f"mix@{float(q)!r}")
 
 
 def witness_s() -> np.ndarray:

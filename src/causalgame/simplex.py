@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_TOL = 1e-11
+MAX_ITERS = 20000
 
 
 @dataclass(frozen=True)
@@ -34,19 +35,14 @@ class FeasibilityResult:
     converged: bool
 
 
-def phase_one(
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    pivot_tol: float = PIVOT_TOL,
-    max_iters: int = 20000,
-) -> FeasibilityResult:
+def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     """Minimize the artificial mass of A x = b, x >= 0.
 
     Dantzig pricing with a switch to Bland's rule after a run of degenerate
-    pivots, which guarantees termination. Duals are recomputed from the
-    inverse-basis block before answering, so the certificate does not
-    inherit drift from incremental updates.
+    pivots, which guarantees termination, and a stop after MAX_ITERS
+    pivots. Duals are recomputed from the inverse-basis block before
+    answering, so the certificate does not inherit drift from incremental
+    updates.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
@@ -82,12 +78,12 @@ def phase_one(
     iterations = 0
     converged = False
 
-    while iterations < max_iters:
-        candidates = np.flatnonzero(reduced < -pivot_tol)
+    while iterations < MAX_ITERS:
+        candidates = np.flatnonzero(reduced < -PIVOT_TOL)
         if candidates.size == 0:
             duals = fresh_duals()
             reduced = fresh_reduced(duals)
-            candidates = np.flatnonzero(reduced < -pivot_tol)
+            candidates = np.flatnonzero(reduced < -PIVOT_TOL)
             if candidates.size == 0:
                 converged = True
                 break
@@ -100,7 +96,7 @@ def phase_one(
         pivot_row = -1
         for j in order:
             column = tableau[:, j]
-            rows = np.flatnonzero(column > pivot_tol)
+            rows = np.flatnonzero(column > PIVOT_TOL)
             if rows.size == 0:
                 continue
             ratios = tableau[rows, -1] / column[rows]

@@ -1,16 +1,15 @@
 """Dense complex linear algebra over labeled tensor-product spaces.
 
-Everything downstream works on small (at most 16x16) complex matrices living
-on an ordered list of qubit subsystems. This module supplies Kronecker
-products of several factors, partial traces over named subsystems, a guarded
-Hermitian eigenvalue routine (numpy's ``eigvalsh`` behind Hermiticity and
-finiteness checks), and the Hilbert-Schmidt (Pauli) decomposition used to
-classify process-matrix terms.
+Everything downstream works on 16x16 complex matrices on the four qubits
+A_I, A_O, B_I, B_O, in that fixed order. This module supplies partial
+traces over named qubits, a guarded Hermitian eigenvalue routine (numpy's
+``eigvalsh`` behind Hermiticity and finiteness checks), and the
+Hilbert-Schmidt (Pauli) decomposition used to classify process-matrix
+terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
 
 import numpy as np
@@ -26,51 +25,9 @@ PAULI = (
 PAULI_LABELS = "IXYZ"
 _PAULI_STACK = np.stack(PAULI)
 
-
-@dataclass(frozen=True)
-class SubsystemLayout:
-    """Ordered (label, dimension) pairs naming the tensor factors of a matrix."""
-
-    subsystems: tuple[tuple[str, int], ...] = (
-        ("A_I", 2),
-        ("A_O", 2),
-        ("B_I", 2),
-        ("B_O", 2),
-    )
-
-    def __post_init__(self) -> None:
-        labels = [label for label, _ in self.subsystems]
-        if len(set(labels)) != len(labels):
-            raise ValueError("subsystem labels must be unique")
-        if any(dim < 1 for _, dim in self.subsystems):
-            raise ValueError("subsystem dimensions must be positive")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.subsystems)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.subsystems)
-
-    @property
-    def dim(self) -> int:
-        out = 1
-        for dim in self.dims:
-            out *= dim
-        return out
-
-    def index(self, label: str) -> int:
-        for i, (name, _) in enumerate(self.subsystems):
-            if name == label:
-                return i
-        raise ValueError(f"unknown subsystem label {label!r}; have {self.labels}")
-
-    def all_qubits(self) -> bool:
-        return all(dim == 2 for dim in self.dims)
-
-
-DEFAULT_LAYOUT = SubsystemLayout()
+# The fixed tensor order of every process matrix: Alice's input and output
+# qubits, then Bob's.
+LABELS = ("A_I", "A_O", "B_I", "B_O")
 
 
 def _as_square(matrix: np.ndarray) -> np.ndarray:
@@ -86,58 +43,42 @@ def hermiticity_residual(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
 
 
-def kron_all(*operators: np.ndarray) -> np.ndarray:
-    """Kronecker product of several factors, left to right."""
-    if not operators:
-        raise ValueError("need at least one operator")
-    return reduce(np.kron, (_as_square(op) for op in operators))
+def partial_trace(matrix: np.ndarray, keep) -> np.ndarray:
+    """Trace a 16x16 matrix over every qubit of LABELS not listed in ``keep``.
 
-
-def partial_trace(matrix: np.ndarray, layout: SubsystemLayout, keep) -> np.ndarray:
-    """Trace out every subsystem not listed in ``keep``.
-
-    ``keep`` is an iterable of subsystem labels; the kept subsystems retain
-    their order from the layout. Tracing everything returns a 1x1 matrix
-    holding the full trace.
+    The kept qubits retain their LABELS order. Tracing everything returns a
+    1x1 matrix holding the full trace.
     """
     arr = _as_square(matrix)
-    if arr.shape[0] != layout.dim:
-        raise ValueError(
-            f"matrix dimension {arr.shape[0]} does not match layout dimension {layout.dim}"
-        )
+    if arr.shape[0] != 16:
+        raise ValueError(f"expected a 16x16 matrix, got shape {arr.shape}")
     keep_set = set(keep)
-    for label in keep_set:
-        layout.index(label)
-
-    dims = layout.dims
-    traced = [i for i, label in enumerate(layout.labels) if label not in keep_set]
-    tensor = arr.reshape(*dims, *dims)
-    n_current = len(dims)
-    # Trace highest-index subsystems first so remaining axis numbers stay valid.
-    for axis in sorted(traced, reverse=True):
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + n_current)
-        n_current -= 1
-    kept_dim = 1
-    for i, dim in enumerate(dims):
-        if i not in traced:
-            kept_dim *= dim
+    unknown = keep_set - set(LABELS)
+    if unknown:
+        raise ValueError(f"unknown subsystem labels {sorted(unknown)}; have {LABELS}")
+    traced = [i for i, label in enumerate(LABELS) if label not in keep_set]
+    tensor = arr.reshape((2,) * 8)
+    # Trace highest-index qubits first so remaining axis numbers stay valid.
+    for done, axis in enumerate(sorted(traced, reverse=True)):
+        tensor = np.trace(tensor, axis1=axis, axis2=axis + 4 - done)
+    kept_dim = 2 ** (4 - len(traced))
     return np.asarray(tensor).reshape(kept_dim, kept_dim)
 
 
-def hermitian_eigenvalues(matrix: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix in ascending order.
 
     Raises ValueError on non-finite entries, which LAPACK would turn into
-    plausible-looking numbers, and on a Hermiticity residual above ``atol``.
-    The eigenvalues are those of the Hermitian part.
+    plausible-looking numbers, and on a Hermiticity residual above
+    HERMITICITY_ATOL. The eigenvalues are those of the Hermitian part.
     """
     arr = _as_square(matrix)
     if not np.isfinite(arr).all():
         raise ValueError("matrix has non-finite entries")
     residual = hermiticity_residual(arr)
-    if residual > atol:
+    if residual > HERMITICITY_ATOL:
         raise ValueError(
-            f"matrix is not Hermitian: residual {residual:.3e} exceeds {atol:.1e}"
+            f"matrix is not Hermitian: residual {residual:.3e} exceeds {HERMITICITY_ATOL:.1e}"
         )
     return np.linalg.eigvalsh((arr + arr.conj().T) / 2)
 
@@ -174,26 +115,19 @@ def _trace_pattern(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, phase
 
 
-def pauli_decompose(
-    matrix: np.ndarray,
-    layout: SubsystemLayout = DEFAULT_LAYOUT,
-    zero_atol: float = 0.0,
-) -> dict[tuple[int, ...], float]:
-    """Expand a Hermitian matrix in the multi-qubit Pauli basis.
+def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[int, ...], float]:
+    """Expand a Hermitian 2**n x 2**n matrix in the n-qubit Pauli basis.
 
     Returns the sparse map from index tuples (0=I, 1=X, 2=Y, 3=Z per
-    subsystem) to real coefficients, with coefficient(t) = Tr[M sigma(t)]
-    divided by the total dimension. Entries with |c| <= ``zero_atol`` are
+    qubit) to real coefficients, with coefficient(t) = Tr[M sigma(t)]
+    divided by the dimension. Entries with |c| <= ``zero_atol`` are
     dropped; the default keeps everything nonzero at working precision.
     """
-    if not layout.all_qubits():
-        raise ValueError("Pauli decomposition requires an all-qubit layout")
     arr = _as_square(matrix)
-    if arr.shape[0] != layout.dim:
-        raise ValueError(
-            f"matrix dimension {arr.shape[0]} does not match layout dimension {layout.dim}"
-        )
-    n = len(layout.dims)
+    dim = arr.shape[0]
+    n = dim.bit_length() - 1
+    if n < 1 or dim != 2**n:
+        raise ValueError(f"matrix dimension {dim} is not a power of two")
     cols, phase = _trace_pattern(n)
     # Tr[M sigma(t)] = sum_r M[r, c] sigma(t)[c, r] over the one nonzero c
     # of each column of sigma(t). The products are exact (unit phases), so
@@ -203,7 +137,7 @@ def pauli_decompose(
     coeffs = terms[0].copy()
     for row in terms[1:]:
         coeffs += row
-    coeffs /= layout.dim
+    coeffs /= dim
     worst_imag = float(np.max(np.abs(coeffs.imag)))
     if worst_imag > HERMITICITY_ATOL:
         raise ValueError(
@@ -217,17 +151,11 @@ def pauli_decompose(
     return out
 
 
-def pauli_compose(
-    coefficients: dict[tuple[int, ...], float],
-    layout: SubsystemLayout = DEFAULT_LAYOUT,
-) -> np.ndarray:
-    """Rebuild the matrix from a sparse Pauli coefficient map."""
-    if not layout.all_qubits():
-        raise ValueError("Pauli composition requires an all-qubit layout")
-    n = len(layout.dims)
-    out = np.zeros((layout.dim, layout.dim), dtype=complex)
+def pauli_compose(coefficients: dict[tuple[int, ...], float]) -> np.ndarray:
+    """Rebuild the 16x16 matrix from a sparse four-qubit Pauli coefficient map."""
+    out = np.zeros((16, 16), dtype=complex)
     for word, value in coefficients.items():
-        if len(word) != n:
-            raise ValueError(f"index tuple {word} does not match {n} subsystems")
+        if len(word) != 4:
+            raise ValueError(f"index tuple {word} does not match {len(LABELS)} subsystems")
         out += value * pauli_word(word)
     return out

@@ -39,7 +39,7 @@ from causalgame import (
 )
 from causalgame.cli import main as cli_main
 from causalgame.processes import ALLOWED_SUPPORTS
-from causalgame.tensor import DEFAULT_LAYOUT, PAULI
+from causalgame.tensor import LABELS, PAULI
 
 BETA_GRID = np.linspace(0.5, 0.99, 50)
 
@@ -135,7 +135,7 @@ def test_c05_validity_grid_and_forbidden_perturbations():
     for flat in range(256):
         word = ((flat >> 6) & 3, (flat >> 4) & 3, (flat >> 2) & 3, flat & 3)
         support = frozenset(
-            label for label, index in zip(DEFAULT_LAYOUT.labels, word) if index != 0
+            label for label, index in zip(LABELS, word) if index != 0
         )
         if support in ALLOWED_SUPPORTS:
             continue
@@ -203,15 +203,15 @@ def test_c09_conditioned_reductions_match_their_closed_forms():
         w = w_beta(beta)
         f1, f2 = w_beta_weights(beta)
         for b in (0, 1):
-            summed = sum(bob_branch(y, b, 0).matrix for y in (0, 1))
+            summed = sum(bob_branch(y, b, 0) for y in (0, 1))
             plugged = w.matrix @ np.kron(np.eye(4), summed)
-            reduced = partial_trace(plugged, w.layout, keep=("A_I", "A_O"))
+            reduced = partial_trace(plugged, keep=("A_I", "A_O"))
             closed = 0.5 * np.kron(ident + (-1) ** b * f2 * sigma_z, ident)
             npt.assert_allclose(reduced, closed, atol=1e-12)
         for a in (0, 1):
-            summed = sum(alice_z(x, a).matrix for x in (0, 1))
+            summed = sum(alice_z(x, a) for x in (0, 1))
             plugged = w.matrix @ np.kron(summed, np.eye(4))
-            reduced = partial_trace(plugged, w.layout, keep=("B_I", "B_O"))
+            reduced = partial_trace(plugged, keep=("B_I", "B_O"))
             closed = 0.5 * np.kron(ident + (-1) ** a * f1 * sigma_z, ident)
             npt.assert_allclose(reduced, closed, atol=1e-12)
     elapsed = time.monotonic() - start

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -298,3 +299,32 @@ def test_json_output_refuses_non_finite_numbers(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "JSON" in err
+
+
+@pytest.mark.parametrize("zero_atol", ["nan", "inf", "-1e-12"])
+def test_non_finite_or_negative_zero_atol_is_a_usage_error(capsys, zero_atol):
+    # A nan threshold used to drop every term and write an unreadable file.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["decompose", "--process", "w_ocb", "--zero-atol", zero_atol])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--zero-atol" in captured.err
+
+
+def test_numpy_overflow_is_a_single_error_line(capsys):
+    # The norm of this axis overflows inside numpy; its RuntimeWarning must
+    # not leak to stderr ahead of the error.
+    code, out, err = run(capsys, "game", "--process", "w_ocb", "--t-vector", "1e200", "1e200", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "overflow" in err
+    assert err.count("\n") == 1
+
+
+def test_readme_python_tour_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert blocks, "README has no Python example"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -23,7 +23,6 @@ def test_dense_round_trip_is_exact():
     clone = parse_process(dense_text(w))
     npt.assert_array_equal(clone.matrix, w.matrix)
     assert clone.tag == w.tag
-    assert clone.layout.labels == w.layout.labels
 
 
 def test_dense_text_is_json():

@@ -9,7 +9,6 @@ from causalgame import (
     alice_z,
     analytic_max_dbit,
     bob_branch,
-    born,
     causal_bound,
     causal_mixture,
     joint_distribution,
@@ -32,28 +31,29 @@ def test_game_spec_ranges():
 
 
 def test_born_probabilities_are_real_and_bounded():
-    w = w_ocb()
-    for x in (0, 1):
-        for y in (0, 1):
-            p = born(w, alice_z(x, 0), bob_branch(y, 1, 0))
-            assert 0.0 <= p <= 1.0
+    table = joint_distribution(w_ocb(), alice_z, bob_branch).table
+    assert table.dtype == float
+    assert table.min() >= 0.0 and table.max() <= 1.0
 
 
 def test_born_is_linear_in_the_process():
     w1 = ordered_identity_channel_process("a_to_b")
     w2 = ordered_identity_channel_process("b_to_a")
-    m_a, m_b = alice_z(0, 1), bob_branch(1, 0, 1)
     q = 0.37
     mixed = causal_mixture(w1, w2, 1.0 - q)
-    expected = (1.0 - q) * born(w1, m_a, m_b) + q * born(w2, m_a, m_b)
-    npt.assert_allclose(born(mixed, m_a, m_b), expected, atol=1e-12)
+
+    def table(w):
+        return joint_distribution(w, alice_z, bob_branch).table
+
+    expected = (1.0 - q) * table(w1) + q * table(w2)
+    npt.assert_allclose(table(mixed), expected, atol=1e-12)
 
 
 def test_born_rejects_complex_probabilities():
     rigged = np.zeros((16, 16), dtype=complex)
     rigged[0, 0] = 4.0j  # non-Hermitian, so the trace picks up an imaginary part
     with pytest.raises(NumericalIntegrityError):
-        born(rigged, alice_z(0, 0), bob_branch(0, 0, 0))
+        joint_distribution(rigged, alice_z, bob_branch)
 
 
 def test_joint_distribution_is_normalized_per_setting():

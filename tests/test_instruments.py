@@ -3,47 +3,43 @@ import numpy.testing as npt
 import pytest
 
 from causalgame import (
-    CJOperator,
     InfeasibleOperationError,
-    Instrument,
     ObservableSpec,
     alice_general,
     alice_z,
     bob_branch,
     bob_general,
-    instrument_validate,
+    joint_distribution,
+    w_ocb,
 )
-from causalgame.instruments import X_AXIS, Y_AXIS, Z_AXIS
+from causalgame.instruments import X_AXIS, Z_AXIS
+
+
+def _tp_residual(elements):
+    """Distance of the summed map's output-traced Choi matrix from the identity."""
+    total = sum(elements).reshape(2, 2, 2, 2)  # [in, out, in', out']
+    return np.linalg.norm(np.einsum("iojo->ij", total) - np.eye(2))
 
 
 def test_alice_elements_form_an_instrument():
+    joint_distribution(w_ocb(), alice_z, bob_branch)  # checks every setting
     for a in (0, 1):
-        elements = {x: alice_z(x, a) for x in (0, 1)}
-        report = instrument_validate(Instrument(elements))
-        assert report.is_valid, report.failures
-        assert report.tp_residual <= 1e-12
+        assert _tp_residual([alice_z(x, a) for x in (0, 1)]) <= 1e-12
 
 
 def test_bob_elements_form_an_instrument_in_both_rounds():
+    joint_distribution(w_ocb(), alice_z, bob_branch)
     for b in (0, 1):
         for bp in (0, 1):
-            elements = {y: bob_branch(y, b, bp) for y in (0, 1)}
-            report = instrument_validate(Instrument(elements))
-            assert report.is_valid, report.failures
+            elements = [bob_branch(y, b, bp) for y in (0, 1)]
+            assert _tp_residual(elements) <= 1e-12
 
 
 def test_cj_operators_are_psd_and_labeled():
     op = alice_z(1, 0)
-    assert op.party == "A"
-    assert op.outcome == 1
-    assert op.setting == (0,)
-    eigs = np.linalg.eigvalsh(op.matrix)
+    assert op.shape == (4, 4)
+    eigs = np.linalg.eigvalsh(op)
     assert eigs.min() >= -1e-12
-
-
-def test_cj_shape_guard():
-    with pytest.raises(ValueError, match="4x4"):
-        CJOperator(np.eye(2), party="A", outcome=0)
 
 
 def test_bit_arguments_are_checked():
@@ -63,15 +59,15 @@ def test_general_forms_reduce_to_the_named_instruments():
     for x in (0, 1):
         for a in (0, 1):
             npt.assert_allclose(
-                alice_general(x, a, alice_spec).matrix, alice_z(x, a).matrix, atol=1e-12
+                alice_general(x, a, alice_spec), alice_z(x, a), atol=1e-12
             )
     bob_spec = ObservableSpec(measure=X_AXIS, encode=Z_AXIS)
     for y in (0, 1):
         for b in (0, 1):
             for bp in (0, 1):
                 npt.assert_allclose(
-                    bob_general(y, b, bp, bob_spec).matrix,
-                    bob_branch(y, b, bp).matrix,
+                    bob_general(y, b, bp, bob_spec),
+                    bob_branch(y, b, bp),
                     atol=1e-12,
                 )
 
@@ -85,14 +81,13 @@ def test_rotated_axes_still_build_instruments():
             encode=e / np.linalg.norm(e),
             relay=r / np.linalg.norm(r),
         )
-        report = instrument_validate(
-            Instrument({x: alice_general(x, 0, spec) for x in (0, 1)})
+        # Raises "party A/B instrument at setting ... is invalid" on any
+        # element that is not positive or family that is not trace preserving.
+        joint_distribution(
+            w_ocb(),
+            lambda x, a: alice_general(x, a, spec),
+            lambda y, b, bp: bob_general(y, b, bp, spec),
         )
-        assert report.is_valid, report.failures
-        report = instrument_validate(
-            Instrument({y: bob_general(y, 1, 0, spec) for y in (0, 1)})
-        )
-        assert report.is_valid, report.failures
 
 
 def test_dropping_the_correlation_term_is_infeasible():
@@ -110,7 +105,7 @@ def test_zero_axes_omit_terms():
     npt.assert_allclose(spec.corr, np.zeros((3, 3)), atol=1e-15)
     # Fully trivial operation: identity output state, uniform outcome.
     op = bob_general(0, 0, 0, spec)
-    npt.assert_allclose(op.matrix, np.eye(4) / 4.0, atol=1e-12)
+    npt.assert_allclose(op, np.eye(4) / 4.0, atol=1e-12)
 
 
 def test_observable_spec_guards():
@@ -126,23 +121,13 @@ def test_observable_spec_guards():
         ObservableSpec(measure=X_AXIS, encode=Z_AXIS, table=np.array([[0, 2], [1, 0]]))
 
 
-def test_observable_spec_record_round_trip():
-    spec = ObservableSpec(measure=Y_AXIS, encode=X_AXIS, relay=Z_AXIS)
-    clone = ObservableSpec.from_record(spec.to_record())
-    npt.assert_allclose(clone.measure, spec.measure, atol=1e-15)
-    npt.assert_allclose(clone.encode, spec.encode, atol=1e-15)
-    npt.assert_allclose(clone.corr, spec.corr, atol=1e-15)
-    npt.assert_allclose(clone.relay, spec.relay, atol=1e-15)
-    assert clone.table is None
-
-
-def test_instrument_validate_catches_broken_families():
+def test_joint_distribution_catches_broken_families():
     # Doubling one element breaks trace preservation.
-    elements = {x: alice_z(x, 0) for x in (0, 1)}
-    doubled = CJOperator(2.0 * elements[0].matrix, party="A", outcome=0, setting=(0,))
-    report = instrument_validate(Instrument({0: doubled, 1: elements[1]}))
-    assert not report.is_valid
-    assert any("trace" in f.lower() for f in report.failures)
+    def doubled(x, a):
+        return 2.0 * alice_z(x, a) if x == 0 else alice_z(x, a)
+
+    with pytest.raises(ValueError, match=r"party A instrument at setting \(0,\) is invalid: .*trace"):
+        joint_distribution(w_ocb(), doubled, bob_branch)
 
 
 @pytest.mark.parametrize(
@@ -164,10 +149,12 @@ def test_bob_branch_rejects_a_non_finite_axis():
         bob_branch(0, 0, 0, t=np.array([np.nan, 0.0, 0.0]))
 
 
-def test_instrument_validate_flags_non_finite_elements():
-    poisoned = np.array(alice_z(0, 0).matrix)
-    poisoned[0, 3] = np.nan  # off the blocks the trace-preservation check reads
-    element = CJOperator(poisoned, party="A", outcome=0, setting=(0,))
-    report = instrument_validate(Instrument({0: element, 1: alice_z(1, 0)}))
-    assert not report.is_valid
-    assert any("non-finite" in f for f in report.failures)
+def test_joint_distribution_flags_non_finite_elements():
+    def poisoned(x, a):
+        element = alice_z(x, a)
+        if (x, a) == (0, 0):
+            element[0, 3] = np.nan  # off the blocks the trace-preservation check reads
+        return element
+
+    with pytest.raises(ValueError, match=r"setting \(0,\) is invalid: element 0 has non-finite"):
+        joint_distribution(w_ocb(), poisoned, bob_branch)

@@ -108,17 +108,6 @@ def test_instruments_search_rejects_bad_inputs():
         maximize_instruments(np.eye(16), 0.5, FAST)
 
 
-def test_general_corr_reports_an_explicit_tensor():
-    config = OptimizerConfig(restarts=6, seed=0, general_corr=True)
-    result = maximize_instruments(w_ocb(), 0.5, config)
-    assert result.value >= analytic_max_dbit(0.5) - 1e-4
-    npt.assert_allclose(result.bob.measure, np.zeros(3), atol=1e-15)
-    npt.assert_allclose(result.bob.encode, np.zeros(3), atol=1e-15)
-    singular = np.linalg.svd(result.bob.corr, compute_uv=False)
-    npt.assert_allclose(singular[0], 1.0, atol=1e-9)
-    assert singular[1] <= 1e-8  # rank one
-
-
 def test_ansatz_search_reaches_the_family_ceiling():
     result = maximize_ansatz(0.5, FAST)
     ceiling = 0.25 * (2.0 + np.sqrt(2.0))

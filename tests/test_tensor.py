@@ -3,12 +3,10 @@ import numpy.testing as npt
 import pytest
 
 from causalgame import (
-    DEFAULT_LAYOUT,
+    LABELS,
     PAULI,
     PAULI_LABELS,
-    SubsystemLayout,
     hermitian_eigenvalues,
-    kron_all,
     partial_trace,
     pauli_compose,
     pauli_decompose,
@@ -27,14 +25,13 @@ def test_pauli_algebra():
 
 
 def test_default_layout_is_the_four_party_wire_order():
-    assert DEFAULT_LAYOUT.labels == ("A_I", "A_O", "B_I", "B_O")
-    assert DEFAULT_LAYOUT.dim == 16
+    assert LABELS == ("A_I", "A_O", "B_I", "B_O")
 
 
 def test_pauli_word_matches_explicit_kron():
     npt.assert_array_equal(pauli_word((0, 0, 0, 0)), np.eye(16))
     word = (3, 0, 1, 3)
-    expected = kron_all(PAULI[3], PAULI[0], PAULI[1], PAULI[3])
+    expected = np.kron(np.kron(np.kron(PAULI[3], PAULI[0]), PAULI[1]), PAULI[3])
     npt.assert_array_equal(pauli_word(word), expected)
 
 
@@ -67,15 +64,14 @@ def test_decompose_is_bit_identical_to_one_contraction():
         ordered_identity_channel_process("b_to_a"), ordered_identity_channel_process("a_to_b"), 0.3
     )
     rng = np.random.default_rng(29)
-    cases = [(w.matrix, DEFAULT_LAYOUT) for w in (w_ocb(), w_beta(0.7), mix)]
+    cases = [w.matrix for w in (w_ocb(), w_beta(0.7), mix)]
     for n in (1, 2, 3, 4, 4, 4):
         raw = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
-        layout = SubsystemLayout(tuple((f"q{k}", 2) for k in range(n)))
-        cases.append((raw + raw.conj().T, layout))
-    for matrix, layout in cases:
-        n = len(layout.dims)
+        cases.append(raw + raw.conj().T)
+    for matrix in cases:
+        n = matrix.shape[0].bit_length() - 1
         reference = _reference_coefficients(matrix, n)
-        coeffs = pauli_decompose(matrix, layout)
+        coeffs = pauli_decompose(matrix)
         dense = np.zeros(4**n)
         for word, value in coeffs.items():
             dense[sum(index << (2 * (n - 1 - k)) for k, index in enumerate(word))] = value
@@ -89,6 +85,11 @@ def test_decompose_rejects_non_hermitian_input():
         pauli_decompose(matrix)
 
 
+def test_decompose_needs_a_power_of_two_dimension():
+    with pytest.raises(ValueError, match="power of two"):
+        pauli_decompose(np.eye(6))
+
+
 def test_compose_rejects_malformed_words():
     with pytest.raises(ValueError, match="does not match"):
         pauli_compose({(0, 0): 1.0})
@@ -99,8 +100,8 @@ def test_compose_rejects_malformed_words():
 def test_partial_trace_of_product_splits():
     rng = np.random.default_rng(3)
     blocks = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4)]
-    full = kron_all(*blocks)
-    kept = partial_trace(full, DEFAULT_LAYOUT, keep=("A_I", "B_I"))
+    full = np.kron(np.kron(np.kron(blocks[0], blocks[1]), blocks[2]), blocks[3])
+    kept = partial_trace(full, keep=("A_I", "B_I"))
     scale = np.trace(blocks[1]) * np.trace(blocks[3])
     npt.assert_allclose(kept, scale * np.kron(blocks[0], blocks[2]), atol=1e-12)
 
@@ -109,20 +110,13 @@ def test_partial_trace_preserves_total_trace():
     rng = np.random.default_rng(11)
     matrix = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     for keep in (("A_I",), ("A_O", "B_O"), ("A_I", "A_O", "B_I", "B_O")):
-        reduced = partial_trace(matrix, DEFAULT_LAYOUT, keep=keep)
+        reduced = partial_trace(matrix, keep=keep)
         npt.assert_allclose(np.trace(reduced), np.trace(matrix), atol=1e-12)
 
 
 def test_partial_trace_rejects_unknown_labels():
     with pytest.raises(ValueError):
-        partial_trace(np.eye(16), DEFAULT_LAYOUT, keep=("A_I", "nope"))
-
-
-def test_custom_layout_dimensions():
-    layout = SubsystemLayout((("in", 2), ("out", 3)))
-    assert layout.dim == 6
-    reduced = partial_trace(np.eye(6), layout, keep=("out",))
-    npt.assert_allclose(reduced, 2.0 * np.eye(3), atol=1e-15)
+        partial_trace(np.eye(16), keep=("A_I", "nope"))
 
 
 def test_hermitian_eigenvalues_match_numpy():
