@@ -20,9 +20,6 @@ from .game import (
     success_probability,
 )
 from .instruments import (
-    ALICE_TABLE,
-    BOB_TABLE,
-    InfeasibleOperationError,
     ObservableSpec,
     alice_general,
     alice_z,
@@ -71,15 +68,12 @@ from .tensor import (
 )
 
 __all__ = [
-    "ALICE_TABLE",
-    "BOB_TABLE",
     "LABELS",
     "PAULI",
     "PAULI_LABELS",
     "CausalDecision",
     "DeterministicStrategy",
     "GameSpec",
-    "InfeasibleOperationError",
     "JointDistribution",
     "NumericalIntegrityError",
     "ObservableSpec",

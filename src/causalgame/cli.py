@@ -88,15 +88,9 @@ def resolve_process(token: str) -> ProcessMatrix:
         raise UsageError(f"malformed process file {token!r}: {exc}") from exc
 
 
-def _validation_tolerances(args) -> dict:
-    if args.tol is None:
-        return {}
-    return {"psd_atol": args.tol, "trace_atol": args.tol, "support_atol": args.tol}
-
-
 def cmd_validate(args) -> int:
     w = resolve_process(args.process)
-    report = validate(w, **_validation_tolerances(args))
+    report = validate(w, tol=args.tol)
     if args.json:
         payload = {
             "process": w.tag or args.process,
@@ -122,7 +116,7 @@ def cmd_validate(args) -> int:
 
 def cmd_game(args) -> int:
     w = resolve_process(args.process)
-    report = validate(w, **_validation_tolerances(args))
+    report = validate(w, tol=args.tol)
     if not report.is_valid:
         print("INVALID process:", "; ".join(report.failures), file=sys.stderr)
         return 1
@@ -190,7 +184,7 @@ def cmd_optimize(args) -> int:
     config = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     if args.mode == "dbit":
         w = resolve_process(args.process)
-        report = validate(w, **_validation_tolerances(args))
+        report = validate(w, tol=args.tol)
         if not report.is_valid:
             print("INVALID process:", "; ".join(report.failures), file=sys.stderr)
             return 1
@@ -263,10 +257,13 @@ def cmd_decompose(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-    common.add_argument(
+    # Each subcommand takes only the shared flags it reads.
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    seed_flag = argparse.ArgumentParser(add_help=False)
+    seed_flag.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
+    tol_flag = argparse.ArgumentParser(add_help=False)
+    tol_flag.add_argument(
         "--tol", type=_tolerance, default=None, help="override validation tolerances uniformly"
     )
 
@@ -276,11 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check a process matrix")
+    p = sub.add_parser("validate", parents=[json_flag, tol_flag], help="check a process matrix")
     p.add_argument("process", help="process file or built-in name")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("game", parents=[common], help="score a process with the built-in strategy")
+    p = sub.add_parser(
+        "game", parents=[json_flag, tol_flag], help="score a process with the built-in strategy"
+    )
     p.add_argument("--process", required=True, help="process file or built-in name")
     p.add_argument("--alpha", type=float, default=0.5, help="input bias")
     p.add_argument("--beta", type=float, default=0.5, help="round bias")
@@ -294,19 +293,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_game)
 
-    p = sub.add_parser("sweep-beta", parents=[common], help="sweep the round bias, emit CSV")
+    p = sub.add_parser("sweep-beta", help="sweep the round bias, emit CSV")
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_sweep_beta)
 
-    p = sub.add_parser("oracle", parents=[common], help="deterministic-strategy bound")
+    p = sub.add_parser("oracle", parents=[json_flag], help="deterministic-strategy bound")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("optimize", parents=[common], help="search instruments or the process family")
+    p = sub.add_parser(
+        "optimize",
+        parents=[json_flag, seed_flag, tol_flag],
+        help="search instruments or the process family",
+    )
     p.add_argument("--mode", choices=("dbit", "ibit"), required=True)
     p.add_argument("--process", default="w_ocb", help="process for dbit mode")
     p.add_argument("--beta", type=float, default=0.5, help="round bias for dbit mode")
@@ -315,14 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=2000)
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("witness", parents=[common], help="causal witness value of a process")
+    p = sub.add_parser("witness", parents=[json_flag], help="causal witness value of a process")
     p.add_argument("--process", required=True, help="process file or built-in name")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("threshold", parents=[common], help="bias where the family violation closes")
+    p = sub.add_parser(
+        "threshold", parents=[json_flag, seed_flag], help="bias where the family violation closes"
+    )
     p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser("decompose", parents=[common], help="print or write a process encoding")
+    p = sub.add_parser("decompose", help="print or write a process encoding")
     p.add_argument("--process", required=True, help="process file or built-in name")
     p.add_argument("--form", choices=("pauli", "dense"), default="pauli")
     p.add_argument("--zero-atol", type=_tolerance, default=1e-12, help="drop Pauli terms at or below")

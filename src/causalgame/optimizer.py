@@ -203,11 +203,10 @@ def _instrument_sweep(theta: np.ndarray, corr3: np.ndarray, pair2: np.ndarray) -
 def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) -> OptimizationResult:
     """Best success probability of a fixed process over one instrument family.
 
-    The family is the measure/encode/relay traceless-observable one of
-    ``alice_general`` and ``bob_general`` with rank-1 correlation terms and
-    the default encoding tables: Alice's measure and encode axes, Bob's
-    decode, encode and relay axes, at alpha = 1/2. It is not every local
-    operation, and ``upper_bound`` bounds only this family: on
+    The family is the measure-and-reprepare product one of
+    ``alice_general`` and ``bob_general``: Alice's measure and encode
+    axes, Bob's decode, encode and relay axes, at alpha = 1/2. It is not
+    every local operation, and ``upper_bound`` bounds only this family: on
     ``ordered_ba`` at beta = 1/2 the search and its bound both read 0.5,
     while deterministic causal strategies reach 0.75. The returned value
     is the Born-rule score of the best parameters.

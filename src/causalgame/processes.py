@@ -8,6 +8,7 @@ terms, and the witness operator that certifies causal nonseparability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,13 +91,7 @@ def term_label(word: tuple[int, ...]) -> str:
     return "".join(PAULI_LABELS[i] for i in word)
 
 
-def validate(
-    w,
-    *,
-    psd_atol: float = PSD_ATOL,
-    trace_atol: float = TRACE_ATOL,
-    support_atol: float = SUPPORT_ATOL,
-) -> ValidityReport:
+def validate(w, *, tol: float | None = None) -> ValidityReport:
     """Check Hermiticity, positivity, normalization and term structure.
 
     A process matrix must be positive semidefinite, have trace 4 (the
@@ -104,8 +99,15 @@ def validate(
     the words listed in ALLOWED_SUPPORTS. Each violated condition
     contributes one entry to ``failures``; a non-Hermitian input is
     reported rather than raised, with the remaining checks run on its
-    Hermitian part.
+    Hermitian part. ``tol`` replaces the PSD, trace and support
+    tolerances at once; it must be finite and non-negative.
     """
+    if tol is None:
+        psd_tol, trace_tol, support_tol = PSD_ATOL, TRACE_ATOL, SUPPORT_ATOL
+    elif math.isfinite(tol) and tol >= 0:
+        psd_tol = trace_tol = support_tol = tol
+    else:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     arr = _matrix_of(w)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -123,21 +125,21 @@ def validate(
 
     eigenvalues = hermitian_eigenvalues(herm)
     min_eigenvalue = float(eigenvalues[0])
-    if min_eigenvalue < -psd_atol:
+    if min_eigenvalue < -psd_tol:
         failures.append(
             f"not positive semidefinite: minimum eigenvalue {min_eigenvalue:.6e}"
         )
 
     trace = float(np.trace(arr).real)
     expected = 4.0
-    if abs(trace - expected) > trace_atol:
+    if abs(trace - expected) > trace_tol:
         failures.append(f"trace {trace!r} differs from {expected!r}")
 
     coefficients = pauli_decompose(herm)
     forbidden: list[tuple[tuple[int, ...], float]] = []
     for word in sorted(coefficients):
         value = coefficients[word]
-        if abs(value) <= support_atol:
+        if abs(value) <= support_tol:
             continue
         support = frozenset(label for label, index in zip(LABELS, word) if index != 0)
         if support not in ALLOWED_SUPPORTS:

@@ -312,10 +312,34 @@ def test_non_finite_or_negative_zero_atol_is_a_usage_error(capsys, zero_atol):
     assert "--zero-atol" in captured.err
 
 
-def test_numpy_overflow_is_a_single_error_line(capsys):
-    # The norm of this axis overflows inside numpy; its RuntimeWarning must
-    # not leak to stderr ahead of the error.
+def test_huge_t_vector_is_named_in_the_error(capsys):
     code, out, err = run(capsys, "game", "--process", "w_ocb", "--t-vector", "1e200", "1e200", "0")
+    assert code == 2
+    assert out == ""
+    assert "t must be a unit vector" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-beta", "--from", "0.5", "--to", "0.9", "--steps", "5", "--json"],
+        ["oracle", "--alpha", "0.6", "--beta", "0.7", "--tol", "1"],
+        ["witness", "--process", "w_ocb", "--seed", "1"],
+    ],
+)
+def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_numpy_overflow_is_a_single_error_line(capsys, tmp_path):
+    # The trace of this matrix overflows inside numpy; its RuntimeWarning
+    # must not leak to stderr ahead of the error.
+    path = tmp_path / "huge.txt"
+    path.write_text("IIII 1e308\nIIZI 1e308\n")
+    code, out, err = run(capsys, "validate", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "overflow" in err

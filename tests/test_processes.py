@@ -128,7 +128,17 @@ def test_validate_tolerances_are_adjustable():
     report = validate(matrix)
     assert not report.is_valid
     assert -1e-3 < report.min_eigenvalue < -1e-5
-    assert validate(matrix, psd_atol=1e-3).is_valid
+    assert validate(matrix, tol=1e-3).is_valid
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+def test_validate_rejects_a_non_finite_or_negative_tol(tol):
+    # Every comparison against a nan tolerance is false, so nan would pass
+    # this matrix although its lowest eigenvalue is -0.068.
+    matrix = 0.25 * (np.eye(16) + 0.9 * pauli_word((0, 3, 3, 0)) + 0.9 * pauli_word((3, 0, 1, 3)))
+    assert validate(matrix).min_eigenvalue < -0.05
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        validate(matrix, tol=tol)
 
 
 def test_every_forbidden_term_is_rejected_and_named():

@@ -1,0 +1,88 @@
+"""Property tests of the instrument product form and of Born-table normalization."""
+
+import numpy as np
+import numpy.testing as npt
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from causalgame import (
+    PAULI,
+    ObservableSpec,
+    alice_general,
+    bob_general,
+    causal_mixture,
+    joint_distribution,
+    ordered_identity_channel_process,
+    w_beta,
+)
+
+# Deterministic examples keep the suite reproducible run to run.
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+bits = st.integers(0, 1)
+_coords = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array)
+unit_axes = _coords.filter(lambda v: np.linalg.norm(v) > 1e-3).map(lambda v: v / np.linalg.norm(v))
+unit_or_zero_axes = st.one_of(st.just(np.zeros(3)), unit_axes)
+specs = st.builds(ObservableSpec, measure=unit_or_zero_axes, encode=unit_or_zero_axes, relay=unit_axes)
+
+
+def _sign(bit):
+    return -1.0 if bit else 1.0
+
+
+def _bloch(axis):
+    return axis[0] * PAULI[1] + axis[1] * PAULI[2] + axis[2] * PAULI[3]
+
+
+def _four_term(in_bit, in_axis, out_bit, out_axis):
+    """The element as a Bloch sum: (1/4)[1 + input term + output term + correlation term]."""
+    eye = np.eye(2)
+    return 0.25 * (
+        np.eye(4)
+        + _sign(in_bit) * np.kron(_bloch(in_axis), eye)
+        + _sign(out_bit) * np.kron(eye, _bloch(out_axis))
+        + _sign(in_bit ^ out_bit) * np.kron(_bloch(in_axis), _bloch(out_axis))
+    )
+
+
+@PROPERTY
+@given(spec=specs, x=bits, a=bits)
+def test_alice_general_is_the_four_term_bloch_sum(spec, x, a):
+    npt.assert_allclose(
+        alice_general(x, a, spec), _four_term(x, spec.measure, a, spec.encode), rtol=0, atol=1e-15
+    )
+
+
+@PROPERTY
+@given(spec=specs, y=bits, b=bits, b_prime=bits)
+def test_bob_general_is_the_four_term_bloch_sum(spec, y, b, b_prime):
+    if b_prime:
+        expected = _four_term(y, spec.relay, 0, np.zeros(3))
+    else:
+        expected = _four_term(y, spec.measure, b ^ y, spec.encode)
+    npt.assert_allclose(bob_general(y, b, b_prime, spec), expected, rtol=0, atol=1e-15)
+
+
+def _assert_normalized(w, alice, bob):
+    dist = joint_distribution(
+        w,
+        lambda x, a: alice_general(x, a, alice),
+        lambda y, b, bp: bob_general(y, b, bp, bob),
+    )
+    # One probability distribution over (x, y) for every setting (a, b, b').
+    npt.assert_allclose(dist.table.sum(axis=(0, 1)), np.ones((2, 2, 2)), rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(alice=specs, bob=specs, q=st.floats(0.0, 1.0))
+def test_causal_mixture_tables_are_normalized(alice, bob, q):
+    w = causal_mixture(
+        ordered_identity_channel_process("b_to_a"), ordered_identity_channel_process("a_to_b"), q
+    )
+    _assert_normalized(w, alice, bob)
+
+
+@PROPERTY
+@given(alice=specs, bob=specs, beta=st.floats(0.5, 1.0, exclude_max=True))
+def test_w_beta_tables_are_normalized(alice, bob, beta):
+    _assert_normalized(w_beta(beta), alice, bob)
