@@ -117,6 +117,7 @@ def test_joint_distribution_catches_broken_families():
     [
         {"measure": [np.nan, 0.0, 0.0], "encode": X_AXIS},
         {"measure": Z_AXIS, "encode": [np.inf, 0.0, 0.0]},
+        {"measure": Z_AXIS, "encode": X_AXIS, "relay": [np.inf, 0.0, 0.0]},
         {"measure": Z_AXIS, "encode": X_AXIS, "relay": [np.nan, 0.0, 1.0]},
     ],
 )
