@@ -64,7 +64,6 @@ from .tensor import (
     partial_trace,
     pauli_compose,
     pauli_decompose,
-    pauli_word,
 )
 
 __all__ = [
@@ -104,7 +103,6 @@ __all__ = [
     "pauli_compose",
     "pauli_decompose",
     "pauli_text",
-    "pauli_word",
     "read_process",
     "signaling_profile",
     "strategy_success",

@@ -84,7 +84,8 @@ def resolve_process(token: str) -> ProcessMatrix:
         return read_process(token)
     except OSError as exc:
         raise UsageError(f"cannot read process file {token!r}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RuntimeWarning) as exc:
+        # main() raises numpy warnings (an overflow composing the matrix) as errors
         raise UsageError(f"malformed process file {token!r}: {exc}") from exc
 
 

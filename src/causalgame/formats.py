@@ -55,6 +55,14 @@ def pauli_text(w: ProcessMatrix, zero_atol: float = 0.0) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_pair(entry) -> bool:
+    try:
+        complex(*map(float, entry))
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float
+        return False
+    return isinstance(entry, (list, tuple)) and len(entry) == 2
+
+
 def _parse_dense(text: str) -> ProcessMatrix:
     try:
         document = json.loads(text)
@@ -74,15 +82,19 @@ def _parse_dense(text: str) -> ProcessMatrix:
     entries = document["entries"]
     if len(entries) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
-    flat = np.empty(dim * dim, dtype=complex)
-    for pos, pair in enumerate(entries):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"entry {pos} is not a [real, imag] pair: {pair!r}")
-        flat[pos] = complex(float(pair[0]), float(pair[1]))
+    try:  # numbers and numeric strings, as float() reads them
+        parts = np.array(entries, dtype=float).reshape(dim * dim, 2)
+    except (TypeError, ValueError, OverflowError):
+        parts = None
+    if parts is None or np.isnan(parts).any():  # numpy reads null as NaN
+        for pos, pair in enumerate(entries):
+            if not _is_pair(pair):
+                raise ValueError(f"entry {pos} is not a [real, imag] pair: {pair!r}")
     tag = document.get("tag", "")
     if not isinstance(tag, str):
         raise ValueError(f"tag must be a string, got {tag!r}")
-    return ProcessMatrix(matrix=flat.reshape(dim, dim), tag=tag)
+    # Each [real, imag] row read as one complex number: every bit kept, -0.0 too.
+    return ProcessMatrix(matrix=parts.view(complex).reshape(dim, dim), tag=tag)
 
 
 def _parse_pauli(text: str) -> ProcessMatrix:

@@ -32,8 +32,7 @@ from .game import (
     success_probability,
 )
 from .instruments import ObservableSpec, alice_general, alice_z, bob_branch, bob_general
-from .processes import _matrix_of, validate, w_ansatz
-from .tensor import pauli_decompose
+from .processes import _validate, w_ansatz
 
 REEVAL_ATOL = 1e-10
 ANSATZ_CEILING = 0.25 * (2.0 + math.sqrt(2.0))
@@ -151,15 +150,14 @@ def _set_unit(block: np.ndarray, direction: np.ndarray) -> None:
     np.divide(direction, norms, out=block, where=norms > 0)
 
 
-def _correlation_data(w) -> tuple[np.ndarray, np.ndarray]:
-    """Process coefficients feeding the two scoring channels.
+def _correlation_data(coefficients: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The Pauli coefficients (a map from words) that feed the two scoring channels.
 
     corr3[i, k, l] weights Alice's input axis against Bob's decode and
     encode axes (the message-to-Alice channel); pair2[j, k] weights
     Alice's encode axis against Bob's relay axis (the message-to-Bob
     channel).
     """
-    coefficients = pauli_decompose(_matrix_of(w))
     corr3 = np.zeros((3, 3, 3))
     pair2 = np.zeros((3, 3))
     for word, value in coefficients.items():
@@ -214,10 +212,10 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
     config = config or OptimizerConfig()
     if not 0.5 <= beta < 1.0:
         raise ValueError(f"beta must lie in [1/2, 1), got {beta}")
-    report = validate(w)
+    report, coefficients = _validate(w)
     if not report.is_valid:
         raise ValueError("process matrix failed validation: " + "; ".join(report.failures))
-    corr3, pair2 = _correlation_data(w)
+    corr3, pair2 = _correlation_data(coefficients)
 
     theta0 = np.vstack([rng.normal(size=15) for rng in _restart_generators(config)])
     blocks = theta0.reshape(-1, 3)

@@ -102,6 +102,11 @@ def validate(w, *, tol: float | None = None) -> ValidityReport:
     Hermitian part. ``tol`` replaces the PSD, trace and support
     tolerances at once; it must be finite and non-negative.
     """
+    return _validate(w, tol)[0]
+
+
+def _validate(w, tol: float | None = None) -> tuple[ValidityReport, dict[tuple[int, ...], float]]:
+    """``validate`` plus the Pauli coefficients of W's Hermitian part it read."""
     if tol is None:
         psd_tol, trace_tol, support_tol = PSD_ATOL, TRACE_ATOL, SUPPORT_ATOL
     elif math.isfinite(tol) and tol >= 0:
@@ -155,7 +160,7 @@ def validate(w, *, tol: float | None = None) -> ValidityReport:
         trace=trace,
         forbidden_terms=tuple(forbidden),
         failures=tuple(failures),
-    )
+    ), coefficients
 
 
 def w_beta_weights(beta: float) -> tuple[float, float]:

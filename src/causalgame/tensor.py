@@ -10,7 +10,7 @@ terms.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
@@ -83,15 +83,6 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((arr + arr.conj().T) / 2)
 
 
-def pauli_word(indices: tuple[int, ...]) -> np.ndarray:
-    """Tensor product of Pauli matrices selected by ``indices`` (0=I,1=X,2=Y,3=Z)."""
-    if not indices:
-        raise ValueError("need at least one index")
-    if any(i not in (0, 1, 2, 3) for i in indices):
-        raise ValueError(f"Pauli indices must lie in 0..3, got {indices}")
-    return reduce(np.kron, [PAULI[i] for i in indices])
-
-
 @cache
 def _trace_pattern(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero entry of each column of every n-qubit Pauli word.
@@ -153,9 +144,14 @@ def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[in
 
 def pauli_compose(coefficients: dict[tuple[int, ...], float]) -> np.ndarray:
     """Rebuild the 16x16 matrix from a sparse four-qubit Pauli coefficient map."""
+    # Each term adds into its word's one nonzero entry per column, in dict order.
+    cols, phase = _trace_pattern(4)
     out = np.zeros((16, 16), dtype=complex)
     for word, value in coefficients.items():
         if len(word) != 4:
             raise ValueError(f"index tuple {word} does not match {len(LABELS)} subsystems")
-        out += value * pauli_word(word)
+        if any(i not in (0, 1, 2, 3) for i in word):
+            raise ValueError(f"Pauli indices must lie in 0..3, got {word}")
+        flat = 64 * word[0] + 16 * word[1] + 4 * word[2] + word[3]
+        out[cols[:, flat], np.arange(16)] += value * phase[:, flat]
     return out

@@ -26,7 +26,7 @@ from causalgame import (
     oracle_bound,
     ordered_identity_channel_process,
     partial_trace,
-    pauli_word,
+    pauli_compose,
     strategy_success,
     success_probability,
     term_label,
@@ -139,7 +139,7 @@ def test_c05_validity_grid_and_forbidden_perturbations():
         )
         if support in ALLOWED_SUPPORTS:
             continue
-        report = validate(base + 0.05 * pauli_word(word))
+        report = validate(base + pauli_compose({word: 0.05}))
         assert not report.is_valid
         assert term_label(word) in " ".join(report.failures)
         rejected += 1

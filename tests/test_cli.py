@@ -346,6 +346,14 @@ def test_numpy_overflow_is_a_single_error_line(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_numpy_overflow_names_the_process_file(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("IIII 1e308\nIIZI 1e308\n")
+    code, _, err = run(capsys, "game", "--process", str(path))
+    assert code == 2
+    assert err.startswith(f"error: malformed process file {str(path)!r}: ") and "overflow" in err
+
+
 def test_readme_python_tour_runs():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)

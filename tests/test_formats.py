@@ -125,6 +125,44 @@ def test_dense_parse_errors():
         parse_process("{not json")
 
 
+@pytest.mark.parametrize(
+    "position, entry",
+    [
+        (0, [1.0]),
+        (5, [1, 2, 3]),
+        (17, "x"),
+        (255, [[0.25, 0.0], [0.0, 0.0]]),
+        (9, [None, 0.0]),
+        (3, ["x", 0]),
+        (7, [10**400, 0]),
+    ],
+)
+def test_dense_parse_names_the_entry_that_is_not_a_pair(position, entry):
+    payload = json.loads(dense_text(w_ocb()))
+    payload["entries"][position] = entry
+    with pytest.raises(ValueError, match=rf"^entry {position} is not a \[real, imag\] pair"):
+        parse_process(json.dumps(payload))
+
+
+def test_dense_parse_accepts_numeric_strings_and_ints():
+    w = w_ocb()
+    payload = json.loads(dense_text(w))
+    payload["entries"] = [
+        [repr(re), int(im)] if im == 0 else [repr(re), im] for re, im in payload["entries"]
+    ]
+    npt.assert_array_equal(parse_process(json.dumps(payload)).matrix, w.matrix)
+
+
+def test_dense_parse_keeps_the_sign_of_zero():
+    payload = json.loads(dense_text(w_ocb()))
+    payload["entries"][1] = [-0.0, -0.0]
+    payload["entries"][2] = [-0.0, 0.5]
+    payload["entries"][3] = [0.5, -0.0]
+    flat = parse_process(json.dumps(payload)).matrix.ravel()
+    assert [np.signbit(flat[k].real) for k in (1, 2, 3)] == [True, True, False]
+    assert [np.signbit(flat[k].imag) for k in (1, 2, 3)] == [True, False, True]
+
+
 def test_first_tag_comment_wins():
     text = "# tag: first\n# tag: second\nIIII 0.25\n"
     assert parse_process(text).tag == "first"

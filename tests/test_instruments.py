@@ -11,7 +11,7 @@ from causalgame import (
     joint_distribution,
     w_ocb,
 )
-from causalgame.instruments import X_AXIS, Z_AXIS
+from causalgame.instruments import X_AXIS, Z_AXIS, _projector
 
 
 def _tp_residual(elements):
@@ -51,6 +51,43 @@ def test_bit_arguments_are_checked():
 def test_bob_branch_requires_a_unit_axis():
     with pytest.raises(ValueError, match="unit"):
         bob_branch(0, 0, 0, t=np.array([1.0, 1.0, 0.0]))
+
+
+def _assert_same_bits(actual, expected):
+    """Equal values and dtype, with equal signs of zero: the raw bytes match."""
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def test_elements_are_bit_identical_to_kron_of_their_factors():
+    rng = np.random.default_rng(8)
+    units = [X_AXIS, -Z_AXIS, *(v / np.linalg.norm(v) for v in rng.standard_normal((8, 3)))]
+    axes = [np.zeros(3), *units]
+    mixed = _projector(0, np.zeros(3))
+    for i, measure in enumerate(axes):
+        encode = axes[(i + 4) % len(axes)]
+        relay, t = units[i % len(units)], units[(i + 3) % len(units)]
+        alice, bob = ObservableSpec(measure, encode), ObservableSpec(measure, encode, relay)
+        for first in (0, 1):
+            for second in (0, 1):
+                _assert_same_bits(
+                    alice_z(first, second),
+                    np.kron(_projector(first, Z_AXIS), _projector(second, Z_AXIS)),
+                )
+                _assert_same_bits(
+                    alice_general(first, second, alice),
+                    np.kron(_projector(first, measure), _projector(second, encode)),
+                )
+                y, b = first, second
+                _assert_same_bits(bob_branch(y, b, 1, t=t), np.kron(_projector(y, Z_AXIS), mixed))
+                _assert_same_bits(
+                    bob_branch(y, b, 0, t=t), np.kron(_projector(y, t), _projector(b ^ y, Z_AXIS))
+                )
+                _assert_same_bits(bob_general(y, b, 1, bob), np.kron(_projector(y, relay), mixed))
+                _assert_same_bits(
+                    bob_general(y, b, 0, bob),
+                    np.kron(_projector(y, measure), _projector(b ^ y, encode)),
+                )
 
 
 def test_general_forms_reduce_to_the_named_instruments():

@@ -17,7 +17,7 @@ from causalgame import (
     w_beta,
     w_ocb,
 )
-from causalgame import optimizer
+from causalgame import optimizer, processes, tensor
 from causalgame.optimizer import _ansatz_gradient, _ansatz_objective, _gauge_maximizer
 
 CEILING = 0.25 * (2.0 + np.sqrt(2.0))
@@ -99,6 +99,21 @@ def test_flat_process_scores_a_coin_flip():
     flat = ProcessMatrix(np.eye(16) / 4.0, tag="flat")
     result = maximize_instruments(flat, 0.6, FAST)
     npt.assert_allclose(result.value, 0.5, atol=1e-12)
+
+
+def test_instruments_search_decomposes_the_process_once(monkeypatch):
+    calls = []
+    real = tensor.pauli_decompose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (tensor, processes, optimizer):
+        if hasattr(module, "pauli_decompose"):
+            monkeypatch.setattr(module, "pauli_decompose", counted)
+    maximize_instruments(w_ocb(), 0.5, FAST)
+    assert len(calls) == 1
 
 
 def test_instruments_search_rejects_bad_inputs():

@@ -6,8 +6,8 @@ from causalgame import (
     ProcessMatrix,
     causal_mixture,
     ordered_identity_channel_process,
+    pauli_compose,
     pauli_decompose,
-    pauli_word,
     term_label,
     validate,
     w_ansatz,
@@ -104,13 +104,13 @@ def test_validate_flags_each_failure_mode():
     assert not report.is_valid
     assert any("trace" in f.lower() for f in report.failures)
 
-    dented = 0.25 * (np.eye(16) + 3.0 * pauli_word((3, 0, 0, 0)))
+    dented = 0.25 * (np.eye(16) + pauli_compose({(3, 0, 0, 0): 3.0}))
     report = validate(dented)
     assert not report.is_valid
     assert report.min_eigenvalue < -0.4
     assert any("eigenvalue" in f.lower() for f in report.failures)
 
-    poisoned = base + 0.05 * pauli_word((0, 3, 0, 0))
+    poisoned = base + pauli_compose({(0, 3, 0, 0): 0.05})
     report = validate(poisoned)
     assert not report.is_valid
     assert dict(report.forbidden_terms)[(0, 3, 0, 0)] == pytest.approx(0.05, abs=1e-12)
@@ -122,8 +122,8 @@ def test_validate_tolerances_are_adjustable():
     # just below zero while keeping trace, hermiticity, and support intact.
     matrix = 0.25 * (
         np.eye(16)
-        + 0.708 * pauli_word((0, 3, 3, 0))
-        + 0.708 * pauli_word((3, 0, 1, 3))
+        + pauli_compose({(0, 3, 3, 0): 0.708})
+        + pauli_compose({(3, 0, 1, 3): 0.708})
     )
     report = validate(matrix)
     assert not report.is_valid
@@ -135,7 +135,7 @@ def test_validate_tolerances_are_adjustable():
 def test_validate_rejects_a_non_finite_or_negative_tol(tol):
     # Every comparison against a nan tolerance is false, so nan would pass
     # this matrix although its lowest eigenvalue is -0.068.
-    matrix = 0.25 * (np.eye(16) + 0.9 * pauli_word((0, 3, 3, 0)) + 0.9 * pauli_word((3, 0, 1, 3)))
+    matrix = 0.25 * (np.eye(16) + pauli_compose({(0, 3, 3, 0): 0.9, (3, 0, 1, 3): 0.9}))
     assert validate(matrix).min_eigenvalue < -0.05
     with pytest.raises(ValueError, match="tol must be finite and non-negative"):
         validate(matrix, tol=tol)
@@ -144,7 +144,7 @@ def test_validate_rejects_a_non_finite_or_negative_tol(tol):
 def test_every_forbidden_term_is_rejected_and_named():
     base = w_beta(0.6).matrix
     for word in forbidden_words()[:20]:
-        report = validate(base + 0.05 * pauli_word(word))
+        report = validate(base + pauli_compose({word: 0.05}))
         assert not report.is_valid
         assert term_label(word) in " ".join(report.failures)
 

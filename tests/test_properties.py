@@ -1,18 +1,25 @@
-"""Property tests of the instrument product form and of Born-table normalization."""
+"""Property tests of the instrument product form, of Born-table normalization
+and of exact file round trips."""
 
 import numpy as np
 import numpy.testing as npt
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from causalgame import (
     PAULI,
+    PAULI_LABELS,
     ObservableSpec,
+    ProcessMatrix,
     alice_general,
     bob_general,
     causal_mixture,
+    dense_text,
     joint_distribution,
     ordered_identity_channel_process,
+    parse_process,
+    pauli_text,
     w_beta,
 )
 
@@ -86,3 +93,29 @@ def test_causal_mixture_tables_are_normalized(alice, bob, q):
 @given(alice=specs, bob=specs, beta=st.floats(0.5, 1.0, exclude_max=True))
 def test_w_beta_tables_are_normalized(alice, bob, beta):
     _assert_normalized(w_beta(beta), alice, bob)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY
+@given(parts=arrays(np.float64, (2, 16, 16), elements=finite_floats))
+def test_dense_round_trip_is_exact(parts):
+    matrix = np.empty((16, 16), dtype=complex)
+    matrix.real, matrix.imag = parts  # not re + 1j*im, which drops a -0.0 real part
+    clone = parse_process(dense_text(ProcessMatrix(matrix)))
+    assert clone.matrix.tobytes() == matrix.tobytes()
+
+
+pauli_words = st.text(PAULI_LABELS, min_size=4, max_size=4)
+dyadic = st.integers(-4096, 4096).filter(bool).map(lambda k: k / 2**10)
+
+
+@PROPERTY
+@given(terms=st.dictionaries(pauli_words, dyadic, min_size=1, max_size=24))
+def test_pauli_round_trip_is_exact(terms):
+    # Sums of k / 2**10 over at most 24 terms are exact, so every
+    # coefficient comes back to the last bit and no other word appears.
+    ordered = sorted(terms, key=lambda word: [PAULI_LABELS.index(c) for c in word])
+    text = "".join(f"{word} {terms[word]!r}\n" for word in ordered)
+    assert pauli_text(parse_process(text)) == text

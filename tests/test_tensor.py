@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,7 +12,6 @@ from causalgame import (
     partial_trace,
     pauli_compose,
     pauli_decompose,
-    pauli_word,
 )
 
 
@@ -29,14 +30,35 @@ def test_default_layout_is_the_four_party_wire_order():
 
 
 def test_pauli_word_matches_explicit_kron():
-    npt.assert_array_equal(pauli_word((0, 0, 0, 0)), np.eye(16))
+    npt.assert_array_equal(pauli_compose({(0, 0, 0, 0): 1.0}), np.eye(16))
     word = (3, 0, 1, 3)
     expected = np.kron(np.kron(np.kron(PAULI[3], PAULI[0]), PAULI[1]), PAULI[3])
-    npt.assert_array_equal(pauli_word(word), expected)
+    npt.assert_array_equal(pauli_compose({word: 1.0}), expected)
+
+
+def _reference_compose(coefficients):
+    """The dense form: add value * (Kronecker product of the word), in dict order."""
+    out = np.zeros((16, 16), dtype=complex)
+    for word, value in coefficients.items():
+        out += value * reduce(np.kron, [PAULI[i] for i in word])
+    return out
+
+
+def test_compose_is_bit_identical_to_the_dense_sum():
+    rng = np.random.default_rng(11)
+    for _ in range(250):
+        count = int(rng.integers(1, 14))
+        words = [tuple(int(i) for i in rng.integers(0, 4, size=4)) for _ in range(count)]
+        values = rng.standard_normal(count) * 10.0 ** rng.integers(-6, 7, size=count)
+        values[rng.random(count) < 0.2] = 0.0
+        values[rng.random(count) < 0.1] = -0.0
+        coefficients = dict(zip(words, values.tolist()))
+        actual, expected = pauli_compose(coefficients), _reference_compose(coefficients)
+        assert actual.tobytes() == expected.tobytes(), coefficients
 
 
 def test_decompose_isolates_a_single_word():
-    coeffs = pauli_decompose(pauli_word((3, 0, 1, 3)), zero_atol=1e-14)
+    coeffs = pauli_decompose(pauli_compose({(3, 0, 1, 3): 1.0}), zero_atol=1e-14)
     assert coeffs == {(3, 0, 1, 3): 1.0}
 
 
