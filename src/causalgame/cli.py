@@ -4,7 +4,8 @@ Every subcommand accepts either a process file (dense JSON or Pauli
 text) or a built-in name: ``w_ocb``, ``w_beta@<beta>``, ``ordered_ab``,
 ``ordered_ba``, or ``mix@<q>`` (q weighs ordered_ba against ordered_ab).
 Exit codes: 0 on success, 1 when a check fails validation, 2 on usage
-errors including unreadable or malformed files and numerical overflow.
+errors including unreadable, unwritable or malformed files and numerical
+overflow.
 CSV output uses nine significant digits, a header row, and LF line
 endings.
 """
@@ -28,6 +29,7 @@ from .processes import (
     ProcessMatrix,
     causal_mixture,
     ordered_identity_channel_process,
+    term_label,
     validate,
     w_beta,
     w_ocb,
@@ -58,6 +60,26 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}")
     return value
+
+
+def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if not path:
+        print(text, end="")
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc}") from exc
+
+
+def _refuse_invalid(w, tol: float | None = None) -> bool:
+    """Validate ``w``; when it fails, name the failures on stderr and return True."""
+    report = validate(w, tol=tol)
+    if not report.is_valid:
+        print("INVALID process:", "; ".join(report.failures), file=sys.stderr)
+    return not report.is_valid
 
 
 def resolve_process(token: str) -> ProcessMatrix:
@@ -99,10 +121,7 @@ def cmd_validate(args) -> int:
             "hermiticity_residual": report.hermiticity_residual,
             "min_eigenvalue": report.min_eigenvalue,
             "trace": report.trace,
-            "forbidden_terms": {
-                "".join("IXYZ"[i] for i in word): coeff
-                for word, coeff in report.forbidden_terms
-            },
+            "forbidden_terms": {term_label(word): coeff for word, coeff in report.forbidden_terms},
             "failures": list(report.failures),
         }
         _print_json(payload)
@@ -117,9 +136,7 @@ def cmd_validate(args) -> int:
 
 def cmd_game(args) -> int:
     w = resolve_process(args.process)
-    report = validate(w, tol=args.tol)
-    if not report.is_valid:
-        print("INVALID process:", "; ".join(report.failures), file=sys.stderr)
+    if _refuse_invalid(w, args.tol):
         return 1
     spec = GameSpec(alpha=args.alpha, beta=args.beta)
     axis = np.asarray(args.t_vector, dtype=float)
@@ -162,12 +179,7 @@ def cmd_sweep_beta(args) -> int:
         rows.append((beta, p_succ, bound, analytic_max_dbit(beta), p_succ - bound))
     lines = ["beta,p_succ_w_beta,causal_bound,analytic_max,gap"]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        print(text, end="")
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -185,9 +197,7 @@ def cmd_optimize(args) -> int:
     config = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     if args.mode == "dbit":
         w = resolve_process(args.process)
-        report = validate(w, tol=args.tol)
-        if not report.is_valid:
-            print("INVALID process:", "; ".join(report.failures), file=sys.stderr)
+        if _refuse_invalid(w, args.tol):
             return 1
         result = maximize_instruments(w, args.beta, config)
         payload = {
@@ -226,6 +236,8 @@ def cmd_optimize(args) -> int:
 
 def cmd_witness(args) -> int:
     w = resolve_process(args.process)
+    if _refuse_invalid(w):
+        return 1
     value = witness_value(witness_s(), w)
     if args.json:
         _print_json({"process": w.tag, "witness_value": value})
@@ -249,11 +261,7 @@ def cmd_decompose(args) -> int:
         text = pauli_text(w, zero_atol=args.zero_atol)
     else:
         text = dense_text(w)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        print(text, end="")
+    _emit(text, args.out)
     return 0
 
 

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .processes import ProcessMatrix
+from .processes import ProcessMatrix, term_label
 from .tensor import LABELS, PAULI_LABELS, pauli_compose, pauli_decompose
 
 _WORD_INDEX = {letter: index for index, letter in enumerate(PAULI_LABELS)}
@@ -50,8 +50,7 @@ def pauli_text(w: ProcessMatrix, zero_atol: float = 0.0) -> str:
     if w.tag:
         lines.append(f"# tag: {w.tag}")
     for word in sorted(coefficients):
-        label = "".join(PAULI_LABELS[i] for i in word)
-        lines.append(f"{label} {coefficients[word]!r}")
+        lines.append(f"{term_label(word)} {coefficients[word]!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -116,8 +116,19 @@ def joint_distribution(w, alice_family, bob_family) -> JointDistribution:
     return JointDistribution(_real(table))
 
 
-def _input_weights(alpha: float) -> np.ndarray:
-    return np.array([alpha, 1.0 - alpha])
+def _channel_scores(table: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The game's scoring rule, applied to a stack of tables at once.
+
+    ``table`` is indexed [x, y, a, b, b_prime, ...], any trailing axes
+    stacking tables. Returns p(x=b | b_prime=0) and p(y=a | b_prime=1),
+    averaged over alpha-biased inputs, each with the stack's shape.
+    """
+    a, b = np.divmod(np.arange(4), 2)
+    weights = np.array([alpha, 1.0 - alpha])
+    pair = (weights[a] * weights[b]).reshape((4,) + (1,) * (table.ndim - 5))
+    decode = table[b, :, a, b, 0].sum(axis=1)  # Alice names b; Bob's answer is free
+    guess = table[:, a, a, b, 1].sum(axis=0)  # Bob names a; Alice's answer is free
+    return (pair * decode).sum(axis=0), (pair * guess).sum(axis=0)
 
 
 def success_components(dist: JointDistribution, alpha: float) -> tuple[float, float]:
@@ -125,15 +136,7 @@ def success_components(dist: JointDistribution, alpha: float) -> tuple[float, fl
 
     Returns (p(x=b | b_prime=0), p(y=a | b_prime=1)).
     """
-    weights = _input_weights(alpha)
-    pair = np.outer(weights, weights)
-    table = dist.table
-    decode = 0.0
-    guess = 0.0
-    for a in (0, 1):
-        for b in (0, 1):
-            decode += pair[a, b] * table[b, :, a, b, 0].sum()
-            guess += pair[a, b] * table[:, a, a, b, 1].sum()
+    decode, guess = _channel_scores(dist.table, alpha)
     return float(decode), float(guess)
 
 

@@ -27,7 +27,6 @@ import numpy as np
 from .game import (
     GameSpec,
     NumericalIntegrityError,
-    causal_bound,
     joint_distribution,
     success_probability,
 )
@@ -379,43 +378,18 @@ def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> Opti
     )
 
 
-def threshold_alpha(
-    config: OptimizerConfig | None = None,
-    *,
-    lo: float = 0.5,
-    hi: float = 0.95,
-    xtol: float = 1e-5,
-) -> float:
+def threshold_alpha(config: OptimizerConfig | None = None) -> float:
     """Input bias above which the six-term family stops violating the bound.
 
-    Bisects the sign of [best family success - causal bound] at beta = 1/2.
-    The family optimum is (2 + sqrt 2) / 4 at every alpha, so the crossing
-    sits where the causal bound overtakes it. The bracket must satisfy
-    ``lo < hi`` and ``xtol`` must be a positive finite width; bisection
-    also stops once the bracket holds no float strictly inside it.
+    The family's best score is its ceiling (2 + sqrt 2) / 4 at every alpha,
+    so the threshold is where the causal bound 1/2 + alpha/2 at beta = 1/2
+    reaches it: 2 * value - 1 for the value of one search at alpha = 1/2.
+    A search that stops more than ``REEVAL_ATOL`` short of the ceiling
+    raises NumericalIntegrityError.
     """
-    if not lo < hi:
-        raise ValueError(f"bisection needs lo < hi, got lo={lo!r}, hi={hi!r}")
-    if not (math.isfinite(xtol) and xtol > 0):
-        raise ValueError(f"xtol must be positive and finite, got {xtol!r}")
-    config = config or OptimizerConfig(restarts=16)
-
-    def excess(alpha: float) -> float:
-        result = maximize_ansatz(alpha, config)
-        return result.value - causal_bound(GameSpec(alpha, 0.5))
-
-    f_lo = excess(lo)
-    f_hi = excess(hi)
-    if f_lo <= 0 or f_hi >= 0:
-        raise RuntimeError(
-            f"bisection bracket lost: excess({lo}) = {f_lo!r}, excess({hi}) = {f_hi!r}"
+    result = maximize_ansatz(0.5, config or OptimizerConfig(restarts=16))
+    if result.gap > REEVAL_ATOL:
+        raise NumericalIntegrityError(
+            f"family search stopped {result.gap:.3e} short of its ceiling {result.upper_bound!r}"
         )
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if excess(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 2.0 * result.value - 1.0

@@ -11,11 +11,12 @@ table, returning convex weights or a violated causal inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
 
-from .game import GameSpec, JointDistribution
+from .game import GameSpec, JointDistribution, _channel_scores
 from .simplex import phase_one
 
 MEMBERSHIP_TOL = 1e-8
@@ -72,35 +73,25 @@ def enumerate_strategies() -> tuple[DeterministicStrategy, ...]:
     return tuple(strategies)
 
 
-_CACHE: dict[str, np.ndarray] = {}
+@cache
+def _vertex_tables() -> np.ndarray:
+    """The flattened correlation tables of all strategies, one per column.
 
-
-def _vertex_data() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-vertex score indicators and the stacked vertex table matrix.
-
-    Returns (C0, C1, V): C0[k, a, b] flags x = b at bp = 0 for strategy k,
-    C1[k, a, b] flags y = a at bp = 1, and V[:, k] is the flattened
-    correlation table of strategy k, in ``enumerate_strategies`` order.
-    Within each order's block of 1024, bits 9-8 of the vertex index hold
-    the leader's two answers and bits 7-0 the follower's eight, the answer
-    to inputs (a, b, bp) sitting at bit 7 - (4a + 2b + bp).
+    Column k is the (read-only) table of strategy k, in
+    ``enumerate_strategies`` order. Within each order's block of 1024,
+    bits 9-8 of the vertex index hold the leader's two answers and bits
+    7-0 the follower's eight, the answer to inputs (a, b, bp) sitting at
+    bit 7 - (4a + 2b + bp).
     """
-    if not _CACHE:
-        vertex = np.arange(1024)
-        m = np.arange(8)[:, None]  # 4a + 2b + bp
-        follower = (vertex >> (7 - m)) & 1
-        x = np.hstack([(vertex >> (9 - (m >> 2))) & 1, follower])  # leader reads a
-        y = np.hstack([follower, (vertex >> (9 - ((m >> 1) & 1))) & 1])  # leader reads b
-        tables = np.zeros((32, 2048))
-        tables[16 * x + 8 * y + m, np.arange(2048)] = 1.0
-        bit = np.arange(2)
-        # [k, a, b, bp] views of each vertex's answers.
-        x = x.T.reshape(2048, 2, 2, 2)
-        y = y.T.reshape(2048, 2, 2, 2)
-        _CACHE["c0"] = (x[..., 0] == bit).astype(float)
-        _CACHE["c1"] = (y[..., 1] == bit[:, None]).astype(float)
-        _CACHE["tables"] = tables
-    return _CACHE["c0"], _CACHE["c1"], _CACHE["tables"]
+    vertex = np.arange(1024)
+    m = np.arange(8)[:, None]  # 4a + 2b + bp
+    follower = (vertex >> (7 - m)) & 1
+    x = np.hstack([(vertex >> (9 - (m >> 2))) & 1, follower])  # leader reads a
+    y = np.hstack([follower, (vertex >> (9 - ((m >> 1) & 1))) & 1])  # leader reads b
+    tables = np.zeros((32, 2048))
+    tables[16 * x + 8 * y + m, np.arange(2048)] = 1.0
+    tables.setflags(write=False)
+    return tables
 
 
 def strategy_success(strategy: DeterministicStrategy, spec: GameSpec) -> float:
@@ -124,13 +115,8 @@ def oracle_bound(spec: GameSpec) -> float:
     Equals the maximum over the whole causal polytope because the success
     probability is linear in the correlation table.
     """
-    c0, c1, _ = _vertex_data()
-    weights = np.array([spec.alpha, 1.0 - spec.alpha])
-    pair = np.outer(weights, weights)
-    scores = spec.beta * np.einsum("kab,ab->k", c0, pair) + (
-        1.0 - spec.beta
-    ) * np.einsum("kab,ab->k", c1, pair)
-    return float(scores.max())
+    decode, guess = _channel_scores(_vertex_tables().reshape(2, 2, 2, 2, 2, -1), spec.alpha)
+    return float((spec.beta * decode + (1.0 - spec.beta) * guess).max())
 
 
 @dataclass(frozen=True)
@@ -165,7 +151,7 @@ def is_causal(table) -> CausalDecision:
     if not isinstance(table, JointDistribution):
         table = JointDistribution(np.asarray(table, dtype=float))
     p = table.table.reshape(32)
-    _, _, tables = _vertex_data()
+    tables = _vertex_tables()
     count = tables.shape[1]
     a = np.vstack([tables, np.ones((1, count))])
     b = np.append(p, 1.0)

@@ -190,16 +190,8 @@ def w_beta(beta: float) -> ProcessMatrix:
 
 
 def w_ocb() -> ProcessMatrix:
-    """The symmetric causally nonseparable process; equals w_beta(1/2)."""
-    s = 1.0 / np.sqrt(2.0)
-    matrix = pauli_compose(
-        {
-            (0, 0, 0, 0): 0.25,
-            (0, 3, 3, 0): 0.25 * s,
-            (3, 0, 1, 3): 0.25 * s,
-        }
-    )
-    return ProcessMatrix(matrix, tag="w_ocb")
+    """The symmetric causally nonseparable process, w_beta(1/2)."""
+    return ProcessMatrix(w_beta(0.5).matrix, tag="w_ocb")
 
 
 def w_ansatz(

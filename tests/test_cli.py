@@ -164,6 +164,33 @@ def test_witness_value(capsys):
     assert float(out) == pytest.approx(1 - 2**0.5, abs=1e-9)
 
 
+def test_witness_refuses_an_invalid_process(capsys, tmp_path):
+    # Eigenvalue -1 and trace 4: validate calls it INVALID, so no witness value.
+    path = tmp_path / "bad.txt"
+    path.write_text("IIII 0.25\nZZZZ 0.5\n")
+    code, out, err = run(capsys, "witness", "--process", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("INVALID process: not positive semidefinite")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-beta", "--from", "0.5", "--to", "0.9", "--steps", "5"],
+        ["decompose", "--process", "w_ocb"],
+    ],
+    ids=["sweep-beta", "decompose"],
+)
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {str(target)!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_decompose_pauli_lists_terms(capsys):
     code, out, _ = run(capsys, "decompose", "--process", "w_ocb")
     assert code == 0

@@ -20,6 +20,7 @@ from causalgame import (
     w_beta_weights,
     w_ocb,
 )
+from causalgame.game import _channel_scores
 
 
 def test_game_spec_ranges():
@@ -96,6 +97,30 @@ def test_success_components_carry_the_two_channel_weights():
     decode, guess = success_components(dist, alpha=0.5)
     npt.assert_allclose(decode, 0.5 * (1.0 + f2), atol=1e-12)
     npt.assert_allclose(guess, 0.5 * (1.0 + f1), atol=1e-12)
+
+
+def _loop_components(table, alpha):
+    """The scoring rule as a plain loop over the four input settings."""
+    weights = np.array([alpha, 1.0 - alpha])
+    decode = guess = 0.0
+    for a in (0, 1):
+        for b in (0, 1):
+            decode += weights[a] * weights[b] * table[b, :, a, b, 0].sum()
+            guess += weights[a] * weights[b] * table[:, a, a, b, 1].sum()
+    return float(decode), float(guess)
+
+
+def test_channel_scores_equal_the_loop_bit_for_bit_on_tables_and_stacks():
+    rng = np.random.default_rng(11)
+    stack = rng.random((2, 2, 2, 2, 2, 200)) ** 3
+    stack /= stack.sum(axis=(0, 1))
+    alphas = rng.uniform(0.5, 1.0, size=200)
+    for k, alpha in enumerate(alphas):
+        table = stack[..., k]
+        expected = _loop_components(table, alpha)
+        assert success_components(JointDistribution(table), alpha) == expected
+        decode, guess = _channel_scores(stack, alpha)
+        assert (float(decode[k]), float(guess[k])) == expected
 
 
 def test_ordered_process_cannot_beat_the_causal_bound():

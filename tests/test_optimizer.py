@@ -161,42 +161,17 @@ def test_ansatz_feasibility_is_the_gauge_ball():
     assert not w_ansatz(*outside)[1].is_valid
 
 
-def test_threshold_bisection_brackets_the_crossing():
-    light = OptimizerConfig(restarts=4, max_iters=800, seed=0)
-    value = threshold_alpha(light, lo=0.65, hi=0.75, xtol=1e-3)
-    assert abs(value - 1.0 / np.sqrt(2.0)) < 1e-3
+def test_threshold_is_where_the_causal_bound_meets_the_family_ceiling():
+    assert abs(threshold_alpha() - 1.0 / np.sqrt(2.0)) <= 1e-15
+    assert abs(threshold_alpha(OptimizerConfig(restarts=4, seed=7)) - 1.0 / np.sqrt(2.0)) <= 1e-15
 
 
-def test_threshold_requires_a_sign_change():
-    light = OptimizerConfig(restarts=2, max_iters=300, seed=0)
-    with pytest.raises(RuntimeError, match="bracket"):
-        threshold_alpha(light, lo=0.9, hi=0.94, xtol=1e-2)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"xtol": 0.0},
-        {"xtol": -1e-3},
-        {"xtol": np.nan},
-        {"xtol": np.inf},
-        {"lo": 0.75, "hi": 0.65},
-        {"lo": 0.7, "hi": 0.7},
-    ],
-)
-def test_threshold_rejects_bad_brackets(kwargs):
-    with pytest.raises(ValueError):
-        threshold_alpha(OptimizerConfig(restarts=1, max_iters=1), **kwargs)
-
-
-def test_threshold_stops_when_the_bracket_cannot_shrink(monkeypatch):
-    # A flat family at its ceiling crosses the causal bound exactly at
-    # 1/sqrt(2); an xtol below the float spacing there must still end.
-    ceiling = 0.25 * (2.0 + np.sqrt(2.0))
-    flat = lambda alpha, config: optimizer.OptimizationResult(ceiling, (ceiling,), True, False, ceiling)
-    monkeypatch.setattr(optimizer, "maximize_ansatz", flat)
-    value = threshold_alpha(xtol=1e-300)
-    assert abs(value - 1.0 / np.sqrt(2.0)) <= 1e-15
+def test_threshold_refuses_a_search_short_of_its_ceiling():
+    # One sweep of one restart stops about 2e-6 below (2 + sqrt 2) / 4.
+    short = OptimizerConfig(restarts=1, max_iters=1, seed=0)
+    assert maximize_ansatz(0.5, short).gap > 1e-10
+    with pytest.raises(NumericalIntegrityError, match="short of its ceiling"):
+        threshold_alpha(short)
 
 
 def test_trace_ends_where_the_winning_restart_retired():

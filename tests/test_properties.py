@@ -1,5 +1,5 @@
-"""Property tests of the instrument product form, of Born-table normalization
-and of exact file round trips."""
+"""Property tests of the instrument product form, of Born-table normalization,
+of exact file round trips and of causal-polytope membership."""
 
 import numpy as np
 import numpy.testing as npt
@@ -16,12 +16,14 @@ from causalgame import (
     bob_general,
     causal_mixture,
     dense_text,
+    is_causal,
     joint_distribution,
     ordered_identity_channel_process,
     parse_process,
     pauli_text,
     w_beta,
 )
+from causalgame.oracle import _vertex_tables
 
 # Deterministic examples keep the suite reproducible run to run.
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -119,3 +121,17 @@ def test_pauli_round_trip_is_exact(terms):
     ordered = sorted(terms, key=lambda word: [PAULI_LABELS.index(c) for c in word])
     text = "".join(f"{word} {terms[word]!r}\n" for word in ordered)
     assert pauli_text(parse_process(text)) == text
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)  # one LP per example
+@given(
+    columns=st.lists(st.integers(0, 2047), min_size=1, max_size=5, unique=True),
+    raw=st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5),
+)
+def test_vertex_mixtures_are_causal_and_their_weights_reproduce_them(columns, raw):
+    tables = _vertex_tables()
+    mix = np.array(raw[: len(columns)]) / sum(raw[: len(columns)])
+    table = tables[:, columns] @ mix
+    decision = is_causal(table.reshape(2, 2, 2, 2, 2))
+    assert decision.is_causal
+    npt.assert_allclose(tables @ decision.weights, table, rtol=0, atol=1e-9)
