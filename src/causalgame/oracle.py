@@ -128,11 +128,13 @@ class CausalDecision:
     like the correlation table) with ``bound`` form a causal inequality:
     every vertex scores at most ``bound``, the tested table scores
     ``value`` > ``bound``. ``residual`` is the leftover mass of the
-    feasibility solve, zero up to tolerance exactly for members.
+    feasibility solve, zero up to tolerance exactly for members, and
+    ``iterations`` its pivot count.
     """
 
     is_causal: bool
     residual: float
+    iterations: int
     weights: np.ndarray | None = None
     functional: np.ndarray | None = None
     bound: float | None = None
@@ -164,6 +166,7 @@ def is_causal(table) -> CausalDecision:
         return CausalDecision(
             is_causal=True,
             residual=float(result.objective),
+            iterations=result.iterations,
             weights=result.solution,
         )
     certificate = result.certificate
@@ -173,6 +176,7 @@ def is_causal(table) -> CausalDecision:
     return CausalDecision(
         is_causal=False,
         residual=float(result.objective),
+        iterations=result.iterations,
         functional=functional.reshape(2, 2, 2, 2, 2),
         bound=bound,
         value=value,

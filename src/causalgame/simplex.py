@@ -1,10 +1,12 @@
-"""Dense phase-one simplex for small linear feasibility problems.
+"""Revised phase-one simplex for small linear feasibility problems.
 
 Decides whether A x = b has a solution with x >= 0 by minimizing the total
 mass of artificial variables. Problem sizes here are tens of rows by a few
-thousand columns, where a dense tableau is simple and fast. On infeasible
-systems the simplex multipliers provide a Farkas certificate: a vector y
-with y.A <= 0 componentwise and y.b > 0.
+thousand columns, so the solver carries only the m x m basis inverse and
+the basic solution (Dantzig and Orchard-Hays' basis-inverse form), and a
+pivot costs one pricing product with A plus O(m^2). On infeasible systems
+the simplex multipliers provide a Farkas certificate: a vector y with
+y.A <= 0 componentwise and y.b > 0.
 """
 
 from __future__ import annotations
@@ -38,39 +40,27 @@ class FeasibilityResult:
 def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     """Minimize the artificial mass of A x = b, x >= 0.
 
-    Dantzig pricing with a switch to Bland's rule after a run of degenerate
-    pivots, which guarantees termination, and a stop after MAX_ITERS
-    pivots. Duals are recomputed from the inverse-basis block before
-    answering, so the certificate does not inherit drift from incremental
-    updates.
+    Artificial column i is sign(b_i) e_i, so the starting basis inverse is
+    diag(sign(b)) and ``a`` is read as given, never copied or sign-flipped.
+    Every pivot prices with duals c_B B^-1 computed afresh, and the last
+    of them, in the caller's row signs, is the certificate. Dantzig pricing
+    with a switch to Bland's rule after a run of degenerate pivots, which
+    guarantees termination, and a stop after MAX_ITERS pivots. Non-finite
+    entries in ``a`` or ``b`` raise ``ValueError``.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.ndim != 2 or b.shape != (a.shape[0],):
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
+    for name, values in (("a", a), ("b", b)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} has non-finite entries")
     m, n = a.shape
 
     signs = np.where(b < 0.0, -1.0, 1.0)
-    a_work = a * signs[:, None]
-    b_work = b * signs
-
-    # Tableau [A | I | b] with the artificial block starting as the identity,
-    # so columns n..n+m always hold the current basis inverse.
-    tableau = np.hstack([a_work, np.eye(m), b_work[:, None]])
+    inverse = np.diag(signs)
+    x_basic = b * signs
     basis = np.arange(n, n + m)
-    costs = np.concatenate([np.zeros(n), np.ones(m)])
-    reduced = costs - tableau[:, :-1].sum(axis=0)
-
-    def current_objective() -> float:
-        in_basis = basis >= n
-        return float(tableau[in_basis, -1].sum())
-
-    def fresh_duals() -> np.ndarray:
-        weights = (basis >= n).astype(float)
-        return weights @ tableau[:, n : n + m]
-
-    def fresh_reduced(duals: np.ndarray) -> np.ndarray:
-        return costs - np.concatenate([duals @ a_work, duals])
 
     bland = False
     stall = 0
@@ -78,46 +68,47 @@ def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     iterations = 0
     converged = False
 
-    while iterations < MAX_ITERS:
+    while True:
+        artificial = basis >= n
+        duals = artificial @ inverse
+        reduced = np.concatenate([-(duals @ a), 1.0 - duals * signs])
         candidates = np.flatnonzero(reduced < -PIVOT_TOL)
         if candidates.size == 0:
-            duals = fresh_duals()
-            reduced = fresh_reduced(duals)
-            candidates = np.flatnonzero(reduced < -PIVOT_TOL)
-            if candidates.size == 0:
-                converged = True
-                break
+            converged = True
+            break
+        if iterations >= MAX_ITERS:
+            break
         if bland:
             order = candidates
         else:
             order = candidates[np.argsort(reduced[candidates])]
 
-        pivot_col = -1
         pivot_row = -1
         for j in order:
-            column = tableau[:, j]
+            if j < n:
+                column = inverse @ a[:, j]
+            else:
+                column = inverse[:, j - n] * signs[j - n]
             rows = np.flatnonzero(column > PIVOT_TOL)
             if rows.size == 0:
                 continue
-            ratios = tableau[rows, -1] / column[rows]
+            ratios = x_basic[rows] / column[rows]
             best = ratios.min()
             ties = rows[np.flatnonzero(ratios <= best + 1e-15)]
             pivot_row = int(ties[np.argmin(basis[ties])])
-            pivot_col = int(j)
             break
-        if pivot_col < 0:
+        if pivot_row < 0:
             break
 
-        pivot_value = tableau[pivot_row, pivot_col]
-        tableau[pivot_row] /= pivot_value
-        column = tableau[:, pivot_col].copy()
+        inverse[pivot_row] /= column[pivot_row]
+        x_basic[pivot_row] /= column[pivot_row]
         column[pivot_row] = 0.0
-        tableau -= np.outer(column, tableau[pivot_row])
-        reduced = reduced - reduced[pivot_col] * tableau[pivot_row, :-1]
-        basis[pivot_row] = pivot_col
+        inverse -= np.outer(column, inverse[pivot_row])
+        x_basic -= column * x_basic[pivot_row]
+        basis[pivot_row] = j
         iterations += 1
 
-        objective = current_objective()
+        objective = x_basic[basis >= n].sum()
         if objective >= last_objective - 1e-15:
             stall += 1
             if stall >= 60:
@@ -126,14 +117,12 @@ def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
             stall = 0
         last_objective = objective
 
-    duals = fresh_duals()
-    objective = current_objective()
     solution = np.zeros(n + m)
-    solution[basis] = tableau[:, -1]
+    solution[basis] = x_basic
     return FeasibilityResult(
-        objective=objective,
+        objective=float(x_basic[artificial].sum()),
         solution=solution[:n],
-        certificate=signs * duals,
+        certificate=duals,
         iterations=iterations,
         converged=converged,
     )

@@ -16,7 +16,9 @@ from causalgame import (
     strategy_success,
     w_ocb,
 )
+from causalgame import oracle, simplex
 from causalgame.oracle import _vertex_tables
+from causalgame.simplex import phase_one
 
 
 def test_strategy_enumeration_covers_both_orders():
@@ -114,3 +116,25 @@ def test_vertex_table_matches_the_enumerated_strategies():
     stacked = np.stack([s.correlation_table().reshape(32) for s in strategies], axis=1)
     npt.assert_array_equal(tables, stacked)
     assert not tables.flags.writeable
+
+
+def test_decision_reports_the_solve_pivot_count(monkeypatch):
+    solves = []
+
+    def recording(a, b):
+        solves.append(phase_one(a, b))
+        return solves[-1]
+
+    monkeypatch.setattr(oracle, "phase_one", recording)
+    member = joint_distribution(ordered_identity_channel_process("a_to_b"), alice_z, bob_branch)
+    for table in (member, joint_distribution(w_ocb(), alice_z, bob_branch)):
+        decision = is_causal(table)
+        assert decision.iterations > 0
+        assert decision.iterations == solves[-1].iterations
+
+
+def test_unconverged_solve_is_an_error(monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_ITERS", 1)
+    table = joint_distribution(w_ocb(), alice_z, bob_branch).table
+    with pytest.raises(RuntimeError, match="did not converge within 1 iterations"):
+        is_causal(table)

@@ -72,12 +72,16 @@ def test_bob_general_is_the_four_term_bloch_sum(spec, y, b, b_prime):
     npt.assert_allclose(bob_general(y, b, b_prime, spec), expected, rtol=0, atol=1e-15)
 
 
-def _assert_normalized(w, alice, bob):
-    dist = joint_distribution(
+def _play(w, alice, bob):
+    return joint_distribution(
         w,
         lambda x, a: alice_general(x, a, alice),
         lambda y, b, bp: bob_general(y, b, bp, bob),
     )
+
+
+def _assert_normalized(w, alice, bob):
+    dist = _play(w, alice, bob)
     # One probability distribution over (x, y) for every setting (a, b, b').
     npt.assert_allclose(dist.table.sum(axis=(0, 1)), np.ones((2, 2, 2)), rtol=0, atol=1e-12)
 
@@ -135,3 +139,15 @@ def test_vertex_mixtures_are_causal_and_their_weights_reproduce_them(columns, ra
     decision = is_causal(table.reshape(2, 2, 2, 2, 2))
     assert decision.is_causal
     npt.assert_allclose(tables @ decision.weights, table, rtol=0, atol=1e-9)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)  # one LP per example
+@given(alice=specs, bob=specs, q=st.floats(0.0, 1.0))
+def test_causal_mixture_tables_are_causal_and_their_weights_reproduce_them(alice, bob, q):
+    w = causal_mixture(
+        ordered_identity_channel_process("b_to_a"), ordered_identity_channel_process("a_to_b"), q
+    )
+    table = _play(w, alice, bob).table
+    decision = is_causal(table)
+    assert decision.is_causal
+    npt.assert_allclose(_vertex_tables() @ decision.weights, table.reshape(32), rtol=0, atol=1e-9)

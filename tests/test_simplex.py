@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from causalgame import simplex
 from causalgame.simplex import FeasibilityResult, phase_one
 
 
@@ -55,3 +56,31 @@ def test_result_is_frozen():
     result = FeasibilityResult(0.0, np.zeros(1), np.zeros(1), 0, True)
     with pytest.raises(AttributeError):
         result.objective = 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_non_finite_input_is_refused(name, bad):
+    system = {"a": np.array([[1.0, 0.5], [0.0, 1.0]]), "b": np.array([1.0, 1.0])}
+    system[name][-1] = bad
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+        phase_one(system["a"], system["b"])
+
+
+def test_inputs_are_left_unchanged():
+    # The negative entry of b makes its artificial column -e_0.
+    a = np.array([[-1.0, 2.0, 0.5], [0.0, 1.0, 3.0]])
+    b = np.array([-2.0, 3.0])
+    a_before, b_before = a.copy(), b.copy()
+    result = phase_one(a, b)
+    assert result.objective <= 1e-11
+    npt.assert_array_equal(a, a_before)
+    npt.assert_array_equal(b, b_before)
+
+
+def test_iteration_limit_reports_no_convergence(monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_ITERS", 1)
+    a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    result = phase_one(a, np.array([1.0, 2.0, 3.0]))
+    assert not result.converged
+    assert result.iterations == 1
