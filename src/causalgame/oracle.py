@@ -3,9 +3,12 @@
 The causal polytope for the biased game is the convex hull of 2048
 deterministic strategies: the party acting first answers from its own
 scored input alone, the party acting second may read everything upstream.
-Enumerating the vertices verifies the causal bound exactly, and a small
-linear feasibility solve decides polytope membership for any correlation
-table, returning convex weights or a violated causal inequality.
+Enumerating the vertices verifies the causal bound exactly. Membership of
+a correlation table is decided without the vertex list: a causal table is
+the sum of an Alice-first part and a Bob-first part, each fixed by one
+no-signaling condition, and one small linear feasibility solve for the two
+parts returns them, with convex vertex weights in closed form, or a
+violated causal inequality.
 """
 
 from __future__ import annotations
@@ -119,23 +122,82 @@ def oracle_bound(spec: GameSpec) -> float:
     return float((spec.beta * decode + (1.0 - spec.beta) * guess).max())
 
 
+@cache
+def _membership_system() -> np.ndarray:
+    """The constant 57 x 64 matrix of the two-part feasibility solve.
+
+    Columns are the Alice-first part P (32 entries, indexed like the
+    table) and the Bob-first part S (32 unit columns). Rows 0-31 say
+    P + S = p; rows 32-43 that Alice's marginal of P is the same for
+    every (b, bp); row 44 that P has the same total for both a; rows
+    45-56 that Bob's marginal of S = p - P is the same for every (a, bp),
+    written on P as -Bob P = -Bob p, Bob being the 12 x 32 difference
+    matrix; their right-hand side is the only one read off p.
+    """
+    eye = np.eye(32)
+    alice = eye.reshape(2, 2, 2, 4, 32).sum(axis=1)  # [x, a, 2b + bp]
+    total = alice.sum(axis=0)  # [a, 2b + bp]
+    bob = eye.reshape(2, 2, 2, 2, 2, 32).sum(axis=0)  # [y, a, b, bp]
+    bob = bob.transpose(0, 2, 1, 3, 4).reshape(2, 2, 4, 32)  # [y, b, (a, bp)]
+    bob = (bob[:, :, 1:] - bob[:, :, :1]).reshape(12, 32)
+    a = np.zeros((57, 64))
+    a[:32] = np.hstack([eye, eye])
+    a[32:44, :32] = (alice[:, :, 1:] - alice[:, :, :1]).reshape(12, 32)
+    a[44, :32] = total[1, 0] - total[0, 0]
+    a[45:, :32] = -bob
+    a.setflags(write=False)
+    return a
+
+
+def _order_weights(part: np.ndarray, reads: np.ndarray) -> np.ndarray:
+    """Weights over one order's 1024 vertices whose mixture is ``part``.
+
+    ``part[l, f, m]`` is indexed by the leader's answer, the follower's
+    answer and the setting m = 4a + 2b + bp, at which the leader reads its
+    input ``reads[m]``. A vertex's weight is the leader's joint answer
+    mass times the follower's conditional answer at each setting, laid
+    out with the bits of ``_vertex_tables``: leader answers at bits 9-8,
+    the follower's at 7-0. Where a leader answer has no mass the
+    follower's conditional is arbitrary (1/2 each); its vertices weigh 0.
+    """
+    part = np.maximum(part, 0.0)
+    marginal = part.sum(axis=1)  # [l, m]
+    follower = np.divide(
+        part, marginal[:, None], out=np.full_like(part, 0.5), where=marginal[:, None] > 0.0
+    )
+    leader = marginal @ np.eye(2)[reads] / 4  # [l, input]: mean over its 4 settings
+    mass = leader[:, 0].sum()
+    if mass <= 0.0:
+        return np.zeros(1024)
+    weights = np.outer(leader[:, 0] / mass, leader[:, 1])  # axes l0, l1, then one per setting
+    for m in range(8):
+        shape = [1] * (m + 3)
+        shape[reads[m]] = shape[-1] = 2  # the leader answer it reads, its own answer
+        weights = weights[..., None] * follower[:, :, m].reshape(shape)
+    return weights.reshape(1024)
+
+
 @dataclass(frozen=True)
 class CausalDecision:
     """Membership verdict with its supporting evidence.
 
-    For a causal table, ``weights`` holds convex weights over the vertex
-    list reproducing it. For a non-causal table, ``functional`` (indexed
-    like the correlation table) with ``bound`` form a causal inequality:
-    every vertex scores at most ``bound``, the tested table scores
-    ``value`` > ``bound``. ``residual`` is the leftover mass of the
-    feasibility solve, zero up to tolerance exactly for members, and
-    ``iterations`` its pivot count.
+    For a causal table, ``parts`` holds its Alice-first and Bob-first
+    parts, (2,2,2,2,2) tables that sum to it, and ``weights`` convex
+    weights over the 2048 vertices of ``_vertex_tables`` reproducing it,
+    computed from the parts in closed form. For a non-causal table,
+    ``functional`` (indexed like the correlation table) with ``bound``
+    form a causal inequality: every vertex scores at most ``bound`` (0 up
+    to rounding), the tested table scores ``value`` > ``bound``.
+    ``residual`` is the leftover mass of the two-part feasibility solve,
+    zero up to tolerance exactly for members, and ``iterations`` its
+    simplex pivot count.
     """
 
     is_causal: bool
     residual: float
     iterations: int
     weights: np.ndarray | None = None
+    parts: tuple[np.ndarray, np.ndarray] | None = None
     functional: np.ndarray | None = None
     bound: float | None = None
     value: float | None = None
@@ -145,33 +207,45 @@ def is_causal(table) -> CausalDecision:
     """Decide whether a correlation table admits a causal model.
 
     ``table`` is a JointDistribution or a (2,2,2,2,2) array of conditional
-    probabilities p[x, y, a, b, bp]. Membership in the convex hull of the
-    deterministic strategies is solved as a linear feasibility problem,
-    with a leftover mass up to MEMBERSHIP_TOL counted as feasible; failure
-    produces a separating functional certifying the violation.
+    probabilities p[x, y, a, b, bp]. The table is causal exactly when it
+    splits as p = P + S, both non-negative, with Alice's marginal of P
+    independent of (b, bp) and Bob's marginal of S independent of
+    (a, bp): the hull of each order's 1024 vertices. That split is a
+    57 x 64 linear feasibility problem (``_membership_system``), solved
+    from the start P = 0, S = p; a leftover mass up to MEMBERSHIP_TOL
+    counts as feasible. Failure produces a separating functional, read
+    off the Farkas certificate, certifying the violation.
     """
     if not isinstance(table, JointDistribution):
         table = JointDistribution(np.asarray(table, dtype=float))
     p = table.table.reshape(32)
-    tables = _vertex_tables()
-    count = tables.shape[1]
-    a = np.vstack([tables, np.ones((1, count))])
-    b = np.append(p, 1.0)
-    result = phase_one(a, b)
+    a = _membership_system()
+    bob_rows = a[45:, :32]
+    result = phase_one(a, np.concatenate([p, np.zeros(13), bob_rows @ p]))
     if not result.converged:
         raise RuntimeError(
             f"feasibility solve did not converge within {result.iterations} iterations"
         )
     if result.objective <= MEMBERSHIP_TOL:
+        alice_first, bob_first = result.solution.reshape(2, 2, 2, 8)
+        setting = np.arange(8)
+        weights = np.concatenate(
+            [
+                _order_weights(alice_first, setting >> 2),  # Alice leads, reading a
+                _order_weights(bob_first.transpose(1, 0, 2), (setting >> 1) & 1),  # Bob, b
+            ]
+        )
         return CausalDecision(
             is_causal=True,
             residual=float(result.objective),
             iterations=result.iterations,
-            weights=result.solution,
+            weights=weights,
+            parts=(alice_first.reshape(2, 2, 2, 2, 2), bob_first.reshape(2, 2, 2, 2, 2)),
         )
     certificate = result.certificate
-    functional = certificate[:32]
-    bound = float((functional @ tables).max())
+    # functional @ p is the certificate's y.b; every causal table scores <= 0.
+    functional = certificate[:32] + bob_rows.T @ certificate[45:]
+    bound = float((functional @ _vertex_tables()).max())
     value = float(functional @ p)
     return CausalDecision(
         is_causal=False,

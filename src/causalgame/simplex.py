@@ -1,11 +1,11 @@
 """Revised phase-one simplex for small linear feasibility problems.
 
 Decides whether A x = b has a solution with x >= 0 by minimizing the total
-mass of artificial variables. Problem sizes here are tens of rows by a few
-thousand columns, so the solver carries only the m x m basis inverse and
-the basic solution (Dantzig and Orchard-Hays' basis-inverse form), and a
-pivot costs one pricing product with A plus O(m^2). On infeasible systems
-the simplex multipliers provide a Farkas certificate: a vector y with
+mass of artificial variables, starting from the slack basis wherever A
+has unit columns. The solver carries only the m x m basis inverse and the
+basic solution (Dantzig and Orchard-Hays' basis-inverse form), so a pivot
+costs one pricing product with A plus O(m^2). On infeasible systems the
+simplex multipliers provide a Farkas certificate: a vector y with
 y.A <= 0 componentwise and y.b > 0.
 """
 
@@ -42,6 +42,9 @@ def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
 
     Artificial column i is sign(b_i) e_i, so the starting basis inverse is
     diag(sign(b)) and ``a`` is read as given, never copied or sign-flipped.
+    Where row i has b_i >= 0 and ``a`` has a unit column e_i, the first
+    such column starts basic in place of artificial i (the textbook slack
+    basis), which leaves that inverse unchanged.
     Every pivot prices with duals c_B B^-1 computed afresh, and the last
     of them, in the caller's row signs, is the certificate. Dantzig pricing
     with a switch to Bland's rule after a run of degenerate pivots, which
@@ -61,6 +64,11 @@ def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     inverse = np.diag(signs)
     x_basic = b * signs
     basis = np.arange(n, n + m)
+    nonzero = a != 0.0
+    rows = nonzero.argmax(axis=0)  # each column's first nonzero row
+    unit = (nonzero.sum(axis=0) == 1) & (a[rows, np.arange(n)] == 1.0) & (b[rows] >= 0.0)
+    taken, first = np.unique(rows[unit], return_index=True)
+    basis[taken] = np.flatnonzero(unit)[first]
 
     bland = False
     stall = 0

@@ -237,6 +237,7 @@ def test_c10_polytope_membership_separates_orderable_tables():
         assert not decision.is_causal, f"beta={beta} not rejected"
         functional = decision.functional.reshape(32)
         assert decision.value > decision.bound
+        assert decision.bound <= 1e-9
         assert (functional @ vertex_stack).max() <= decision.bound + 1e-9
         rejected += 1
     elapsed = time.monotonic() - start

@@ -86,11 +86,60 @@ def test_membership_weights_reproduce_the_table():
     npt.assert_allclose(stack @ decision.weights, table.reshape(32), atol=1e-7)
 
 
+@pytest.mark.parametrize(
+    "process",
+    [
+        ordered_identity_channel_process("a_to_b"),
+        ordered_identity_channel_process("b_to_a"),
+        causal_mixture(
+            ordered_identity_channel_process("b_to_a"),
+            ordered_identity_channel_process("a_to_b"),
+            0.4,
+        ),
+    ],
+)
+def test_members_split_into_two_one_way_parts(process):
+    table = joint_distribution(process, alice_z, bob_branch).table
+    decision = is_causal(table)
+    assert decision.is_causal
+    alice_first, bob_first = decision.parts
+    npt.assert_allclose(alice_first + bob_first, table, rtol=0, atol=1e-9)
+    assert alice_first.min() >= -1e-12 and bob_first.min() >= -1e-12
+    # Alice's marginal of the first part ignores (b, b'), Bob's of the
+    # second ignores (a, b'), and each part has one mass at every setting.
+    alice = alice_first.sum(axis=1).reshape(2, 2, 4)
+    bob = bob_first.sum(axis=0).transpose(0, 2, 1, 3).reshape(2, 2, 4)
+    for marginal in (alice, bob):
+        assert np.ptp(marginal, axis=2).max() <= 1e-9
+    for part in decision.parts:
+        assert np.ptp(part.sum(axis=(0, 1))) <= 1e-9
+
+
+def test_degenerate_vertex_mixtures_are_accepted():
+    # Replays 1,000 random vertex mixtures; on these five draws a phase-one
+    # solve over the 2,048 vertex columns stalled and never converged.
+    tables = _vertex_tables()
+    rng = np.random.default_rng(1)
+    for draw in range(1000):
+        k = rng.integers(1, 8)
+        columns = rng.choice(2048, k, replace=False)
+        mix = rng.dirichlet(np.ones(k))
+        if draw not in (7, 428, 529, 691, 771):
+            continue
+        table = tables[:, columns] @ mix
+        decision = is_causal(table.reshape(2, 2, 2, 2, 2))
+        assert decision.is_causal, f"draw {draw} rejected"
+        assert decision.weights.min() >= -1e-12
+        npt.assert_allclose(decision.weights.sum(), 1.0, rtol=0, atol=1e-9)
+        npt.assert_allclose(tables @ decision.weights, table, rtol=0, atol=1e-9)
+
+
 def test_rejection_comes_with_a_separating_functional():
     table = joint_distribution(w_ocb(), alice_z, bob_branch).table
     decision = is_causal(table)
     assert not decision.is_causal
     assert decision.value > decision.bound
+    assert decision.bound <= 1e-9  # every causal table scores at most 0
     functional = decision.functional.reshape(32)
     for strategy in enumerate_strategies():
         score = float(functional @ strategy.correlation_table().reshape(32))

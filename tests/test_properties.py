@@ -127,10 +127,10 @@ def test_pauli_round_trip_is_exact(terms):
     assert pauli_text(parse_process(text)) == text
 
 
-@settings(derandomize=True, max_examples=15, deadline=None)  # one LP per example
+@settings(derandomize=True, max_examples=60, deadline=None)  # one LP per example
 @given(
-    columns=st.lists(st.integers(0, 2047), min_size=1, max_size=5, unique=True),
-    raw=st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5),
+    columns=st.lists(st.integers(0, 2047), min_size=1, max_size=7, unique=True),
+    raw=st.lists(st.floats(0.01, 1.0), min_size=7, max_size=7),
 )
 def test_vertex_mixtures_are_causal_and_their_weights_reproduce_them(columns, raw):
     tables = _vertex_tables()

@@ -28,6 +28,28 @@ def test_infeasible_system_yields_a_farkas_certificate():
     assert y @ b > 1e-9
 
 
+def test_unit_columns_start_in_the_basis():
+    # Columns 0 and 1 are e_0 and e_1 with b >= 0: the slack basis is optimal.
+    a = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
+    result = phase_one(a, np.array([1.0, 2.0]))
+    assert result.converged
+    assert result.iterations == 0
+    npt.assert_array_equal(result.solution, [1.0, 2.0, 0.0])
+
+
+def test_row_with_negative_rhs_keeps_its_artificial():
+    # Column 0 is e_0 but b_0 < 0, so row 0 starts on its artificial and
+    # the solve has to pivot it out; row 1 starts on column 1.
+    a = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 1.0]])
+    b = np.array([-1.0, 2.0])
+    result = phase_one(a, b)
+    assert result.converged
+    assert result.iterations >= 1
+    assert result.objective <= 1e-11
+    assert (result.solution >= -1e-12).all()
+    npt.assert_allclose(a @ result.solution, b, atol=1e-10)
+
+
 def test_negative_right_hand_side_is_handled():
     a = np.array([[-1.0, 0.0], [0.0, 1.0]])
     b = np.array([-2.0, 3.0])
