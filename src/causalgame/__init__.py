@@ -6,16 +6,14 @@ ordered strategy can achieve, and searches both the strategy space and
 a one-parameter process family for violations of those bounds.
 """
 
-from .formats import dense_text, parse_process, pauli_text, read_process, write_process
+from .formats import dense_text, parse_process, pauli_text, read_process
 from .game import (
     GameSpec,
     JointDistribution,
     NumericalIntegrityError,
-    SignalingProfile,
     analytic_max_dbit,
     causal_bound,
     joint_distribution,
-    signaling_profile,
     success_components,
     success_probability,
 )
@@ -29,7 +27,6 @@ from .instruments import (
 from .optimizer import (
     OptimizationResult,
     OptimizerConfig,
-    ansatz_min_eigenvalue,
     maximize_ansatz,
     maximize_instruments,
     threshold_alpha,
@@ -61,7 +58,6 @@ from .tensor import (
     PAULI,
     PAULI_LABELS,
     hermitian_eigenvalues,
-    partial_trace,
     pauli_compose,
     pauli_decompose,
 )
@@ -79,12 +75,10 @@ __all__ = [
     "OptimizationResult",
     "OptimizerConfig",
     "ProcessMatrix",
-    "SignalingProfile",
     "ValidityReport",
     "alice_general",
     "alice_z",
     "analytic_max_dbit",
-    "ansatz_min_eigenvalue",
     "bob_branch",
     "bob_general",
     "causal_bound",
@@ -99,12 +93,10 @@ __all__ = [
     "oracle_bound",
     "ordered_identity_channel_process",
     "parse_process",
-    "partial_trace",
     "pauli_compose",
     "pauli_decompose",
     "pauli_text",
     "read_process",
-    "signaling_profile",
     "strategy_success",
     "success_components",
     "success_probability",
@@ -117,5 +109,4 @@ __all__ = [
     "w_ocb",
     "witness_s",
     "witness_value",
-    "write_process",
 ]

@@ -200,33 +200,22 @@ def cmd_optimize(args) -> int:
         if _refuse_invalid(w, args.tol):
             return 1
         result = maximize_instruments(w, args.beta, config)
-        payload = {
-            "mode": "dbit",
-            "process": w.tag,
-            "beta": args.beta,
-            "value": result.value,
-            "feasible": result.feasible,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "upper_bound": result.upper_bound,
-            "gap": result.gap,
-            "alice": result.alice.to_record(),
-            "bob": result.bob.to_record(),
-        }
+        head = {"mode": "dbit", "process": w.tag, "beta": args.beta}
+        tail = {"alice": result.alice.to_record(), "bob": result.bob.to_record()}
     else:
         result = maximize_ansatz(args.alpha, config)
-        payload = {
-            "mode": "ibit",
-            "alpha": args.alpha,
-            "value": result.value,
-            "feasible": result.feasible,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "upper_bound": result.upper_bound,
-            "gap": result.gap,
-            "coefficients": list(result.coefficients),
-            "axis": result.axis.tolist(),
-        }
+        head = {"mode": "ibit", "alpha": args.alpha}
+        tail = {"coefficients": list(result.coefficients), "axis": result.axis.tolist()}
+    payload = {
+        **head,
+        "value": result.value,
+        "feasible": result.feasible,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "upper_bound": result.upper_bound,
+        "gap": result.gap,
+        **tail,
+    }
     if args.json:
         _print_json(payload)
     else:

@@ -144,14 +144,3 @@ def parse_process(text: str) -> ProcessMatrix:
 def read_process(path) -> ProcessMatrix:
     with open(path, encoding="utf-8") as handle:
         return parse_process(handle.read())
-
-
-def write_process(w: ProcessMatrix, path, form: str = "dense") -> None:
-    if form == "dense":
-        text = dense_text(w)
-    elif form == "pauli":
-        text = pauli_text(w)
-    else:
-        raise ValueError(f"unknown format {form!r}, expected 'dense' or 'pauli'")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)

@@ -100,15 +100,12 @@ def joint_distribution(w, alice_family, bob_family) -> JointDistribution:
         dtype=complex,
     )
     w_arr = _matrix_of(w)
-    if alice.shape != (2, 2, 4, 4) or bob.shape != (2, 2, 2, 4, 4) or w_arr.shape != (16, 16):
-        raise ValueError(
-            f"need 4x4 instrument elements and a 16x16 process, got stacks {alice.shape}, "
-            f"{bob.shape} and process {w_arr.shape}"
-        )
+    if alice.shape != (2, 2, 4, 4) or bob.shape != (2, 2, 2, 4, 4):
+        raise ValueError(f"need 4x4 instrument elements, got stacks {alice.shape} and {bob.shape}")
     for party, stack in (("A", alice), ("B", bob)):
-        failures = _check_stack(stack)
-        if failures:
-            setting, found = next(iter(failures.items()))
+        failure = _check_stack(stack)
+        if failure:
+            setting, found = failure
             raise ValueError(
                 f"party {party} instrument at setting {setting} is invalid: " + "; ".join(found)
             )
@@ -156,26 +153,3 @@ def analytic_max_dbit(beta: float) -> float:
     if not 0.5 <= beta < 1.0:
         raise ValueError(f"beta must lie in [1/2, 1), got {beta}")
     return 0.5 * (1.0 + np.sqrt(1.0 - 2.0 * beta + 2.0 * beta * beta))
-
-
-@dataclass(frozen=True)
-class SignalingProfile:
-    """Largest variation of one party's outcome marginal with the other's inputs."""
-
-    b_to_a: float
-    a_to_b: float
-
-
-def signaling_profile(dist: JointDistribution) -> SignalingProfile:
-    """Measure two-way signaling in the outcome table.
-
-    b_to_a is the largest change of Alice's marginal p(x|a) as Bob's
-    inputs (b, b_prime) vary; a_to_b is the largest change of Bob's
-    marginal p(y|b, b_prime) as a varies.
-    """
-    table = dist.table
-    alice_marginal = table.sum(axis=1)  # [x, a, b, bp]
-    b_to_a = float(np.ptp(alice_marginal.reshape(2, 2, 4), axis=2).max())
-    bob_marginal = table.sum(axis=0)  # [y, a, b, bp]
-    a_to_b = float(np.ptp(bob_marginal, axis=1).max())
-    return SignalingProfile(b_to_a=b_to_a, a_to_b=a_to_b)

@@ -24,7 +24,6 @@ TP_ATOL = 1e-10
 UNIT_ATOL = 1e-10
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
-Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
@@ -149,13 +148,13 @@ def bob_general(y, b, b_prime, spec: ObservableSpec) -> np.ndarray:
     return _pair(_projector(y, spec.measure), _projector(b ^ y, spec.encode))
 
 
-def _check_stack(elements: np.ndarray) -> dict:
+def _check_stack(elements: np.ndarray) -> tuple[tuple[int, ...], list[str]] | None:
     """Positivity and trace preservation of stacked instrument elements.
 
     ``elements`` holds 4x4 Choi matrices with the outcome on axis 0 and any
     setting axes after it, so one call checks a whole family. Returns the
-    failure messages of each failing setting, keyed by its index tuple in
-    row-major order; an empty dict means every setting is an instrument.
+    first failing setting, as its index tuple in row-major order, with its
+    failure messages; None means every setting is an instrument.
     """
     finite = np.isfinite(elements).all(axis=(-2, -1))
     safe = np.where(finite[..., None, None], elements, 0.0)
@@ -167,8 +166,7 @@ def _check_stack(elements: np.ndarray) -> dict:
     reduced = np.einsum("...iojo->...ij", total)
     tp = np.linalg.norm(reduced - np.eye(2), axis=(-2, -1))
     if finite.all() and (low >= -CP_ATOL).all() and (tp <= TP_ATOL).all():
-        return {}
-    failures = {}
+        return None
     for setting in np.ndindex(tp.shape):
         found = []
         for outcome in range(elements.shape[0]):
@@ -180,5 +178,4 @@ def _check_stack(elements: np.ndarray) -> dict:
         if not tp[setting] <= TP_ATOL:
             found.append(f"summed map is not trace preserving: residual {tp[setting]:.3e}")
         if found:
-            failures[setting] = found
-    return failures
+            return setting, found

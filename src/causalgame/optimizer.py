@@ -31,7 +31,7 @@ from .game import (
     success_probability,
 )
 from .instruments import ObservableSpec, alice_general, alice_z, bob_branch, bob_general
-from .processes import _validate, w_ansatz
+from .processes import _validate, validate, w_ansatz
 
 REEVAL_ATOL = 1e-10
 ANSATZ_CEILING = 0.25 * (2.0 + math.sqrt(2.0))
@@ -287,11 +287,6 @@ def _gauge_maximizer(g: np.ndarray) -> np.ndarray:
     return c
 
 
-def ansatz_min_eigenvalue(coeffs) -> float:
-    """Closed-form smallest eigenvalue of w_ansatz at these coefficients."""
-    return float(0.25 * (1.0 - _gauge(np.asarray(coeffs, dtype=float))[0]))
-
-
 def _ansatz_objective(theta: np.ndarray, alpha: float) -> np.ndarray:
     """Rowwise success of the six coefficients and Bob's decoding axis."""
     c = theta[:, 0:6]
@@ -358,7 +353,7 @@ def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> Opti
     best = int(np.argmax(values))
     coefficients = tuple(float(v) for v in theta[best, 0:6])
     axis = theta[best, 6:9].copy()
-    candidate, report = w_ansatz(*coefficients)
+    candidate = w_ansatz(*coefficients)
     dist = joint_distribution(
         candidate,
         alice_z,
@@ -370,7 +365,7 @@ def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> Opti
     return OptimizationResult(
         value=value,
         trace=tuple(traces[best, : ran[best] + 1]),
-        feasible=report.is_valid,
+        feasible=validate(candidate).is_valid,
         converged=bool(retired[best]),
         upper_bound=upper_bound,
         coefficients=coefficients,

@@ -81,9 +81,10 @@ class ValidityReport:
 
 
 def _matrix_of(w) -> np.ndarray:
+    """The matrix of ``w``, checked as ProcessMatrix checks it: square, finite, 16x16."""
     if isinstance(w, ProcessMatrix):
         return w.matrix
-    return np.asarray(w, dtype=complex)
+    return ProcessMatrix(w).matrix
 
 
 def term_label(word: tuple[int, ...]) -> str:
@@ -114,10 +115,6 @@ def _validate(w, tol: float | None = None) -> tuple[ValidityReport, dict[tuple[i
     else:
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     arr = _matrix_of(w)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] != 16:
-        raise ValueError(f"process matrix dimension must be 16, got {arr.shape[0]}")
 
     failures: list[str] = []
 
@@ -194,15 +191,13 @@ def w_ocb() -> ProcessMatrix:
     return ProcessMatrix(w_beta(0.5).matrix, tag="w_ocb")
 
 
-def w_ansatz(
-    a0: float, b0: float, c0: float, d0: float, e0: float, f0: float
-) -> tuple[ProcessMatrix, ValidityReport]:
+def w_ansatz(a0: float, b0: float, c0: float, d0: float, e0: float, f0: float) -> ProcessMatrix:
     """Six-coefficient family spanning the terms that can score in the game.
 
-    Returns the candidate together with its validity report instead of
-    raising, so a search can probe infeasible coefficient regions and be
-    told which constraint failed. Term structure is allowed by
-    construction; positivity is the live constraint.
+    Builds the candidate at any coefficients without checking it, so a
+    search can probe infeasible regions; ``validate`` tells which
+    constraint fails. Term structure is allowed by construction;
+    positivity is the live constraint.
     """
     matrix = pauli_compose(
         {
@@ -216,8 +211,7 @@ def w_ansatz(
         }
     )
     tag = f"ansatz({a0!r},{b0!r},{c0!r},{d0!r},{e0!r},{f0!r})"
-    candidate = ProcessMatrix(matrix, tag=tag)
-    return candidate, validate(candidate)
+    return ProcessMatrix(matrix, tag=tag)
 
 
 def ordered_identity_channel_process(direction: str) -> ProcessMatrix:
@@ -261,8 +255,6 @@ def causal_mixture(w_b_to_a, w_a_to_b, q: float) -> ProcessMatrix:
         raise ValueError(f"mixture weight must lie in [0, 1], got {q}")
     first = _matrix_of(w_b_to_a)
     second = _matrix_of(w_a_to_b)
-    if first.shape != second.shape:
-        raise ValueError(f"component shapes differ: {first.shape} vs {second.shape}")
     return ProcessMatrix(q * first + (1.0 - q) * second, tag=f"mix@{float(q)!r}")
 
 
@@ -279,8 +271,4 @@ def witness_s() -> np.ndarray:
 
 def witness_value(s: np.ndarray, w) -> float:
     """Tr[S W]: nonnegative on every causally separable process, negative on w_beta."""
-    s_arr = _matrix_of(s)
-    w_arr = _matrix_of(w)
-    if s_arr.shape != w_arr.shape:
-        raise ValueError(f"shape mismatch: witness {s_arr.shape}, process {w_arr.shape}")
-    return float(np.einsum("ij,ji->", s_arr, w_arr).real)
+    return float(np.einsum("ij,ji->", _matrix_of(s), _matrix_of(w)).real)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causalgame import pauli_text, w_beta, write_process
+from causalgame import pauli_text, w_beta
 from causalgame.cli import main
 
 
@@ -23,7 +23,7 @@ def test_validate_builtin_process(capsys):
 
 def test_validate_round_trips_a_written_file(capsys, tmp_path):
     path = tmp_path / "family.txt"
-    write_process(w_beta(0.66), path, form="pauli")
+    path.write_text(pauli_text(w_beta(0.66)), encoding="utf-8", newline="\n")
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 0
     assert out.strip() == "valid"

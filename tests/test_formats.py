@@ -14,7 +14,6 @@ from causalgame import (
     validate,
     w_beta,
     w_ocb,
-    write_process,
 )
 
 
@@ -65,19 +64,14 @@ def test_format_detection_by_leading_brace():
 
 def test_file_round_trip_both_forms(tmp_path):
     w = w_beta(0.8)
-    for form in ("dense", "pauli"):
+    for form, write in (("dense", dense_text), ("pauli", pauli_text)):
         path = tmp_path / f"process.{form}"
-        write_process(w, path, form=form)
+        path.write_text(write(w), encoding="utf-8", newline="\n")
         raw = path.read_bytes()
         assert b"\r" not in raw
         clone = read_process(path)
         npt.assert_allclose(clone.matrix, w.matrix, atol=1e-14)
         assert clone.tag == w.tag
-
-
-def test_write_rejects_unknown_forms(tmp_path):
-    with pytest.raises(ValueError, match="form"):
-        write_process(w_ocb(), tmp_path / "x", form="yaml")
 
 
 def test_empty_input_is_rejected():

@@ -13,7 +13,6 @@ from causalgame import (
     causal_mixture,
     joint_distribution,
     ordered_identity_channel_process,
-    signaling_profile,
     success_components,
     success_probability,
     w_beta,
@@ -142,20 +141,6 @@ def test_bound_formulas():
     for beta in (0.5, 0.75, 0.99):
         expected = 0.5 * (1.0 + np.sqrt(1.0 - 2.0 * beta + 2.0 * beta * beta))
         npt.assert_allclose(analytic_max_dbit(beta), expected, atol=1e-15)
-
-
-def test_signaling_profile_sees_the_channel_direction():
-    dist = joint_distribution(
-        ordered_identity_channel_process("a_to_b"), alice_z, bob_branch
-    )
-    profile = signaling_profile(dist)
-    assert profile.a_to_b > 0.99
-    assert profile.b_to_a <= 1e-12
-
-    dist = joint_distribution(w_ocb(), alice_z, bob_branch)
-    profile = signaling_profile(dist)
-    assert profile.a_to_b > 0.1
-    assert profile.b_to_a > 0.1
 
 
 def test_joint_distribution_names_the_invalid_bob_setting():

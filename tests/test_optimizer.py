@@ -7,7 +7,6 @@ from causalgame import (
     OptimizerConfig,
     ProcessMatrix,
     analytic_max_dbit,
-    ansatz_min_eigenvalue,
     hermitian_eigenvalues,
     maximize_ansatz,
     maximize_instruments,
@@ -131,8 +130,7 @@ def test_ansatz_search_reaches_the_family_ceiling():
     assert result.feasible
     assert _gauge(result.coefficients) <= 1.0 + 1e-9
     npt.assert_allclose(np.linalg.norm(result.axis), 1.0, atol=1e-9)
-    candidate, report = w_ansatz(*result.coefficients)
-    assert report.is_valid
+    assert validate(w_ansatz(*result.coefficients)).is_valid
 
 
 def test_ansatz_search_reports_the_iteration_cap():
@@ -148,17 +146,16 @@ def test_ansatz_min_eigenvalue_matches_dense_algebra():
         coeffs = rng.uniform(-1.0, 1.0, 6)
         if rng.uniform() < 0.5:
             coeffs /= max(_gauge(coeffs), 1.0)  # sometimes inside, sometimes out
-        candidate, _ = w_ansatz(*coeffs)
-        dense = hermitian_eigenvalues(candidate.matrix).min()
-        npt.assert_allclose(ansatz_min_eigenvalue(coeffs), dense, atol=1e-10)
+        dense = hermitian_eigenvalues(w_ansatz(*coeffs).matrix).min()
+        npt.assert_allclose(0.25 * (1.0 - optimizer._gauge(coeffs)[0]), dense, atol=1e-10)
 
 
 def test_ansatz_feasibility_is_the_gauge_ball():
     inside = np.array([0.5, 0.3, 0.1, 0.0, 0.05, 0.0])
     inside /= max(_gauge(inside), 1.0) * 1.01
-    assert w_ansatz(*inside)[1].is_valid
+    assert validate(w_ansatz(*inside)).is_valid
     outside = inside / _gauge(inside) * 1.2
-    assert not w_ansatz(*outside)[1].is_valid
+    assert not validate(w_ansatz(*outside)).is_valid
 
 
 def test_threshold_is_where_the_causal_bound_meets_the_family_ceiling():

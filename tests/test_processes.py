@@ -158,7 +158,7 @@ def test_causal_mixture_interpolates():
     assert validate(mixed).is_valid
     with pytest.raises(ValueError, match="weight"):
         causal_mixture(w_ba, w_ab, 1.2)
-    with pytest.raises(ValueError, match="shapes"):
+    with pytest.raises(ValueError, match="dimension"):
         causal_mixture(np.eye(16), np.eye(4), 0.5)
 
 
@@ -181,15 +181,17 @@ def test_witness_is_nonnegative_on_ordered_mixtures():
 
 
 def test_witness_shape_mismatch_raises():
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(ValueError, match="dimension"):
         witness_value(np.eye(4), w_ocb())
+    with pytest.raises(ValueError, match="dimension"):
+        witness_value(np.eye(4), np.eye(4))
 
 
 def test_ansatz_reports_validity_instead_of_raising():
-    candidate, report = w_ansatz(1.0 / np.sqrt(2), 1.0 / np.sqrt(2), 0.0, 0.0, 0.0, 0.0)
-    assert report.is_valid
+    candidate = w_ansatz(1.0 / np.sqrt(2), 1.0 / np.sqrt(2), 0.0, 0.0, 0.0, 0.0)
+    assert validate(candidate).is_valid
     npt.assert_allclose(candidate.matrix, w_ocb().matrix, atol=1e-14)
-    _, report = w_ansatz(0.9, 0.9, 0.0, 0.0, 0.0, 0.0)
+    report = validate(w_ansatz(0.9, 0.9, 0.0, 0.0, 0.0, 0.0))
     assert not report.is_valid
     assert report.min_eigenvalue < -1e-3
 

@@ -1,8 +1,10 @@
 """Property tests of the instrument product form, of Born-table normalization,
-of exact file round trips and of causal-polytope membership."""
+of the one finiteness check every process entry point shares, of exact file
+round trips and of causal-polytope membership."""
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -13,6 +15,8 @@ from causalgame import (
     ObservableSpec,
     ProcessMatrix,
     alice_general,
+    alice_z,
+    bob_branch,
     bob_general,
     causal_mixture,
     dense_text,
@@ -21,7 +25,11 @@ from causalgame import (
     ordered_identity_channel_process,
     parse_process,
     pauli_text,
+    validate,
     w_beta,
+    w_ocb,
+    witness_s,
+    witness_value,
 )
 from causalgame.oracle import _vertex_tables
 
@@ -99,6 +107,22 @@ def test_causal_mixture_tables_are_normalized(alice, bob, q):
 @given(alice=specs, bob=specs, beta=st.floats(0.5, 1.0, exclude_max=True))
 def test_w_beta_tables_are_normalized(alice, bob, beta):
     _assert_normalized(w_beta(beta), alice, bob)
+
+
+@PROPERTY
+@given(row=st.integers(0, 15), col=st.integers(0, 15), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_every_process_entry_point_refuses_a_non_finite_entry(row, col, bad):
+    matrix = np.array(w_ocb().matrix)
+    matrix[row, col] = bad
+    ordered = ordered_identity_channel_process("a_to_b")
+    for call in (
+        lambda: validate(matrix),
+        lambda: joint_distribution(matrix, alice_z, bob_branch),
+        lambda: causal_mixture(matrix, ordered, 0.5),
+        lambda: witness_value(witness_s(), matrix),
+    ):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            call()
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)

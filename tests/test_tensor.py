@@ -9,7 +9,6 @@ from causalgame import (
     PAULI,
     PAULI_LABELS,
     hermitian_eigenvalues,
-    partial_trace,
     pauli_compose,
     pauli_decompose,
 )
@@ -71,12 +70,12 @@ def test_decompose_compose_round_trip():
         npt.assert_allclose(pauli_compose(coeffs), matrix, atol=1e-12)
 
 
-def _reference_coefficients(matrix, n):
-    """Tr[M sigma(t)] / 2**n as one einsum over every row and column bit."""
-    operands = [matrix.reshape((2,) * 2 * n), list(range(2 * n))]
-    for k in range(n):
-        operands += [np.stack(PAULI), [2 * n + k, n + k, k]]
-    return np.einsum(*operands, list(range(2 * n, 3 * n))).ravel().real / 2**n
+def _reference_coefficients(matrix):
+    """Tr[M sigma(t)] / 16 as one einsum over every row and column bit."""
+    operands = [matrix.reshape((2,) * 8), list(range(8))]
+    for k in range(4):
+        operands += [np.stack(PAULI), [8 + k, 4 + k, k]]
+    return np.einsum(*operands, list(range(8, 12))).ravel().real / 16
 
 
 def test_decompose_is_bit_identical_to_one_contraction():
@@ -87,16 +86,15 @@ def test_decompose_is_bit_identical_to_one_contraction():
     )
     rng = np.random.default_rng(29)
     cases = [w.matrix for w in (w_ocb(), w_beta(0.7), mix)]
-    for n in (1, 2, 3, 4, 4, 4):
-        raw = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    for _ in range(3):
+        raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         cases.append(raw + raw.conj().T)
     for matrix in cases:
-        n = matrix.shape[0].bit_length() - 1
-        reference = _reference_coefficients(matrix, n)
+        reference = _reference_coefficients(matrix)
         coeffs = pauli_decompose(matrix)
-        dense = np.zeros(4**n)
+        dense = np.zeros(256)
         for word, value in coeffs.items():
-            dense[sum(index << (2 * (n - 1 - k)) for k, index in enumerate(word))] = value
+            dense[sum(index << (2 * (3 - k)) for k, index in enumerate(word))] = value
         assert dense.tobytes() == np.where(reference == 0.0, 0.0, reference).tobytes()
 
 
@@ -108,8 +106,10 @@ def test_decompose_rejects_non_hermitian_input():
 
 
 def test_decompose_needs_a_power_of_two_dimension():
-    with pytest.raises(ValueError, match="power of two"):
-        pauli_decompose(np.eye(6))
+    # Only the four-qubit size is read: a power of two is not enough.
+    for matrix in (np.eye(6), np.eye(8), np.eye(32), np.zeros((16, 4))):
+        with pytest.raises(ValueError, match="16x16"):
+            pauli_decompose(matrix)
 
 
 def test_compose_rejects_malformed_words():
@@ -117,28 +117,6 @@ def test_compose_rejects_malformed_words():
         pauli_compose({(0, 0): 1.0})
     with pytest.raises(ValueError, match="0..3"):
         pauli_compose({(0, 0, 0, 4): 1.0})
-
-
-def test_partial_trace_of_product_splits():
-    rng = np.random.default_rng(3)
-    blocks = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4)]
-    full = np.kron(np.kron(np.kron(blocks[0], blocks[1]), blocks[2]), blocks[3])
-    kept = partial_trace(full, keep=("A_I", "B_I"))
-    scale = np.trace(blocks[1]) * np.trace(blocks[3])
-    npt.assert_allclose(kept, scale * np.kron(blocks[0], blocks[2]), atol=1e-12)
-
-
-def test_partial_trace_preserves_total_trace():
-    rng = np.random.default_rng(11)
-    matrix = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    for keep in (("A_I",), ("A_O", "B_O"), ("A_I", "A_O", "B_I", "B_O")):
-        reduced = partial_trace(matrix, keep=keep)
-        npt.assert_allclose(np.trace(reduced), np.trace(matrix), atol=1e-12)
-
-
-def test_partial_trace_rejects_unknown_labels():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(16), keep=("A_I", "nope"))
 
 
 def test_hermitian_eigenvalues_match_numpy():
