@@ -194,17 +194,23 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    unread = ("alpha",) if args.mode == "dbit" else ("process", "beta", "tol")
+    for name in unread:
+        if getattr(args, name) is not None:
+            raise UsageError(f"--{name} is not read by --mode {args.mode}")
     config = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     if args.mode == "dbit":
-        w = resolve_process(args.process)
+        w = resolve_process("w_ocb" if args.process is None else args.process)
         if _refuse_invalid(w, args.tol):
             return 1
-        result = maximize_instruments(w, args.beta, config)
-        head = {"mode": "dbit", "process": w.tag, "beta": args.beta}
+        beta = 0.5 if args.beta is None else args.beta
+        result = maximize_instruments(w, beta, config)
+        head = {"mode": "dbit", "process": w.tag, "beta": beta}
         tail = {"alice": result.alice.to_record(), "bob": result.bob.to_record()}
     else:
-        result = maximize_ansatz(args.alpha, config)
-        head = {"mode": "ibit", "alpha": args.alpha}
+        alpha = 0.5 if args.alpha is None else args.alpha
+        result = maximize_ansatz(alpha, config)
+        head = {"mode": "ibit", "alpha": alpha}
         tail = {"coefficients": list(result.coefficients), "axis": result.axis.tolist()}
     payload = {
         **head,
@@ -309,9 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="search instruments or the process family",
     )
     p.add_argument("--mode", choices=("dbit", "ibit"), required=True)
-    p.add_argument("--process", default="w_ocb", help="process for dbit mode")
-    p.add_argument("--beta", type=float, default=0.5, help="round bias for dbit mode")
-    p.add_argument("--alpha", type=float, default=0.5, help="input bias for ibit mode")
+    # A flag the chosen mode does not read is a usage error, so these
+    # default to None; cmd_optimize supplies w_ocb and 1/2.
+    p.add_argument("--process", default=None, help="process for dbit mode (default w_ocb)")
+    p.add_argument("--beta", type=float, default=None, help="round bias for dbit mode (default 0.5)")
+    p.add_argument("--alpha", type=float, default=None, help="input bias for ibit mode (default 0.5)")
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--max-iters", type=int, default=2000)
     p.set_defaults(func=cmd_optimize)

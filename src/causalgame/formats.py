@@ -43,7 +43,8 @@ def pauli_text(w: ProcessMatrix, zero_atol: float = 0.0) -> str:
     Exact zeros are always omitted; ``zero_atol`` additionally drops
     coefficients at or below it, which is useful for pruning the
     last-ulp dust that Hilbert-Schmidt coefficients of composed
-    matrices carry.
+    matrices carry. A non-finite or negative ``zero_atol`` raises
+    ValueError.
     """
     coefficients = pauli_decompose(w.matrix, zero_atol=zero_atol)
     lines = []

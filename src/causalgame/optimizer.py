@@ -7,7 +7,7 @@ ball. One engine sweeps every block in turn to its maximizer
 (Gauss-Seidel, the higher-order power method of De Lathauwer, De Moor
 and Vandewalle, SIAM J. Matrix Anal. Appl. 21, 1324, 2000), batched
 across restarts, and retires a restart at its first sweep that gains no
-more than ``tol``.
+more than ``SWEEP_TOL``.
 The instrument search moves five Bloch vectors against a fixed process;
 the process-family search moves six correlation coefficients inside
 their positivity region together with Bob's decoding axis. Every
@@ -31,9 +31,10 @@ from .game import (
     success_probability,
 )
 from .instruments import ObservableSpec, alice_general, alice_z, bob_branch, bob_general
-from .processes import _validate, validate, w_ansatz
+from .processes import PSD_ATOL, _validate, w_ansatz
 
 REEVAL_ATOL = 1e-10
+SWEEP_TOL = 1e-9
 ANSATZ_CEILING = 0.25 * (2.0 + math.sqrt(2.0))
 
 
@@ -41,7 +42,6 @@ ANSATZ_CEILING = 0.25 * (2.0 + math.sqrt(2.0))
 class OptimizerConfig:
     restarts: int = 64
     max_iters: int = 2000
-    tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -49,12 +49,8 @@ class OptimizerConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.tol, numbers.Real) or not math.isfinite(self.tol):
-            raise ValueError(f"tol must be a finite number, got {self.tol!r}")
         if self.restarts <= 0 or self.max_iters <= 0:
             raise ValueError("restarts and max_iters must be positive")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +64,7 @@ class OptimizationResult:
     and ``bob``, the process-family search ``coefficients`` and
     ``axis``. ``feasible`` records that the reported point passed its
     positivity checks. ``converged`` is true when the winning restart
-    retired, at a sweep that gained no more than ``tol``, before the
+    retired, at a sweep that gained no more than ``SWEEP_TOL``, before the
     sweep cap. ``upper_bound`` is a closed-form ceiling on the score of
     any point of the searched space.
     """
@@ -98,16 +94,22 @@ class OptimizationResult:
         return max(self.upper_bound - self.value, 0.0)
 
 
+def _draw(config: OptimizerConfig, draw) -> np.ndarray:
+    """Stacked start, one row per restart, each drawn by ``draw`` from the
+    restart's own generator (a child of ``config.seed``)."""
+    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
+    return np.vstack([draw(np.random.default_rng(s)) for s in seeds])
+
+
 def _ascend(objective, sweep, theta: np.ndarray, config: OptimizerConfig):
-    """Batched exact block-coordinate ascent.
+    """Batched exact block-coordinate ascent over the rows of ``theta``.
 
     ``sweep`` replaces every block of every row, in turn, by its exact
     maximizer given the other blocks, so no sweep lowers the objective.
-    A sweep is accepted where it gains more than ``config.tol``; a
-    restart retires at its first sweep that does not, keeping its
-    previous point. Returns the final points, their values, the
-    per-restart traces, the sweeps each restart ran and a mask of the
-    restarts that retired.
+    A sweep is accepted where it gains more than ``SWEEP_TOL``; a restart
+    retires at its first sweep that does not, keeping its previous point.
+    Returns the best restart's point, value, trace (its value after each
+    sweep it ran) and whether it retired before the sweep cap.
     """
     values = objective(theta)
     active = np.ones(theta.shape[0], dtype=bool)
@@ -119,11 +121,13 @@ def _ascend(objective, sweep, theta: np.ndarray, config: OptimizerConfig):
         ran += active
         candidate = sweep(theta.copy())
         cand_values = objective(candidate)
-        active &= cand_values > values + config.tol
+        active &= cand_values > values + SWEEP_TOL
         theta[active] = candidate[active]
         values[active] = cand_values[active]
         history.append(values.copy())
-    return theta, values, np.array(history).T, ran, ~active
+    best = int(np.argmax(values))
+    trace = tuple(sweep_values[best] for sweep_values in history[: ran[best] + 1])
+    return theta[best], values[best], trace, not active[best]
 
 
 def _check_rescore(value: float, searched: float, upper_bound: float) -> None:
@@ -137,35 +141,11 @@ def _check_rescore(value: float, searched: float, upper_bound: float) -> None:
         raise NumericalIntegrityError(f"value {value!r} exceeds its ceiling {upper_bound!r}")
 
 
-def _restart_generators(config: OptimizerConfig) -> list[np.random.Generator]:
-    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    return [np.random.default_rng(s) for s in seeds]
-
-
 def _set_unit(block: np.ndarray, direction: np.ndarray) -> None:
     """Overwrite each row of ``block`` with the unit vector along the same
     row of ``direction``, keeping the old row where the direction is zero."""
     norms = np.linalg.norm(direction, axis=1, keepdims=True)
     np.divide(direction, norms, out=block, where=norms > 0)
-
-
-def _correlation_data(coefficients: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The Pauli coefficients (a map from words) that feed the two scoring channels.
-
-    corr3[i, k, l] weights Alice's input axis against Bob's decode and
-    encode axes (the message-to-Alice channel); pair2[j, k] weights
-    Alice's encode axis against Bob's relay axis (the message-to-Bob
-    channel).
-    """
-    corr3 = np.zeros((3, 3, 3))
-    pair2 = np.zeros((3, 3))
-    for word, value in coefficients.items():
-        i, j, k, l = word
-        if j == 0 and i > 0 and k > 0 and l > 0:
-            corr3[i - 1, k - 1, l - 1] = value
-        elif i == 0 and l == 0 and j > 0 and k > 0:
-            pair2[j - 1, k - 1] = value
-    return corr3, pair2
 
 
 def _instrument_objective(theta: np.ndarray, corr3: np.ndarray, pair2: np.ndarray, beta: float) -> np.ndarray:
@@ -214,20 +194,23 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
     report, coefficients = _validate(w)
     if not report.is_valid:
         raise ValueError("process matrix failed validation: " + "; ".join(report.failures))
-    corr3, pair2 = _correlation_data(coefficients)
+    # corr3[i, k, l] weighs Alice's input axis against Bob's decode and
+    # encode axes (the message-to-Alice channel); pair2[j, k] Alice's
+    # encode axis against Bob's relay axis (the message-to-Bob channel).
+    axes = (1, 2, 3)
+    corr3 = np.array([[[coefficients.get((i, 0, k, l), 0.0) for l in axes] for k in axes] for i in axes])
+    pair2 = np.array([[coefficients.get((0, j, k, 0), 0.0) for k in axes] for j in axes])
 
-    theta0 = np.vstack([rng.normal(size=15) for rng in _restart_generators(config)])
+    theta0 = _draw(config, lambda rng: rng.normal(size=15))
     blocks = theta0.reshape(-1, 3)
     _set_unit(blocks, blocks)
-    theta, values, traces, ran, retired = _ascend(
+    point, searched, trace, converged = _ascend(
         lambda theta: _instrument_objective(theta, corr3, pair2, beta),
         lambda theta: _instrument_sweep(theta, corr3, pair2),
         theta0,
         config,
     )
 
-    best = int(np.argmax(values))
-    point = theta[best]
     alice_spec = ObservableSpec(measure=point[0:3], encode=point[3:6])
     bob_spec = ObservableSpec(measure=point[9:12], encode=point[12:15], relay=point[6:9])
     dist = joint_distribution(
@@ -240,12 +223,12 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
     # bounds the trilinear channel; the bilinear one peaks at sigma_max(pair2).
     corr, pair = np.linalg.norm(corr3.reshape(3, 9), 2), np.linalg.norm(pair2, 2)
     upper_bound = float(0.5 + 2.0 * beta * corr + 2.0 * (1.0 - beta) * pair)
-    _check_rescore(value, values[best], upper_bound)
+    _check_rescore(value, searched, upper_bound)
     return OptimizationResult(
         value=value,
-        trace=tuple(traces[best, : ran[best] + 1]),
+        trace=trace,
         feasible=True,
-        converged=bool(retired[best]),
+        converged=converged,
         upper_bound=upper_bound,
         alice=alice_spec,
         bob=bob_spec,
@@ -336,37 +319,35 @@ def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> Opti
     config = config or OptimizerConfig()
     spec = GameSpec(alpha, 0.5)
 
-    rows = []
-    for rng in _restart_generators(config):
-        coeffs = rng.normal(size=6)
-        coeffs *= rng.uniform(0.2, 0.95) / _gauge(coeffs)[0]
-        axis = rng.normal(size=3)
-        rows.append(np.concatenate([coeffs, axis / np.linalg.norm(axis)]))
-    theta0 = np.vstack(rows)
-    theta, values, traces, ran, retired = _ascend(
+    def start(rng):
+        coeffs, scale, axis = rng.normal(size=6), rng.uniform(0.2, 0.95), rng.normal(size=3)
+        return np.concatenate([coeffs, axis / np.linalg.norm(axis), [scale]])
+
+    theta0 = _draw(config, start)
+    theta0[:, 0:6] *= (theta0[:, 9] / _gauge(theta0[:, 0:6]))[:, None]
+    point, searched, trace, converged = _ascend(
         lambda theta: _ansatz_objective(theta, alpha),
         lambda theta: _ansatz_sweep(theta, alpha),
-        theta0,
+        theta0[:, 0:9].copy(),
         config,
     )
 
-    best = int(np.argmax(values))
-    coefficients = tuple(float(v) for v in theta[best, 0:6])
-    axis = theta[best, 6:9].copy()
-    candidate = w_ansatz(*coefficients)
+    coefficients = tuple(float(v) for v in point[0:6])
+    axis = point[6:9].copy()
     dist = joint_distribution(
-        candidate,
+        w_ansatz(*coefficients),
         alice_z,
         lambda y, b, bp: bob_branch(y, b, bp, t=axis),
     )
     value = success_probability(dist, spec)
     upper_bound = ANSATZ_CEILING
-    _check_rescore(value, values[best], upper_bound)
+    _check_rescore(value, searched, upper_bound)
     return OptimizationResult(
         value=value,
-        trace=tuple(traces[best, : ran[best] + 1]),
-        feasible=validate(candidate).is_valid,
-        converged=bool(retired[best]),
+        trace=trace,
+        # The family's smallest eigenvalue is (1 - gauge) / 4.
+        feasible=bool(_gauge(point[0:6])[0] <= 1.0 + 4.0 * PSD_ATOL),
+        converged=converged,
         upper_bound=upper_bound,
         coefficients=coefficients,
         axis=axis,

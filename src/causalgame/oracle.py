@@ -29,21 +29,23 @@ MEMBERSHIP_TOL = 1e-8
 class DeterministicStrategy:
     """One vertex of the causal polytope.
 
-    For order "a_first", ``x_table[a]`` fixes Alice's answer and
-    ``y_table[a][b][bp]`` lets Bob react to everything; for "b_first" the
-    roles swap, with Bob's answer ``y_table[b]`` read off his scored input
-    only. The structural asymmetry is the closed-laboratory constraint:
-    whoever acts first cannot see the other side's bits.
+    The party acting first (Alice for order "a_first", Bob for "b_first")
+    answers ``leader[i]`` from its own scored input i alone (a for Alice,
+    b for Bob); the other party may read everything and answers
+    ``follower[4a + 2b + bp]``. The structural asymmetry is the
+    closed-laboratory constraint: whoever acts first cannot see the other
+    side's bits.
     """
 
     order: str
-    x_table: tuple
-    y_table: tuple
+    leader: tuple[int, int]
+    follower: tuple[int, ...]
 
     def outcomes(self, a: int, b: int, bp: int) -> tuple[int, int]:
+        reply = self.follower[4 * a + 2 * b + bp]
         if self.order == "a_first":
-            return self.x_table[a], self.y_table[a][b][bp]
-        return self.x_table[a][b][bp], self.y_table[b]
+            return self.leader[a], reply
+        return reply, self.leader[b]
 
     def correlation_table(self) -> np.ndarray:
         table = np.zeros((2, 2, 2, 2, 2))
@@ -53,27 +55,14 @@ class DeterministicStrategy:
         return table
 
 
-def _nested(flat: tuple[int, ...]) -> tuple:
-    return tuple(
-        tuple(tuple(flat[4 * i + 2 * j + k] for k in (0, 1)) for j in (0, 1))
-        for i in (0, 1)
-    )
-
-
 def enumerate_strategies() -> tuple[DeterministicStrategy, ...]:
     """All 2048 deterministic strategies, 1024 per causal order."""
-    strategies: list[DeterministicStrategy] = []
-    for leader in product((0, 1), repeat=2):
-        for follower in product((0, 1), repeat=8):
-            strategies.append(
-                DeterministicStrategy("a_first", x_table=leader, y_table=_nested(follower))
-            )
-    for leader in product((0, 1), repeat=2):
-        for follower in product((0, 1), repeat=8):
-            strategies.append(
-                DeterministicStrategy("b_first", x_table=_nested(follower), y_table=leader)
-            )
-    return tuple(strategies)
+    return tuple(
+        DeterministicStrategy(order, leader, follower)
+        for order in ("a_first", "b_first")
+        for leader in product((0, 1), repeat=2)
+        for follower in product((0, 1), repeat=8)
+    )
 
 
 @cache

@@ -166,6 +166,19 @@ def w_beta_weights(beta: float) -> tuple[float, float]:
     return float((1.0 - beta) / norm), float(beta / norm)
 
 
+def _six_terms(*weights: float) -> np.ndarray:
+    """I / 4 plus weights / 4 on the six Pauli words that can score in the game.
+
+    The words, in w_ansatz's order: Z on A_O with Z on B_I; Z on A_I with
+    X, Y or Z on B_I and Z on B_O; Z on A_I alone; Z on B_I alone. A zero
+    weight adds nothing to the matrix, so it is skipped.
+    """
+    words = ((0, 3, 3, 0), (3, 0, 1, 3), (3, 0, 2, 3), (3, 0, 3, 3), (3, 0, 0, 0), (0, 0, 3, 0))
+    terms = {(0, 0, 0, 0): 0.25}
+    terms.update((word, 0.25 * w) for word, w in zip(words, weights) if w != 0.0)
+    return pauli_compose(terms)
+
+
 def w_beta(beta: float) -> ProcessMatrix:
     """The one-parameter family of causally nonseparable processes.
 
@@ -176,19 +189,12 @@ def w_beta(beta: float) -> ProcessMatrix:
     if not 0.5 <= beta < 1.0:
         raise ValueError(f"beta must lie in [1/2, 1), got {beta}")
     f1, f2 = w_beta_weights(beta)
-    matrix = pauli_compose(
-        {
-            (0, 0, 0, 0): 0.25,
-            (0, 3, 3, 0): 0.25 * f1,  # Z on A_O with Z on B_I
-            (3, 0, 1, 3): 0.25 * f2,  # Z on A_I with X on B_I and Z on B_O
-        }
-    )
-    return ProcessMatrix(matrix, tag=f"w_beta@{float(beta)!r}")
+    return ProcessMatrix(_six_terms(f1, f2, 0.0, 0.0, 0.0, 0.0), tag=f"w_beta@{float(beta)!r}")
 
 
 def w_ocb() -> ProcessMatrix:
     """The symmetric causally nonseparable process, w_beta(1/2)."""
-    return ProcessMatrix(w_beta(0.5).matrix, tag="w_ocb")
+    return ProcessMatrix(_six_terms(*w_beta_weights(0.5), 0.0, 0.0, 0.0, 0.0), tag="w_ocb")
 
 
 def w_ansatz(a0: float, b0: float, c0: float, d0: float, e0: float, f0: float) -> ProcessMatrix:
@@ -199,19 +205,8 @@ def w_ansatz(a0: float, b0: float, c0: float, d0: float, e0: float, f0: float) -
     constraint fails. Term structure is allowed by construction;
     positivity is the live constraint.
     """
-    matrix = pauli_compose(
-        {
-            (0, 0, 0, 0): 0.25,
-            (0, 3, 3, 0): 0.25 * a0,
-            (3, 0, 1, 3): 0.25 * b0,
-            (3, 0, 2, 3): 0.25 * c0,
-            (3, 0, 3, 3): 0.25 * d0,
-            (3, 0, 0, 0): 0.25 * e0,
-            (0, 0, 3, 0): 0.25 * f0,
-        }
-    )
     tag = f"ansatz({a0!r},{b0!r},{c0!r},{d0!r},{e0!r},{f0!r})"
-    return ProcessMatrix(matrix, tag=tag)
+    return ProcessMatrix(_six_terms(a0, b0, c0, d0, e0, f0), tag=tag)
 
 
 def ordered_identity_channel_process(direction: str) -> ProcessMatrix:
@@ -260,13 +255,7 @@ def causal_mixture(w_b_to_a, w_a_to_b, q: float) -> ProcessMatrix:
 
 def witness_s() -> np.ndarray:
     """Witness operator separating w_beta from all causally separable processes."""
-    return pauli_compose(
-        {
-            (0, 0, 0, 0): 0.25,
-            (0, 3, 3, 0): -0.25,
-            (3, 0, 1, 3): -0.25,
-        }
-    )
+    return _six_terms(-1.0, -1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def witness_value(s: np.ndarray, w) -> float:

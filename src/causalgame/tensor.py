@@ -9,6 +9,7 @@ finiteness checks) and the Hilbert-Schmidt (Pauli) decomposition of a
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -89,8 +90,11 @@ def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[in
     Returns the sparse map from index tuples (0=I, 1=X, 2=Y, 3=Z per
     qubit) to real coefficients, with coefficient(t) = Tr[M sigma(t)] / 16.
     Entries with |c| <= ``zero_atol`` are dropped; the default keeps
-    everything nonzero at working precision.
+    everything nonzero at working precision. ``zero_atol`` must be finite
+    and non-negative.
     """
+    if not (math.isfinite(zero_atol) and zero_atol >= 0):
+        raise ValueError(f"zero_atol must be finite and non-negative, got {zero_atol!r}")
     arr = np.asarray(matrix, dtype=complex)
     if arr.shape != (16, 16):
         raise ValueError(f"expected a 16x16 matrix, got shape {arr.shape}")
@@ -111,7 +115,7 @@ def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[in
         )
     values = coeffs.real
     out: dict[tuple[int, ...], float] = {}
-    for flat in np.flatnonzero(np.abs(values) > max(zero_atol, 0.0)).tolist():
+    for flat in np.flatnonzero(np.abs(values) > zero_atol).tolist():
         out[(flat >> 6, (flat >> 4) & 3, (flat >> 2) & 3, flat & 3)] = float(values[flat])
     return out
 

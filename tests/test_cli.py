@@ -282,6 +282,12 @@ README_EXAMPLES = [
     ("decompose_w_ocb.txt", ["decompose", "--process", "w_ocb"], None),
     ("decompose_mix.json", ["decompose", "--process", "mix@0.3", "--form", "dense"], "mix.json"),
     ("optimize_dbit.txt", ["optimize", "--mode", "dbit", "--process", "w_beta@0.75", "--beta", "0.75"], None),
+    ("optimize_ibit.json", ["optimize", "--mode", "ibit", "--alpha", "0.8", "--json"], None),
+    (
+        "optimize_dbit.json",
+        ["optimize", "--mode", "dbit", "--process", "w_beta@0.75", "--beta", "0.75", "--json"],
+        None,
+    ),
     ("threshold.txt", ["threshold"], None),
 ]
 
@@ -359,6 +365,36 @@ def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
         main(argv)
     assert excinfo.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "mode, flag",
+    [
+        ("ibit", ["--process", "/nonexistent.txt"]),
+        ("ibit", ["--beta", "0.99"]),
+        ("ibit", ["--tol", "5"]),
+        ("dbit", ["--alpha", "0.9"]),
+    ],
+)
+def test_optimize_refuses_flags_its_mode_does_not_read(capsys, mode, flag):
+    code, out, err = run(capsys, "optimize", "--mode", mode, *flag)
+    assert code == 2
+    assert out == ""
+    assert f"{flag[0]} is not read by --mode {mode}" in err
+
+
+def test_optimize_defaults_stand_in_for_omitted_mode_flags(capsys):
+    _, omitted, _ = run(capsys, "optimize", "--mode", "dbit", "--restarts", "2", "--json")
+    _, given, _ = run(
+        capsys, "optimize", "--mode", "dbit", "--restarts", "2", "--json",
+        "--process", "w_ocb", "--beta", "0.5",
+    )
+    assert omitted == given
+    assert json.loads(omitted)["beta"] == 0.5
+    _, omitted, _ = run(capsys, "optimize", "--mode", "ibit", "--restarts", "2", "--json")
+    _, given, _ = run(capsys, "optimize", "--mode", "ibit", "--restarts", "2", "--json", "--alpha", "0.5")
+    assert omitted == given
+    assert json.loads(omitted)["alpha"] == 0.5
 
 
 def test_numpy_overflow_is_a_single_error_line(capsys, tmp_path):

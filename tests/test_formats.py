@@ -9,6 +9,7 @@ from causalgame import (
     dense_text,
     ordered_identity_channel_process,
     parse_process,
+    pauli_decompose,
     pauli_text,
     read_process,
     validate,
@@ -54,6 +55,15 @@ def test_pauli_zero_atol_prunes_float_dust():
     )
     pruned = pauli_text(w, zero_atol=1e-12)
     assert len(pruned.splitlines()) == 8  # tag and the seven true terms
+
+
+@pytest.mark.parametrize("zero_atol", [float("nan"), float("inf"), -1.0])
+def test_non_finite_or_negative_zero_atol_is_refused(zero_atol):
+    # A nan threshold used to drop every term, leaving text no parser reads.
+    with pytest.raises(ValueError, match="zero_atol"):
+        pauli_decompose(w_ocb().matrix, zero_atol=zero_atol)
+    with pytest.raises(ValueError, match="zero_atol"):
+        pauli_text(w_ocb(), zero_atol=zero_atol)
 
 
 def test_format_detection_by_leading_brace():
