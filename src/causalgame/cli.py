@@ -140,10 +140,7 @@ def cmd_game(args) -> int:
         return 1
     spec = GameSpec(alpha=args.alpha, beta=args.beta)
     axis = np.asarray(args.t_vector, dtype=float)
-    try:
-        dist = joint_distribution(w, alice_z, lambda y, b, bp: bob_branch(y, b, bp, t=axis))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    dist = joint_distribution(w, alice_z, lambda y, b, bp: bob_branch(y, b, bp, t=axis))
     value = success_probability(dist, spec)
     if args.json:
         payload = {
@@ -194,14 +191,14 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    unread = ("alpha",) if args.mode == "dbit" else ("process", "beta", "tol")
+    unread = ("alpha",) if args.mode == "dbit" else ("process", "beta")
     for name in unread:
         if getattr(args, name) is not None:
             raise UsageError(f"--{name} is not read by --mode {args.mode}")
     config = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     if args.mode == "dbit":
         w = resolve_process("w_ocb" if args.process is None else args.process)
-        if _refuse_invalid(w, args.tol):
+        if _refuse_invalid(w):
             return 1
         beta = 0.5 if args.beta is None else args.beta
         result = maximize_instruments(w, beta, config)
@@ -311,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "optimize",
-        parents=[json_flag, seed_flag, tol_flag],
+        parents=[json_flag, seed_flag],
         help="search instruments or the process family",
     )
     p.add_argument("--mode", choices=("dbit", "ibit"), required=True)

@@ -73,20 +73,23 @@ def _parse_dense(text: str) -> ProcessMatrix:
     for key in ("dimension", "layout", "entries"):
         if key not in document:
             raise ValueError(f"dense process file missing key {key!r}")
-    labels = tuple(document["layout"])
-    if labels != LABELS:
-        raise ValueError(f"unsupported layout {labels!r}, expected {LABELS!r}")
+    layout = document["layout"]
+    if layout != list(LABELS):
+        raise ValueError(f"unsupported layout {layout!r}, expected {list(LABELS)!r}")
     dim = document["dimension"]
-    if dim != 16:
+    if dim != 16 or not isinstance(dim, int):
         raise ValueError(f"dimension must be 16, got {dim!r}")
     entries = document["entries"]
+    if not isinstance(entries, list):
+        raise ValueError(f"entries must be a list, got {entries!r}")
     if len(entries) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
     try:  # numbers and numeric strings, as float() reads them
-        parts = np.array(entries, dtype=float).reshape(dim * dim, 2)
+        parts = np.array(entries, dtype=float)
     except (TypeError, ValueError, OverflowError):
         parts = None
-    if parts is None or np.isnan(parts).any():  # numpy reads null as NaN
+    # numpy reads null as NaN; a pair nested deeper or split gives another shape
+    if parts is None or parts.shape != (dim * dim, 2) or np.isnan(parts).any():
         for pos, pair in enumerate(entries):
             if not _is_pair(pair):
                 raise ValueError(f"entry {pos} is not a [real, imag] pair: {pair!r}")

@@ -189,8 +189,7 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
     is the Born-rule score of the best parameters.
     """
     config = config or OptimizerConfig()
-    if not 0.5 <= beta < 1.0:
-        raise ValueError(f"beta must lie in [1/2, 1), got {beta}")
+    spec = GameSpec(0.5, beta)
     report, coefficients = _validate(w)
     if not report.is_valid:
         raise ValueError("process matrix failed validation: " + "; ".join(report.failures))
@@ -218,7 +217,7 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
         lambda x, a: alice_general(x, a, alice_spec),
         lambda y, b, bp: bob_general(y, b, bp, bob_spec),
     )
-    value = success_probability(dist, GameSpec(0.5, beta))
+    value = success_probability(dist, spec)
     # t (x) o is a unit vector, so sigma_max of corr3 flattened to 3x9
     # bounds the trilinear channel; the bilinear one peaks at sigma_max(pair2).
     corr, pair = np.linalg.norm(corr3.reshape(3, 9), 2), np.linalg.norm(pair2, 2)

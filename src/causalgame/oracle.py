@@ -1,14 +1,16 @@
-"""Brute force over deterministic one-way-signaling strategies.
+"""The causal polytope of the biased game, described by what each leader reads.
 
-The causal polytope for the biased game is the convex hull of 2048
-deterministic strategies: the party acting first answers from its own
-scored input alone, the party acting second may read everything upstream.
-Enumerating the vertices verifies the causal bound exactly. Membership of
-a correlation table is decided without the vertex list: a causal table is
-the sum of an Alice-first part and a Bob-first part, each fixed by one
-no-signaling condition, and one small linear feasibility solve for the two
-parts returns them, with convex vertex weights in closed form, or a
-violated causal inequality.
+The polytope is the convex hull of 2048 deterministic strategies: the
+party acting first answers from its own scored input alone, the party
+acting second may read everything upstream. No code here lists them.
+The largest value of a linear functional over the polytope, and so the
+exact causal bound, is a nested max/sum over the inputs of each order.
+Membership of a correlation table is one small linear feasibility solve:
+a causal table is the sum of an Alice-first part and a Bob-first part,
+each fixed by one no-signaling condition, and the solve returns the two
+parts, with convex vertex weights in closed form, or a violated causal
+inequality. ``enumerate_strategies`` keeps the vertices themselves as a
+reference, and fixes the order of those weights.
 """
 
 from __future__ import annotations
@@ -65,27 +67,6 @@ def enumerate_strategies() -> tuple[DeterministicStrategy, ...]:
     )
 
 
-@cache
-def _vertex_tables() -> np.ndarray:
-    """The flattened correlation tables of all strategies, one per column.
-
-    Column k is the (read-only) table of strategy k, in
-    ``enumerate_strategies`` order. Within each order's block of 1024,
-    bits 9-8 of the vertex index hold the leader's two answers and bits
-    7-0 the follower's eight, the answer to inputs (a, b, bp) sitting at
-    bit 7 - (4a + 2b + bp).
-    """
-    vertex = np.arange(1024)
-    m = np.arange(8)[:, None]  # 4a + 2b + bp
-    follower = (vertex >> (7 - m)) & 1
-    x = np.hstack([(vertex >> (9 - (m >> 2))) & 1, follower])  # leader reads a
-    y = np.hstack([follower, (vertex >> (9 - ((m >> 1) & 1))) & 1])  # leader reads b
-    tables = np.zeros((32, 2048))
-    tables[16 * x + 8 * y + m, np.arange(2048)] = 1.0
-    tables.setflags(write=False)
-    return tables
-
-
 def strategy_success(strategy: DeterministicStrategy, spec: GameSpec) -> float:
     """Winning probability of a single deterministic strategy."""
     weights = np.array([spec.alpha, 1.0 - spec.alpha])
@@ -101,14 +82,29 @@ def strategy_success(strategy: DeterministicStrategy, spec: GameSpec) -> float:
     return float(total)
 
 
+def _causal_max(f: np.ndarray) -> float:
+    """Largest value of the linear functional ``f`` over the causal polytope.
+
+    ``f`` is indexed like a correlation table, [x, y, a, b, bp]. A vertex's
+    follower answers each setting on its own, so it takes the larger entry
+    there; the leader answers each of its two inputs once for all four
+    settings that share it. So each order's maximum is a nested max/sum,
+    and the polytope's is the larger of the two.
+    """
+    alice_first = f.max(axis=1).sum(axis=(2, 3)).max(axis=0).sum()  # [x, a]: Alice reads a
+    bob_first = f.max(axis=0).sum(axis=(1, 3)).max(axis=0).sum()  # [y, b]: Bob reads b
+    return float(max(alice_first, bob_first))
+
+
 def oracle_bound(spec: GameSpec) -> float:
     """Maximum winning probability over all deterministic causal strategies.
 
     Equals the maximum over the whole causal polytope because the success
-    probability is linear in the correlation table.
+    probability is linear in the correlation table: the game's scoring
+    rule, applied to the 32 unit tables, gives that functional.
     """
-    decode, guess = _channel_scores(_vertex_tables().reshape(2, 2, 2, 2, 2, -1), spec.alpha)
-    return float((spec.beta * decode + (1.0 - spec.beta) * guess).max())
+    decode, guess = _channel_scores(np.eye(32).reshape(2, 2, 2, 2, 2, 32), spec.alpha)
+    return _causal_max((spec.beta * decode + (1.0 - spec.beta) * guess).reshape(2, 2, 2, 2, 2))
 
 
 @cache
@@ -145,8 +141,9 @@ def _order_weights(part: np.ndarray, reads: np.ndarray) -> np.ndarray:
     answer and the setting m = 4a + 2b + bp, at which the leader reads its
     input ``reads[m]``. A vertex's weight is the leader's joint answer
     mass times the follower's conditional answer at each setting, laid
-    out with the bits of ``_vertex_tables``: leader answers at bits 9-8,
-    the follower's at 7-0. Where a leader answer has no mass the
+    out in ``enumerate_strategies`` order: the leader's answers to inputs
+    0 and 1, then the follower's at m = 0..7, the last one varying
+    fastest. Where a leader answer has no mass the
     follower's conditional is arbitrary (1/2 each); its vertices weigh 0.
     """
     part = np.maximum(part, 0.0)
@@ -172,11 +169,12 @@ class CausalDecision:
 
     For a causal table, ``parts`` holds its Alice-first and Bob-first
     parts, (2,2,2,2,2) tables that sum to it, and ``weights`` convex
-    weights over the 2048 vertices of ``_vertex_tables`` reproducing it,
-    computed from the parts in closed form. For a non-causal table,
-    ``functional`` (indexed like the correlation table) with ``bound``
-    form a causal inequality: every vertex scores at most ``bound`` (0 up
-    to rounding), the tested table scores ``value`` > ``bound``.
+    weights over the 2048 vertices, indexed like ``enumerate_strategies()``,
+    reproducing it, computed from the parts in closed form. For a
+    non-causal table, ``functional`` (indexed like the correlation table)
+    with ``bound`` form a causal inequality: every causal table scores at
+    most ``bound`` (0 up to rounding; its maximum over the polytope), the
+    tested table scores ``value`` > ``bound``.
     ``residual`` is the leftover mass of the two-part feasibility solve,
     zero up to tolerance exactly for members, and ``iterations`` its
     simplex pivot count.
@@ -234,13 +232,11 @@ def is_causal(table) -> CausalDecision:
     certificate = result.certificate
     # functional @ p is the certificate's y.b; every causal table scores <= 0.
     functional = certificate[:32] + bob_rows.T @ certificate[45:]
-    bound = float((functional @ _vertex_tables()).max())
-    value = float(functional @ p)
     return CausalDecision(
         is_causal=False,
         residual=float(result.objective),
         iterations=result.iterations,
         functional=functional.reshape(2, 2, 2, 2, 2),
-        bound=bound,
-        value=value,
+        bound=_causal_max(functional.reshape(2, 2, 2, 2, 2)),
+        value=float(functional @ p),
     )

@@ -69,6 +69,20 @@ def test_empty_and_missing_files_are_usage_errors(capsys, tmp_path):
     assert code == 2
 
 
+def test_malformed_dense_documents_are_usage_errors(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    for document in (
+        {"dimension": 16, "layout": 5, "entries": []},
+        {"dimension": 16.0, "layout": ["A_I", "A_O", "B_I", "B_O"], "entries": [[0.0, 0.0]] * 256},
+        {"dimension": 16, "layout": ["A_I", "A_O", "B_I", "B_O"], "entries": [[[0.0, 0.0]]] * 256},
+    ):
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: malformed process file {str(path)!r}: ")
+        assert "Traceback" not in err
+
+
 def test_malformed_word_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "mal.txt"
     path.write_text("IIII 0.25\nQZII 0.05\n")
@@ -358,6 +372,10 @@ def test_huge_t_vector_is_named_in_the_error(capsys):
         ["sweep-beta", "--from", "0.5", "--to", "0.9", "--steps", "5", "--json"],
         ["oracle", "--alpha", "0.6", "--beta", "0.7", "--tol", "1"],
         ["witness", "--process", "w_ocb", "--seed", "1"],
+        # The dbit search validates at the default tolerances, so optimize
+        # takes no --tol in either mode.
+        ["optimize", "--mode", "dbit", "--tol", "5"],
+        ["optimize", "--mode", "ibit", "--tol", "5"],
     ],
 )
 def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
@@ -372,7 +390,6 @@ def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
     [
         ("ibit", ["--process", "/nonexistent.txt"]),
         ("ibit", ["--beta", "0.99"]),
-        ("ibit", ["--tol", "5"]),
         ("dbit", ["--alpha", "0.9"]),
     ],
 )

@@ -130,6 +130,23 @@ def test_dense_parse_errors():
 
 
 @pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("dimension", 16.0, "dimension must be 16, got 16.0"),
+        ("layout", 5, "unsupported layout 5"),
+        ("entries", 5, "entries must be a list, got 5"),
+        ("entries", [[[0.25, 0.0]]] * 256, r"entry 0 is not a \[real, imag\] pair"),
+        ("entries", [[[0.25], [0.0]]] * 256, r"entry 0 is not a \[real, imag\] pair"),
+    ],
+)
+def test_dense_parse_refuses_malformed_documents(key, value, message):
+    payload = json.loads(dense_text(w_ocb()))
+    payload[key] = value
+    with pytest.raises(ValueError, match=message):
+        parse_process(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
     "position, entry",
     [
         (0, [1.0]),

@@ -17,7 +17,6 @@ from causalgame import (
     w_ocb,
 )
 from causalgame import oracle, simplex
-from causalgame.oracle import _vertex_tables
 from causalgame.simplex import phase_one
 
 
@@ -71,7 +70,7 @@ def test_vertices_are_members():
     assert decision.residual <= 1e-8
 
 
-def test_membership_weights_reproduce_the_table():
+def test_membership_weights_reproduce_the_table(vertex_stack):
     w = causal_mixture(
         ordered_identity_channel_process("b_to_a"),
         ordered_identity_channel_process("a_to_b"),
@@ -80,10 +79,7 @@ def test_membership_weights_reproduce_the_table():
     table = joint_distribution(w, alice_z, bob_branch).table
     decision = is_causal(table)
     assert decision.is_causal
-    stack = np.stack(
-        [s.correlation_table().reshape(32) for s in enumerate_strategies()], axis=1
-    )
-    npt.assert_allclose(stack @ decision.weights, table.reshape(32), atol=1e-7)
+    npt.assert_allclose(vertex_stack @ decision.weights, table.reshape(32), atol=1e-7)
 
 
 @pytest.mark.parametrize(
@@ -115,10 +111,10 @@ def test_members_split_into_two_one_way_parts(process):
         assert np.ptp(part.sum(axis=(0, 1))) <= 1e-9
 
 
-def test_degenerate_vertex_mixtures_are_accepted():
+def test_degenerate_vertex_mixtures_are_accepted(vertex_stack):
     # Replays 1,000 random vertex mixtures; on these five draws a phase-one
     # solve over the 2,048 vertex columns stalled and never converged.
-    tables = _vertex_tables()
+    tables = vertex_stack
     rng = np.random.default_rng(1)
     for draw in range(1000):
         k = rng.integers(1, 8)
@@ -156,15 +152,6 @@ def test_is_causal_accepts_joint_distribution_objects():
 def test_is_causal_rejects_malformed_tables():
     with pytest.raises(ValueError):
         is_causal(np.full((2, 2, 2, 2, 2), 0.9))
-
-
-def test_vertex_table_matches_the_enumerated_strategies():
-    tables = _vertex_tables()
-    strategies = enumerate_strategies()
-    assert tables.shape == (32, len(strategies))
-    stacked = np.stack([s.correlation_table().reshape(32) for s in strategies], axis=1)
-    npt.assert_array_equal(tables, stacked)
-    assert not tables.flags.writeable
 
 
 def test_decision_reports_the_solve_pivot_count(monkeypatch):

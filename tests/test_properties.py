@@ -1,6 +1,6 @@
 """Property tests of the instrument product form, of Born-table normalization,
 of the one finiteness check every process entry point shares, of exact file
-round trips and of causal-polytope membership."""
+round trips, of causal-polytope membership and of the polytope's maximum."""
 
 import numpy as np
 import numpy.testing as npt
@@ -31,7 +31,7 @@ from causalgame import (
     witness_s,
     witness_value,
 )
-from causalgame.oracle import _vertex_tables
+from causalgame.oracle import _causal_max
 
 # Deterministic examples keep the suite reproducible run to run.
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -156,8 +156,8 @@ def test_pauli_round_trip_is_exact(terms):
     columns=st.lists(st.integers(0, 2047), min_size=1, max_size=7, unique=True),
     raw=st.lists(st.floats(0.01, 1.0), min_size=7, max_size=7),
 )
-def test_vertex_mixtures_are_causal_and_their_weights_reproduce_them(columns, raw):
-    tables = _vertex_tables()
+def test_vertex_mixtures_are_causal_and_their_weights_reproduce_them(columns, raw, vertex_stack):
+    tables = vertex_stack
     mix = np.array(raw[: len(columns)]) / sum(raw[: len(columns)])
     table = tables[:, columns] @ mix
     decision = is_causal(table.reshape(2, 2, 2, 2, 2))
@@ -167,11 +167,30 @@ def test_vertex_mixtures_are_causal_and_their_weights_reproduce_them(columns, ra
 
 @settings(derandomize=True, max_examples=15, deadline=None)  # one LP per example
 @given(alice=specs, bob=specs, q=st.floats(0.0, 1.0))
-def test_causal_mixture_tables_are_causal_and_their_weights_reproduce_them(alice, bob, q):
+def test_causal_mixture_tables_are_causal_and_their_weights_reproduce_them(
+    alice, bob, q, vertex_stack
+):
     w = causal_mixture(
         ordered_identity_channel_process("b_to_a"), ordered_identity_channel_process("a_to_b"), q
     )
     table = _play(w, alice, bob).table
     decision = is_causal(table)
     assert decision.is_causal
-    npt.assert_allclose(_vertex_tables() @ decision.weights, table.reshape(32), rtol=0, atol=1e-9)
+    npt.assert_allclose(vertex_stack @ decision.weights, table.reshape(32), rtol=0, atol=1e-9)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_causal_max_is_the_largest_vertex_score(seed, vertex_stack):
+    f = np.random.default_rng(seed).normal(size=32)
+    brute = (f @ vertex_stack).max()
+    npt.assert_allclose(_causal_max(f.reshape(2, 2, 2, 2, 2)), brute, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(f=arrays(np.int64, 32, elements=st.integers(-3, 3)))
+def test_causal_max_matches_the_vertices_exactly_on_integer_functionals(f, vertex_stack):
+    # Small integers sum exactly, and their many ties would expose a
+    # maximum taken over a wrong set of strategies.
+    f = f.astype(float)
+    assert _causal_max(f.reshape(2, 2, 2, 2, 2)) == (f @ vertex_stack).max()
