@@ -5,12 +5,12 @@ party acting first answers from its own scored input alone, the party
 acting second may read everything upstream. No code here lists them.
 The largest value of a linear functional over the polytope, and so the
 exact causal bound, is a nested max/sum over the inputs of each order.
-Membership of a correlation table is one small linear feasibility solve:
-a causal table is the sum of an Alice-first part and a Bob-first part,
-each fixed by one no-signaling condition, and the solve returns the two
-parts, with convex vertex weights in closed form, or a violated causal
-inequality. ``enumerate_strategies`` keeps the vertices themselves as a
-reference, and fixes the order of those weights.
+Membership of a correlation table is one small linear solve: a causal
+table is the sum of an Alice-first and a Bob-first part, each fixed by one
+no-signaling condition, and a six-row Farkas dual returns five margins
+that give both parts and convex vertex weights in closed form, or a
+violated causal inequality. ``enumerate_strategies`` keeps the vertices
+themselves as a reference, and fixes the order of those weights.
 """
 
 from __future__ import annotations
@@ -107,31 +107,37 @@ def oracle_bound(spec: GameSpec) -> float:
     return _causal_max((spec.beta * decode + (1.0 - spec.beta) * guess).reshape(2, 2, 2, 2, 2))
 
 
-@cache
-def _membership_system() -> np.ndarray:
-    """The constant 57 x 64 matrix of the two-part feasibility solve.
+# Entry k of a setting's 2 x 2 Alice-first block P_s, its margins fixed, is
+# t = P_s[0, 0] plus or minus an affine term, so 0 <= P_s <= p_s confines t to
+# [l_k, l_k + p_s[k]], l_k a form in (lambda, alpha, beta, p_s flattened).
+_LOW = np.array(
+    [[0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, -1, 0, 0], [0, 0, -1, 1, 0, 0, 0], [-1, 1, -1, 1, 0, 1, 0]]
+)
+_PAIRS = ((0, 2), (0, 3), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (3, 1))
 
-    Columns are the Alice-first part P (32 entries, indexed like the
-    table) and the Bob-first part S (32 unit columns). Rows 0-31 say
-    P + S = p; rows 32-43 that Alice's marginal of P is the same for
-    every (b, bp); row 44 that P has the same total for both a; rows
-    45-56 that Bob's marginal of S = p - P is the same for every (a, bp),
-    written on P as -Bob P = -Bob p, Bob being the 12 x 32 difference
-    matrix; their right-hand side is the only one read off p.
+
+@cache
+def _split_system() -> tuple[np.ndarray, np.ndarray]:
+    """The constant G (72 x 5) and H (72 x 32): p is causal iff some z has G z <= H p.
+
+    z = (lambda, alpha_0, alpha_1, beta_0, beta_1) fixes the margins of a
+    split p = P + S: P has mass lambda, alpha_a of it on x = 0 at input a,
+    and S has mass beta_b on y = 0 at input b. Rows 0-7 keep alpha_a in
+    [0, lambda] and beta_b in [0, 1 - lambda], 1 read as the sum of p / 8;
+    then eight rows per setting m = 4a + 2b + bp say l_i <= l_j + p_s[j]
+    (the four other pairs i != j give rows 0-7).
     """
-    eye = np.eye(32)
-    alice = eye.reshape(2, 2, 2, 4, 32).sum(axis=1)  # [x, a, 2b + bp]
-    total = alice.sum(axis=0)  # [a, 2b + bp]
-    bob = eye.reshape(2, 2, 2, 2, 2, 32).sum(axis=0)  # [y, a, b, bp]
-    bob = bob.transpose(0, 2, 1, 3, 4).reshape(2, 2, 4, 32)  # [y, b, (a, bp)]
-    bob = (bob[:, :, 1:] - bob[:, :, :1]).reshape(12, 32)
-    a = np.zeros((57, 64))
-    a[:32] = np.hstack([eye, eye])
-    a[32:44, :32] = (alice[:, :, 1:] - alice[:, :, :1]).reshape(12, 32)
-    a[44, :32] = total[1, 0] - total[0, 0]
-    a[45:, :32] = -bob
-    a.setflags(write=False)
-    return a
+    g, h = np.zeros((72, 5)), np.zeros((72, 32))
+    g[:8, 1:] = np.vstack([-np.eye(4), np.eye(4)])
+    g[4:8, 0] = -1.0, -1.0, 1.0, 1.0
+    h[6:8] = 1.0 / 8
+    for row, (m, (i, j)) in enumerate(product(range(8), _PAIRS), start=8):
+        form = _LOW[i] - _LOW[j]
+        g[row, [0, 1 + (m >> 2), 3 + ((m >> 1) & 1)]] = form[:3]
+        h[row, m::8] = np.eye(4)[j] - form[3:]  # p_s is p[m::8], flattened [x, y]
+    g.setflags(write=False)
+    h.setflags(write=False)
+    return g, h
 
 
 def _order_weights(part: np.ndarray, reads: np.ndarray) -> np.ndarray:
@@ -174,10 +180,11 @@ class CausalDecision:
     non-causal table, ``functional`` (indexed like the correlation table)
     with ``bound`` form a causal inequality: every causal table scores at
     most ``bound`` (0 up to rounding; its maximum over the polytope), the
-    tested table scores ``value`` > ``bound``.
-    ``residual`` is the leftover mass of the two-part feasibility solve,
-    zero up to tolerance exactly for members, and ``iterations`` its
-    simplex pivot count.
+    tested table scores ``value`` (1 up to rounding) > ``bound``.
+    ``residual`` is max(0, -least entry of the parts) for a member, and for
+    a non-member the table's violation of the certificate's inequality
+    with its multipliers scaled to sum 1; ``iterations`` is the pivot
+    count of the dual solve.
     """
 
     is_causal: bool
@@ -197,46 +204,51 @@ def is_causal(table) -> CausalDecision:
     probabilities p[x, y, a, b, bp]. The table is causal exactly when it
     splits as p = P + S, both non-negative, with Alice's marginal of P
     independent of (b, bp) and Bob's marginal of S independent of
-    (a, bp): the hull of each order's 1024 vertices. That split is a
-    57 x 64 linear feasibility problem (``_membership_system``), solved
-    from the start P = 0, S = p; a leftover mass up to MEMBERSHIP_TOL
-    counts as feasible. Failure produces a separating functional, read
-    off the Farkas certificate, certifying the violation.
+    (a, bp), the hull of each order's 1024 vertices: when some z has
+    G z <= H p (``_split_system``). By Farkas' lemma none does iff a 6 x 72
+    phase-one solve finds u >= 0 with G'u = 0 and u.H p = -1 (up to a
+    leftover mass of MEMBERSHIP_TOL); -H'u then separates p. Otherwise its
+    certificate gives z, and each block's least free entry the two parts.
     """
     if not isinstance(table, JointDistribution):
         table = JointDistribution(np.asarray(table, dtype=float))
     p = table.table.reshape(32)
-    a = _membership_system()
-    bob_rows = a[45:, :32]
-    result = phase_one(a, np.concatenate([p, np.zeros(13), bob_rows @ p]))
+    g, h = _split_system()
+    result = phase_one(np.vstack([g.T, h @ p]), np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.0]))
     if not result.converged:
         raise RuntimeError(
             f"feasibility solve did not converge within {result.iterations} iterations"
         )
     if result.objective <= MEMBERSHIP_TOL:
-        alice_first, bob_first = result.solution.reshape(2, 2, 2, 8)
-        setting = np.arange(8)
-        weights = np.concatenate(
-            [
-                _order_weights(alice_first, setting >> 2),  # Alice leads, reading a
-                _order_weights(bob_first.transpose(1, 0, 2), (setting >> 1) & 1),  # Bob, b
-            ]
-        )
+        # Causal q have G z <= H q for some z, so score -u.H q <= -u.G z = 0.
+        u = result.solution
+        functional = -(h.T @ u).reshape(2, 2, 2, 2, 2)
         return CausalDecision(
-            is_causal=True,
-            residual=float(result.objective),
+            is_causal=False,
+            residual=float(1.0 / u.sum()),
             iterations=result.iterations,
-            weights=weights,
-            parts=(alice_first.reshape(2, 2, 2, 2, 2), bob_first.reshape(2, 2, 2, 2, 2)),
+            functional=functional,
+            bound=_causal_max(functional),
+            value=float(functional.reshape(32) @ p),
         )
-    certificate = result.certificate
-    # functional @ p is the certificate's y.b; every causal table scores <= 0.
-    functional = certificate[:32] + bob_rows.T @ certificate[45:]
+    z = result.certificate[:5] / -result.certificate[5]  # G z <= H p: Farkas for the dual
+    setting = np.arange(8)
+    lam, alpha, beta = np.full(8, z[0]), z[1 + (setting >> 2)], z[3 + ((setting >> 1) & 1)]
+    q = p.reshape(4, 8)  # [2x + y, m]
+    t = (_LOW @ np.vstack([lam, alpha, beta, q])).max(axis=0)  # each block at its least t
+    bottom = [q[0] + q[2] - beta - t, lam - alpha - q[0] - q[2] + beta + t]  # columns less top
+    alice_first = np.array([[t, alpha - t], bottom])  # [x, y, m]
+    bob_first = q.reshape(2, 2, 8) - alice_first
+    weights = np.concatenate(
+        [
+            _order_weights(alice_first, setting >> 2),  # Alice leads, reading a
+            _order_weights(bob_first.transpose(1, 0, 2), (setting >> 1) & 1),  # Bob, b
+        ]
+    )
     return CausalDecision(
-        is_causal=False,
-        residual=float(result.objective),
+        is_causal=True,
+        residual=float(max(0.0, -alice_first.min(), -bob_first.min())),
         iterations=result.iterations,
-        functional=functional.reshape(2, 2, 2, 2, 2),
-        bound=_causal_max(functional.reshape(2, 2, 2, 2, 2)),
-        value=float(functional @ p),
+        weights=weights,
+        parts=(alice_first.reshape(2, 2, 2, 2, 2), bob_first.reshape(2, 2, 2, 2, 2)),
     )

@@ -122,14 +122,17 @@ def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[in
 
 def pauli_compose(coefficients: dict[tuple[int, ...], float]) -> np.ndarray:
     """Rebuild the 16x16 matrix from a sparse four-qubit Pauli coefficient map."""
-    # Each term adds into its word's one nonzero entry per column, in dict order.
+    words = list(coefficients)
+    if not (set(map(len, words)) <= {4} and set().union(*words) <= {0, 1, 2, 3}):
+        for word in words:  # name the first bad word
+            if len(word) != 4:
+                raise ValueError(f"index tuple {word} does not match {len(LABELS)} subsystems")
+            if any(i not in (0, 1, 2, 3) for i in word):
+                raise ValueError(f"Pauli indices must lie in 0..3, got {word}")
     cols, phase = _trace_pattern()
+    flat = np.array(words, dtype=np.intp).reshape(-1, 4) @ (64, 16, 4, 1)
     out = np.zeros((16, 16), dtype=complex)
-    for word, value in coefficients.items():
-        if len(word) != 4:
-            raise ValueError(f"index tuple {word} does not match {len(LABELS)} subsystems")
-        if any(i not in (0, 1, 2, 3) for i in word):
-            raise ValueError(f"Pauli indices must lie in 0..3, got {word}")
-        flat = 64 * word[0] + 16 * word[1] + 4 * word[2] + word[3]
-        out[cols[:, flat], np.arange(16)] += value * phase[:, flat]
+    # Each term adds into its word's one nonzero entry per column, in dict order.
+    terms = np.array(list(coefficients.values())) * phase[:, flat]
+    np.add.at(out, (cols[:, flat], np.arange(16)[:, None]), terms)
     return out

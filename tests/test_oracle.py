@@ -142,6 +142,33 @@ def test_rejection_comes_with_a_separating_functional():
         assert score <= decision.bound + 1e-9
 
 
+@pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+def test_white_noise_boundary_of_the_ocb_table(offset):
+    # Played with these operations w_ocb scores (2 + sqrt 2)/4 at beta = 1/2,
+    # white noise 1/2 and the causal bound is 3/4, so mixing in a share
+    # 1 - 1/sqrt(2) of noise reaches the polytope's face exactly.
+    table = joint_distribution(w_ocb(), alice_z, bob_branch).table
+    noise = 1.0 - 1.0 / np.sqrt(2.0) + offset
+    mixed = (1.0 - noise) * table + noise / 4
+    decision = is_causal(mixed)
+    assert decision.is_causal == (offset > 0)
+    if offset < 0:
+        # The functional's entries grow like 1/|offset|, so f.p cancels: its
+        # rounding error is at most 32 eps sum |f p|, about 8e-9 here.
+        terms = decision.functional * mixed
+        assert abs(decision.value - 1.0) <= 32 * np.finfo(float).eps * np.abs(terms).sum()
+        assert decision.bound <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1 defect A")
+def test_bob_first_table_that_tells_alice_his_bit_is_causal():
+    # Bob acts first, answers y = b' and tells Alice b, who answers x = b.
+    table = np.zeros((2, 2, 2, 2, 2))
+    for a, b, bp in np.ndindex(2, 2, 2):
+        table[b, bp, a, b, bp] = 1.0
+    assert is_causal(table).is_causal
+
+
 def test_is_causal_accepts_joint_distribution_objects():
     dist = joint_distribution(
         ordered_identity_channel_process("a_to_b"), alice_z, bob_branch

@@ -180,6 +180,26 @@ def test_causal_mixture_tables_are_causal_and_their_weights_reproduce_them(
 
 
 @PROPERTY
+@given(beta=st.floats(0.5, 0.95), axis=unit_axes, noise=st.floats(0.0, 0.5))
+def test_every_verdict_carries_evidence_against_the_vertices(beta, axis, noise, vertex_stack):
+    # w_beta decoded along x and little noise lies outside the polytope;
+    # other axes and more noise bring it inside.
+    played = joint_distribution(
+        w_beta(beta), alice_z, lambda y, b, bp: bob_branch(y, b, bp, axis)
+    ).table
+    table = (1.0 - noise) * played + noise / 4
+    decision = is_causal(table)
+    if decision.is_causal:
+        alice_first, bob_first = decision.parts
+        assert alice_first.min() >= -1e-12 and bob_first.min() >= -1e-12
+        npt.assert_allclose(alice_first + bob_first, table, rtol=0, atol=1e-9)
+        npt.assert_allclose(vertex_stack @ decision.weights, table.reshape(32), rtol=0, atol=1e-9)
+    else:
+        functional = decision.functional.reshape(32)
+        assert functional @ table.reshape(32) > (functional @ vertex_stack).max() + 1e-7
+
+
+@PROPERTY
 @given(seed=st.integers(0, 2**32 - 1))
 def test_causal_max_is_the_largest_vertex_score(seed, vertex_stack):
     f = np.random.default_rng(seed).normal(size=32)

@@ -117,6 +117,8 @@ def test_compose_rejects_malformed_words():
         pauli_compose({(0, 0): 1.0})
     with pytest.raises(ValueError, match="0..3"):
         pauli_compose({(0, 0, 0, 4): 1.0})
+    with pytest.raises(ValueError, match=r"0\.\.3, got \(0, 5, 0, 0\)"):  # the first bad word
+        pauli_compose({(0, 0, 0, 0): 1.0, (0, 5, 0, 0): 1.0, (0, 0): 1.0})
 
 
 def test_hermitian_eigenvalues_match_numpy():
