@@ -22,7 +22,7 @@ import numpy as np
 
 from .formats import dense_text, pauli_text, read_process
 from .game import GameSpec, analytic_max_dbit, causal_bound, joint_distribution, success_probability
-from .instruments import alice_z, bob_branch
+from .instruments import _X_BRANCH, _Z_STRATEGY, _branch_stack
 from .optimizer import OptimizerConfig, maximize_ansatz, maximize_instruments, threshold_alpha
 from .oracle import oracle_bound
 from .processes import (
@@ -95,11 +95,7 @@ def resolve_process(token: str) -> ProcessMatrix:
             return ordered_identity_channel_process("b_to_a")
         if token.startswith("mix@"):
             q = float(token.split("@", 1)[1])
-            return causal_mixture(
-                ordered_identity_channel_process("b_to_a"),
-                ordered_identity_channel_process("a_to_b"),
-                q,
-            )
+            return causal_mixture(resolve_process("ordered_ba"), resolve_process("ordered_ab"), q)
     except ValueError as exc:
         raise UsageError(f"bad built-in process {token!r}: {exc}") from exc
     try:
@@ -139,8 +135,7 @@ def cmd_game(args) -> int:
     if _refuse_invalid(w, args.tol):
         return 1
     spec = GameSpec(alpha=args.alpha, beta=args.beta)
-    axis = np.asarray(args.t_vector, dtype=float)
-    dist = joint_distribution(w, alice_z, lambda y, b, bp: bob_branch(y, b, bp, t=axis))
+    dist = joint_distribution(w, _Z_STRATEGY.alice_stack, _branch_stack(args.t_vector))
     value = success_probability(dist, spec)
     if args.json:
         payload = {
@@ -170,7 +165,7 @@ def cmd_sweep_beta(args) -> int:
         beta = float(beta)
         w = w_beta(beta)
         spec = GameSpec(alpha=0.5, beta=beta)
-        dist = joint_distribution(w, alice_z, bob_branch)
+        dist = joint_distribution(w, _Z_STRATEGY.alice_stack, _X_BRANCH.bob_stack)
         p_succ = success_probability(dist, spec)
         bound = causal_bound(spec)
         rows.append((beta, p_succ, bound, analytic_max_dbit(beta), p_succ - bound))
@@ -249,10 +244,7 @@ def cmd_threshold(args) -> int:
 
 def cmd_decompose(args) -> int:
     w = resolve_process(args.process)
-    if args.form == "pauli":
-        text = pauli_text(w, zero_atol=args.zero_atol)
-    else:
-        text = dense_text(w)
+    text = pauli_text(w, zero_atol=args.zero_atol) if args.form == "pauli" else dense_text(w)
     _emit(text, args.out)
     return 0
 

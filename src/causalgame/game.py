@@ -83,32 +83,27 @@ def _real(values: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def joint_distribution(w, alice_family, bob_family) -> JointDistribution:
-    """Evaluate the full conditional table for the given local families.
+def joint_distribution(w, alice, bob) -> JointDistribution:
+    """Evaluate the full conditional table for the given local operations.
 
-    ``alice_family(x, a)`` and ``bob_family(y, b, b_prime)`` return the
-    4x4 Choi matrices of the corresponding instrument elements. Every
-    family is checked to be a valid instrument per setting before
-    evaluation. The table is one contraction of W, viewed as [A, B, A', B']
-    over the parties' 4-dimensional spaces, with the stacked elements; an
-    imaginary residue above 1e-10 in any entry raises
-    NumericalIntegrityError instead of being discarded.
+    ``alice`` is Alice's stack of 4x4 Choi matrices indexed [x, a] and
+    ``bob`` Bob's indexed [y, b, b_prime], as ``ObservableSpec`` builds
+    them; a callable ``alice(x, a)`` or ``bob(y, b, b_prime)`` returning
+    one element is tabulated into its stack. Both are checked to be
+    instruments at every setting, in one pass, before one contraction of
+    W, viewed as [A, B, A', B'] over the parties' 4-dimensional spaces,
+    with the two stacks; an imaginary residue above 1e-10 in any entry
+    raises NumericalIntegrityError instead of being discarded.
     """
-    alice = np.array([[alice_family(x, a) for a in (0, 1)] for x in (0, 1)], dtype=complex)
-    bob = np.array(
-        [[[bob_family(y, b, bp) for bp in (0, 1)] for b in (0, 1)] for y in (0, 1)],
-        dtype=complex,
-    )
+    if callable(alice):
+        alice = [[alice(x, a) for a in (0, 1)] for x in (0, 1)]
+    if callable(bob):
+        bob = [[[bob(y, b, bp) for bp in (0, 1)] for b in (0, 1)] for y in (0, 1)]
+    alice, bob = np.asarray(alice, dtype=complex), np.asarray(bob, dtype=complex)
     w_arr = _matrix_of(w)
     if alice.shape != (2, 2, 4, 4) or bob.shape != (2, 2, 2, 4, 4):
         raise ValueError(f"need 4x4 instrument elements, got stacks {alice.shape} and {bob.shape}")
-    for party, stack in (("A", alice), ("B", bob)):
-        failure = _check_stack(stack)
-        if failure:
-            setting, found = failure
-            raise ValueError(
-                f"party {party} instrument at setting {setting} is invalid: " + "; ".join(found)
-            )
+    _check_stack(alice, bob)
     table = np.einsum("pqrs,xarp,ybcsq->xyabc", w_arr.reshape(4, 4, 4, 4), alice, bob)
     return JointDistribution(_real(table))
 

@@ -7,13 +7,16 @@ every element is positive by construction. Alice measures in the z basis
 and reprepares a z eigenstate. Bob runs one of two branches: measure
 immediately and forward the maximally mixed state, or decode along an
 axis and encode his own bit. Both parties also have general forms with
-arbitrary measure, encode and relay axes.
+arbitrary measure, encode and relay axes. Each operation is built as one
+read-only stack of its elements by one broadcast product; the
+per-element functions return copies of its entries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,19 +47,26 @@ def _unit3(vec, name: str, allow_zero: bool = False) -> np.ndarray:
     return arr
 
 
-def _projector(bit: int, axis: np.ndarray) -> np.ndarray:
-    """(I + (-1)^bit axis . sigma)/2: a projector for a unit axis, I/2 for zero."""
-    sign = -1.0 if bit else 1.0
-    return (np.eye(2) + sign * (axis[0] * PAULI[1] + axis[1] * PAULI[2] + axis[2] * PAULI[3])) / 2
+def _projectors(axes: np.ndarray) -> np.ndarray:
+    """(I + (-1)^bit axis . sigma)/2 for one axis (3,) or a row of axes (n, 3),
+    indexed [..., bit, i, j]: the two projectors of a unit axis, I/2 twice for zero."""
+    x, y, z = axes.T[..., None, None, None]
+    return (_EYE + _SIGNS * (x * PAULI[1] + y * PAULI[2] + z * PAULI[3])) / 2
 
 
-def _pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """p (x) q of 2x2 factors; each entry is the one product p[i, j] * q[k, l]."""
-    return (p[:, None, :, None] * q[None, :, None, :]).reshape(4, 4)
+def _pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p (x) q of broadcast stacks of 2x2 factors; each entry of each 4x4
+    product is the one product p[i, j] * q[k, l]."""
+    prod = p[..., :, None, :, None] * q[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], 4, 4)
 
 
-_Z = (_projector(0, Z_AXIS), _projector(1, Z_AXIS))
-_MIXED = _projector(0, np.zeros(3))  # the state Bob forwards when b_prime = 1
+_EYE, _SIGNS = np.eye(2), np.array([1.0, -1.0])[:, None, None]  # I and (-1)^bit
+_Z = _projectors(Z_AXIS)
+# Bob's factors, indexed [y, b, b_prime], as 2 * axis + bit into the projectors of
+# (measure, relay, encode, 0): y read along measure or relay, b xor y or I/2 written.
+_BOB_READ = np.array([[[0, 2], [0, 2]], [[1, 3], [1, 3]]])
+_BOB_WRITTEN = np.array([[[4, 6], [5, 6]], [[5, 6], [4, 6]]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +92,29 @@ class ObservableSpec:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
+    @cached_property
+    def alice_stack(self) -> np.ndarray:
+        """Alice's elements P(x, measure) (x) P(a, encode), indexed [x, a], built once, read-only."""
+        measure, encode = _projectors(np.array([self.measure, self.encode]))
+        stack = _pairs(measure[:, None], encode[None, :])
+        stack.setflags(write=False)
+        return stack
+
+    @cached_property
+    def bob_stack(self) -> np.ndarray:
+        """Bob's elements, indexed [y, b, b_prime], built once, read-only.
+
+        The b_prime = 1 branch measures along ``relay`` and forwards the
+        maximally mixed state: P(y, relay) (x) I/2. The b_prime = 0 branch
+        decodes along ``measure`` and encodes b xor y along ``encode``:
+        P(y, measure) (x) P(b xor y, encode).
+        """
+        axes = np.array([self.measure, self.relay, self.encode, np.zeros(3)])
+        factors = _projectors(axes).reshape(8, 2, 2)
+        stack = _pairs(factors[_BOB_READ], factors[_BOB_WRITTEN])
+        stack.setflags(write=False)
+        return stack
+
     def to_record(self) -> dict:
         """Plain-data form, as ``optimize --json`` prints it.
 
@@ -97,6 +130,10 @@ class ObservableSpec:
         }
 
 
+# alice_z and bob_branch at its default axis; their stacks are built on first use.
+_Z_STRATEGY, _X_BRANCH = ObservableSpec(Z_AXIS, Z_AXIS), ObservableSpec(X_AXIS, Z_AXIS)
+
+
 def alice_z(x, a) -> np.ndarray:
     """Measure the input in the z basis, reprepare the z eigenstate of a.
 
@@ -104,9 +141,7 @@ def alice_z(x, a) -> np.ndarray:
     input bit a regardless of x, which makes the two-outcome family trace
     preserving for each a.
     """
-    x = _check_bit(x, "x")
-    a = _check_bit(a, "a")
-    return _pair(_Z[x], _Z[a])
+    return _Z_STRATEGY.alice_stack[_check_bit(x, "x"), _check_bit(a, "a")].copy()
 
 
 def bob_branch(y, b, b_prime, t=X_AXIS) -> np.ndarray:
@@ -117,65 +152,54 @@ def bob_branch(y, b, b_prime, t=X_AXIS) -> np.ndarray:
     along the axis t and encodes b xor y on the output, so the receiving
     side can recover b from a z measurement.
     """
-    y = _check_bit(y, "y")
-    b = _check_bit(b, "b")
-    b_prime = _check_bit(b_prime, "b_prime")
-    if b_prime:
-        return _pair(_Z[y], _MIXED)
-    return _pair(_projector(y, _unit3(t, "t")), _Z[b ^ y])
+    y, b, b_prime = _check_bit(y, "y"), _check_bit(b, "b"), _check_bit(b_prime, "b_prime")
+    if t is X_AXIS or b_prime:  # the b_prime = 1 branch does not read t
+        return _X_BRANCH.bob_stack[y, b, b_prime].copy()
+    return _pairs(_projectors(_unit3(t, "t"))[y], _Z[b ^ y])
+
+
+def _branch_stack(t) -> np.ndarray:
+    """Every element of ``bob_branch`` at a unit decode axis t, indexed [y, b, b_prime]."""
+    return ObservableSpec(_unit3(t, "t"), Z_AXIS).bob_stack
 
 
 def alice_general(x, a, spec: ObservableSpec) -> np.ndarray:
-    """Alice's operation for arbitrary axes: P(x, measure) (x) P(a, encode)."""
-    x = _check_bit(x, "x")
-    a = _check_bit(a, "a")
-    return _pair(_projector(x, spec.measure), _projector(a, spec.encode))
+    """Alice's operation for arbitrary axes: a copy of ``spec.alice_stack[x, a]``."""
+    return spec.alice_stack[_check_bit(x, "x"), _check_bit(a, "a")].copy()
 
 
 def bob_general(y, b, b_prime, spec: ObservableSpec) -> np.ndarray:
-    """Bob's operation for arbitrary axes.
+    """Bob's operation for arbitrary axes: a copy of ``spec.bob_stack[y, b, b_prime]``."""
+    return spec.bob_stack[_check_bit(y, "y"), _check_bit(b, "b"), _check_bit(b_prime, "b_prime")].copy()
 
-    The b_prime = 1 branch measures along ``spec.relay`` and forwards the
-    maximally mixed state: P(y, relay) (x) I/2. The b_prime = 0 branch
-    decodes along ``spec.measure`` and encodes b xor y along
-    ``spec.encode``: P(y, measure) (x) P(b xor y, encode).
+
+def _check_stack(alice: np.ndarray, bob: np.ndarray) -> None:
+    """Positivity and trace preservation of Alice's (2, 2, 4, 4) and Bob's
+    (2, 2, 2, 4, 4) stacks, outcome first, in one pass over their six settings.
+
+    Raises ValueError naming the first failing setting, Alice's first, with
+    its failure messages, which are built only for that setting.
     """
-    y = _check_bit(y, "y")
-    b = _check_bit(b, "b")
-    b_prime = _check_bit(b_prime, "b_prime")
-    if b_prime:
-        return _pair(_projector(y, spec.relay), _MIXED)
-    return _pair(_projector(y, spec.measure), _projector(b ^ y, spec.encode))
-
-
-def _check_stack(elements: np.ndarray) -> tuple[tuple[int, ...], list[str]] | None:
-    """Positivity and trace preservation of stacked instrument elements.
-
-    ``elements`` holds 4x4 Choi matrices with the outcome on axis 0 and any
-    setting axes after it, so one call checks a whole family. Returns the
-    first failing setting, as its index tuple in row-major order, with its
-    failure messages; None means every setting is an instrument.
-    """
+    elements = np.concatenate([alice, bob.reshape(2, 4, 4, 4)], axis=1)
     finite = np.isfinite(elements).all(axis=(-2, -1))
     safe = np.where(finite[..., None, None], elements, 0.0)
     herm = (safe + np.swapaxes(safe, -1, -2).conj()) / 2
     low = np.linalg.eigvalsh(herm)[..., 0]
     # Trace out the output qubit of the summed map: in (2,2,2,2) form an
     # element is indexed [in, out, in', out'].
-    total = safe.sum(axis=0).reshape(*elements.shape[1:-2], 2, 2, 2, 2)
-    reduced = np.einsum("...iojo->...ij", total)
+    reduced = np.einsum("kiojo->kij", safe.sum(axis=0).reshape(6, 2, 2, 2, 2))
     tp = np.linalg.norm(reduced - np.eye(2), axis=(-2, -1))
     if finite.all() and (low >= -CP_ATOL).all() and (tp <= TP_ATOL).all():
-        return None
-    for setting in np.ndindex(tp.shape):
+        return
+    for setting in range(6):
         found = []
-        for outcome in range(elements.shape[0]):
-            value = low[(outcome, *setting)]
-            if not finite[(outcome, *setting)]:
-                found.append(f"element {outcome} has non-finite entries")
-            elif value < -CP_ATOL:
-                found.append(f"element {outcome} is not positive: minimum eigenvalue {value:.6e}")
+        for k in range(2):
+            if not finite[k, setting]:
+                found.append(f"element {k} has non-finite entries")
+            elif low[k, setting] < -CP_ATOL:
+                found.append(f"element {k} is not positive: minimum eigenvalue {low[k, setting]:.6e}")
         if not tp[setting] <= TP_ATOL:
             found.append(f"summed map is not trace preserving: residual {tp[setting]:.3e}")
         if found:
-            return setting, found
+            party, index = ("A", (setting,)) if setting < 2 else ("B", divmod(setting - 2, 2))
+            raise ValueError(f"party {party} instrument at setting {index} is invalid: " + "; ".join(found))

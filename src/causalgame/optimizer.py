@@ -30,7 +30,7 @@ from .game import (
     joint_distribution,
     success_probability,
 )
-from .instruments import ObservableSpec, alice_general, alice_z, bob_branch, bob_general
+from .instruments import _Z_STRATEGY, ObservableSpec, _branch_stack
 from .processes import PSD_ATOL, _validate, w_ansatz
 
 REEVAL_ATOL = 1e-10
@@ -212,11 +212,7 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
 
     alice_spec = ObservableSpec(measure=point[0:3], encode=point[3:6])
     bob_spec = ObservableSpec(measure=point[9:12], encode=point[12:15], relay=point[6:9])
-    dist = joint_distribution(
-        w,
-        lambda x, a: alice_general(x, a, alice_spec),
-        lambda y, b, bp: bob_general(y, b, bp, bob_spec),
-    )
+    dist = joint_distribution(w, alice_spec.alice_stack, bob_spec.bob_stack)
     value = success_probability(dist, spec)
     # t (x) o is a unit vector, so sigma_max of corr3 flattened to 3x9
     # bounds the trilinear channel; the bilinear one peaks at sigma_max(pair2).
@@ -333,11 +329,7 @@ def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> Opti
 
     coefficients = tuple(float(v) for v in point[0:6])
     axis = point[6:9].copy()
-    dist = joint_distribution(
-        w_ansatz(*coefficients),
-        alice_z,
-        lambda y, b, bp: bob_branch(y, b, bp, t=axis),
-    )
+    dist = joint_distribution(w_ansatz(*coefficients), _Z_STRATEGY.alice_stack, _branch_stack(axis))
     value = success_probability(dist, spec)
     upper_bound = ANSATZ_CEILING
     _check_rescore(value, searched, upper_bound)

@@ -209,33 +209,28 @@ def w_ansatz(a0: float, b0: float, c0: float, d0: float, e0: float, f0: float) -
     return ProcessMatrix(_six_terms(a0, b0, c0, d0, e0, f0), tag=tag)
 
 
+_ORDERED: dict[str, ProcessMatrix] = {}  # each direction's one process, built on first use
+
+
 def ordered_identity_channel_process(direction: str) -> ProcessMatrix:
     """One-way process: maximally mixed input to the first party, identity
     channel from its output to the second party's input, second output free.
 
     ``direction`` is "a_to_b" or "b_to_a". The Choi operator of the
     identity channel contributes the XX, -YY, ZZ correlations between the
-    connected output/input pair.
+    connected output/input pair. Each direction's matrix is built once;
+    every call returns that one read-only ProcessMatrix.
     """
-    if direction == "a_to_b":
-        coefficients = {
-            (0, 0, 0, 0): 0.25,
-            (0, 1, 1, 0): 0.25,
-            (0, 2, 2, 0): -0.25,
-            (0, 3, 3, 0): 0.25,
-        }
-        tag = "ordered_ab"
-    elif direction == "b_to_a":
-        coefficients = {
-            (0, 0, 0, 0): 0.25,
-            (1, 0, 0, 1): 0.25,
-            (2, 0, 0, 2): -0.25,
-            (3, 0, 0, 3): 0.25,
-        }
-        tag = "ordered_ba"
-    else:
+    if direction not in ("a_to_b", "b_to_a"):
         raise ValueError(f"direction must be 'a_to_b' or 'b_to_a', got {direction!r}")
-    return ProcessMatrix(pauli_compose(coefficients), tag=tag)
+    if direction not in _ORDERED:
+        # The connected pair: A_O and B_I, or B_O and A_I.
+        sender, receiver, tag = (1, 2, "ordered_ab") if direction == "a_to_b" else (3, 0, "ordered_ba")
+        terms = {(0, 0, 0, 0): 0.25}
+        for pauli, weight in ((1, 0.25), (2, -0.25), (3, 0.25)):
+            terms[tuple(pauli if i in (sender, receiver) else 0 for i in range(4))] = weight
+        _ORDERED[direction] = ProcessMatrix(pauli_compose(terms), tag=tag)
+    return _ORDERED[direction]
 
 
 def causal_mixture(w_b_to_a, w_a_to_b, q: float) -> ProcessMatrix:

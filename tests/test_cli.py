@@ -320,6 +320,24 @@ def test_readme_examples_print_golden_bytes(capsys, tmp_path, golden, argv, out)
     assert produced == (GOLDEN / golden).read_bytes()
 
 
+# ``game --json`` prints every table entry at full float precision, so these
+# pin the Born table to the last bit where the plain goldens show 9 digits.
+GAME_JSON_EXAMPLES = [
+    ("game_w_ocb.json", ["game", "--process", "w_ocb", "--json"]),
+    (
+        "game_w_beta_t.json",
+        ["game", "--process", "w_beta@0.75", "--alpha", "0.7", "--t-vector", "0.6", "0", "0.8", "--json"],
+    ),
+]
+
+
+@pytest.mark.parametrize("golden, argv", GAME_JSON_EXAMPLES, ids=[c[0] for c in GAME_JSON_EXAMPLES])
+def test_game_json_prints_golden_bytes(capsys, golden, argv):
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    assert stdout.encode() == (GOLDEN / golden).read_bytes()
+
+
 def test_non_finite_t_vector_is_a_usage_error(capsys):
     code, out, err = run(capsys, "game", "--process", "w_ocb", "--t-vector", "nan", "0", "0")
     assert code == 2

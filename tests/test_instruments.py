@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from causalgame import (
+    PAULI,
     ObservableSpec,
     alice_general,
     alice_z,
@@ -11,7 +12,13 @@ from causalgame import (
     joint_distribution,
     w_ocb,
 )
-from causalgame.instruments import X_AXIS, Z_AXIS, _projector
+from causalgame.instruments import X_AXIS, Z_AXIS
+
+
+def _projector(bit, axis):
+    """Reference (I + (-1)^bit axis . sigma)/2, one projector per call."""
+    sign = -1.0 if bit else 1.0
+    return (np.eye(2) + sign * (axis[0] * PAULI[1] + axis[1] * PAULI[2] + axis[2] * PAULI[3])) / 2
 
 
 def _tp_residual(elements):

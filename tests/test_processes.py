@@ -89,6 +89,21 @@ def test_family_and_ordered_processes_validate():
 def test_ordered_direction_is_checked():
     with pytest.raises(ValueError, match="direction"):
         ordered_identity_channel_process("sideways")
+    with pytest.raises(ValueError, match="direction"):
+        ordered_identity_channel_process(["a_to_b"])
+
+
+def test_each_direction_is_one_shared_read_only_process():
+    # The identity channel's Choi correlations XX, -YY, ZZ on the connected pair.
+    expected = {
+        "a_to_b": ("ordered_ab", {(0, 0, 0, 0): 0.25, (0, 1, 1, 0): 0.25, (0, 2, 2, 0): -0.25, (0, 3, 3, 0): 0.25}),
+        "b_to_a": ("ordered_ba", {(0, 0, 0, 0): 0.25, (1, 0, 0, 1): 0.25, (2, 0, 0, 2): -0.25, (3, 0, 0, 3): 0.25}),
+    }
+    for direction, (tag, terms) in expected.items():
+        w = ordered_identity_channel_process(direction)
+        assert w is ordered_identity_channel_process(direction)
+        assert w.tag == tag and not w.matrix.flags.writeable
+        assert pauli_decompose(w.matrix) == terms
 
 
 def test_validate_flags_each_failure_mode():

@@ -1,4 +1,4 @@
-"""Property tests of the instrument product form, of Born-table normalization,
+"""Property tests of the instrument product form and its stacks, of Born-table normalization,
 of the one finiteness check every process entry point shares, of exact file
 round trips, of causal-polytope membership and of the polytope's maximum."""
 
@@ -31,6 +31,7 @@ from causalgame import (
     witness_s,
     witness_value,
 )
+from causalgame.instruments import X_AXIS, Z_AXIS
 from causalgame.oracle import _causal_max
 
 # Deterministic examples keep the suite reproducible run to run.
@@ -78,6 +79,66 @@ def test_bob_general_is_the_four_term_bloch_sum(spec, y, b, b_prime):
     else:
         expected = _four_term(y, spec.measure, b ^ y, spec.encode)
     npt.assert_allclose(bob_general(y, b, b_prime, spec), expected, rtol=0, atol=1e-15)
+
+
+@PROPERTY
+@given(spec=specs, t=unit_axes)
+def test_every_element_is_a_writeable_copy_of_its_stack_entry(spec, t):
+    z_strategy, branch = ObservableSpec(Z_AXIS, Z_AXIS), ObservableSpec(t, Z_AXIS)
+    pairs = [(alice_general(x, a, spec), spec.alice_stack[x, a]) for x, a in np.ndindex(2, 2)]
+    pairs += [(alice_z(x, a), z_strategy.alice_stack[x, a]) for x, a in np.ndindex(2, 2)]
+    for y, b, bp in np.ndindex(2, 2, 2):
+        pairs.append((bob_general(y, b, bp, spec), spec.bob_stack[y, b, bp]))
+        pairs.append((bob_branch(y, b, bp, t=t), branch.bob_stack[y, b, bp]))
+        pairs.append((bob_branch(y, b, bp), ObservableSpec(X_AXIS, Z_AXIS).bob_stack[y, b, bp]))
+    for element, entry in pairs:
+        assert element.dtype == entry.dtype and element.shape == entry.shape == (4, 4)
+        assert element.tobytes() == entry.tobytes()
+        assert element.flags.writeable and not entry.flags.writeable
+    assert spec.alice_stack is spec.alice_stack and spec.bob_stack is spec.bob_stack
+
+
+@PROPERTY
+@given(alice=specs, bob=specs, beta=st.floats(0.5, 1.0, exclude_max=True))
+def test_stacks_and_callables_give_bit_identical_tables(alice, bob, beta):
+    w = w_beta(beta)
+    from_stacks = joint_distribution(w, alice.alice_stack, bob.bob_stack).table
+    assert from_stacks.tobytes() == _play(w, alice, bob).table.tobytes()
+
+
+def _refusal(alice, bob) -> str:
+    with pytest.raises(ValueError) as info:
+        joint_distribution(w_ocb(), alice, bob)
+    return str(info.value)
+
+
+@PROPERTY
+@given(
+    spec=specs,
+    party=st.sampled_from("AB"),
+    position=st.integers(0, 2**16),
+    defect=st.sampled_from(["nan", "doubled", "shape"]),
+)
+def test_an_invalid_stack_is_refused_with_the_callable_forms_message(spec, party, position, defect):
+    alice, bob = np.array(spec.alice_stack), np.array(spec.bob_stack)  # writeable copies
+    stack = alice if party == "A" else bob
+    index = np.unravel_index(position % (stack.size // 16), stack.shape[:-2])
+    if defect == "nan":
+        stack[index + divmod(position % 16, 4)] = np.nan
+        expected = f"element {index[0]} has non-finite entries"
+    elif defect == "doubled":
+        stack[index] *= 2.0
+        expected = "summed map is not trace preserving"
+    elif party == "A":
+        alice, expected = alice[..., :2, :2], "need 4x4 instrument elements, got stacks (2, 2, 2, 2)"
+    else:
+        bob, expected = bob[..., :3], "need 4x4 instrument elements, got stacks (2, 2, 4, 4) and (2, 2, 2, 4, 3)"
+    message = _refusal(alice, bob)
+    assert message == _refusal(lambda x, a: alice[x, a], lambda y, b, bp: bob[y, b, bp])
+    assert expected in message
+    if defect != "shape":
+        setting = tuple(int(i) for i in index[1:])
+        assert message.startswith(f"party {party} instrument at setting {setting} is invalid: ")
 
 
 def _play(w, alice, bob):
