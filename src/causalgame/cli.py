@@ -190,7 +190,7 @@ def cmd_optimize(args) -> int:
     for name in unread:
         if getattr(args, name) is not None:
             raise UsageError(f"--{name} is not read by --mode {args.mode}")
-    config = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
+    config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     if args.mode == "dbit":
         w = resolve_process("w_ocb" if args.process is None else args.process)
         if _refuse_invalid(w):
@@ -310,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None, help="round bias for dbit mode (default 0.5)")
     p.add_argument("--alpha", type=float, default=None, help="input bias for ibit mode (default 0.5)")
     p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--max-iters", type=int, default=2000)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("witness", parents=[json_flag], help="causal witness value of a process")

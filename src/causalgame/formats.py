@@ -60,7 +60,8 @@ def _is_pair(entry) -> bool:
         complex(*map(float, entry))
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float
         return False
-    return isinstance(entry, (list, tuple)) and len(entry) == 2
+    # float() reads a JSON boolean as 0 or 1, but it is no number
+    return isinstance(entry, (list, tuple)) and len(entry) == 2 and bool not in map(type, entry)
 
 
 def _parse_dense(text: str) -> ProcessMatrix:
@@ -88,8 +89,10 @@ def _parse_dense(text: str) -> ProcessMatrix:
         parts = np.array(entries, dtype=float)
     except (TypeError, ValueError, OverflowError):
         parts = None
-    # numpy reads null as NaN; a pair nested deeper or split gives another shape
-    if parts is None or parts.shape != (dim * dim, 2) or np.isnan(parts).any():
+    # numpy reads null as NaN and a boolean as 0 or 1 (looked for only where
+    # the text spells one); a pair nested deeper or split gives another shape
+    boolean = "true" in text or "false" in text
+    if parts is None or parts.shape != (dim * dim, 2) or np.isnan(parts).any() or boolean:
         for pos, pair in enumerate(entries):
             if not _is_pair(pair):
                 raise ValueError(f"entry {pos} is not a [real, imag] pair: {pair!r}")

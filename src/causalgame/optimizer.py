@@ -35,22 +35,20 @@ from .processes import PSD_ATOL, _validate, w_ansatz
 
 REEVAL_ATOL = 1e-10
 SWEEP_TOL = 1e-9
+MAX_SWEEPS = 2000
 ANSATZ_CEILING = 0.25 * (2.0 + math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 64
-    max_iters: int = 2000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("restarts", "max_iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.restarts <= 0 or self.max_iters <= 0:
-            raise ValueError("restarts and max_iters must be positive")
+        if isinstance(self.restarts, bool) or not isinstance(self.restarts, numbers.Integral):
+            raise ValueError(f"restarts must be an integer, got {self.restarts!r}")
+        if self.restarts <= 0:
+            raise ValueError("restarts must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,13 +58,13 @@ class OptimizationResult:
     ``value`` is the Born-rule success probability of the reported
     parameters; ``trace`` is the winning restart's objective history
     (non-decreasing), one entry per sweep, ending at the sweep where that
-    restart retired or at the cap. The instrument search fills ``alice``
-    and ``bob``, the process-family search ``coefficients`` and
+    restart retired or at ``MAX_SWEEPS``. The instrument search fills
+    ``alice`` and ``bob``, the process-family search ``coefficients`` and
     ``axis``. ``feasible`` records that the reported point passed its
     positivity checks. ``converged`` is true when the winning restart
-    retired, at a sweep that gained no more than ``SWEEP_TOL``, before the
-    sweep cap. ``upper_bound`` is a closed-form ceiling on the score of
-    any point of the searched space.
+    retired, at a sweep that gained no more than ``SWEEP_TOL``, within
+    ``MAX_SWEEPS`` sweeps. ``upper_bound`` is a closed-form ceiling on
+    the score of any point of the searched space.
     """
 
     value: float
@@ -101,7 +99,7 @@ def _draw(config: OptimizerConfig, draw) -> np.ndarray:
     return np.vstack([draw(np.random.default_rng(s)) for s in seeds])
 
 
-def _ascend(objective, sweep, theta: np.ndarray, config: OptimizerConfig):
+def _ascend(objective, sweep, theta: np.ndarray):
     """Batched exact block-coordinate ascent over the rows of ``theta``.
 
     ``sweep`` replaces every block of every row, in turn, by its exact
@@ -109,13 +107,13 @@ def _ascend(objective, sweep, theta: np.ndarray, config: OptimizerConfig):
     A sweep is accepted where it gains more than ``SWEEP_TOL``; a restart
     retires at its first sweep that does not, keeping its previous point.
     Returns the best restart's point, value, trace (its value after each
-    sweep it ran) and whether it retired before the sweep cap.
+    sweep it ran) and whether it retired within ``MAX_SWEEPS`` sweeps.
     """
     values = objective(theta)
     active = np.ones(theta.shape[0], dtype=bool)
     ran = np.zeros(theta.shape[0], dtype=int)
     history = [values.copy()]
-    for _ in range(config.max_iters):
+    for _ in range(MAX_SWEEPS):
         if not active.any():
             break
         ran += active
@@ -207,7 +205,6 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
         lambda theta: _instrument_objective(theta, corr3, pair2, beta),
         lambda theta: _instrument_sweep(theta, corr3, pair2),
         theta0,
-        config,
     )
 
     alice_spec = ObservableSpec(measure=point[0:3], encode=point[3:6])
@@ -324,7 +321,6 @@ def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> Opti
         lambda theta: _ansatz_objective(theta, alpha),
         lambda theta: _ansatz_sweep(theta, alpha),
         theta0[:, 0:9].copy(),
-        config,
     )
 
     coefficients = tuple(float(v) for v in point[0:6])

@@ -50,7 +50,8 @@ class ProcessMatrix:
     """A 16x16 process matrix on A_I, A_O, B_I, B_O (the order of LABELS).
 
     The matrix itself is stored read-only; ``tag`` records which family and
-    parameters produced it, for reports and serialized files.
+    parameters produced it, for reports and serialized files, on one line
+    (a Pauli file stores it in one comment).
     """
 
     matrix: np.ndarray
@@ -64,6 +65,8 @@ class ProcessMatrix:
             raise ValueError("process matrix entries must be finite")
         if arr.shape[0] != 16:
             raise ValueError(f"process matrix dimension must be 16, got {arr.shape[0]}")
+        if "".join(self.tag.splitlines()) != self.tag:
+            raise ValueError(f"tag must be one line, got {self.tag!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 

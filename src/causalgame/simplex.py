@@ -45,11 +45,14 @@ def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     Where row i has b_i >= 0 and ``a`` has a unit column e_i, the first
     such column starts basic in place of artificial i (the textbook slack
     basis), which leaves that inverse unchanged.
-    Every pivot prices with duals c_B B^-1 computed afresh, and the last
-    of them, in the caller's row signs, is the certificate. Dantzig pricing
-    with a switch to Bland's rule after a run of degenerate pivots, which
-    guarantees termination, and a stop after MAX_ITERS pivots. Non-finite
-    entries in ``a`` or ``b`` raise ``ValueError``.
+    Only the columns of ``a`` are priced: an artificial that leaves the
+    basis never returns, and the certificate's y.A <= 0 needs only the
+    reduced costs of ``a``. Every pivot prices with duals c_B B^-1
+    computed afresh, and the last of them, in the caller's row signs, is
+    the certificate. Dantzig pricing with a switch to Bland's rule after a
+    run of degenerate pivots, which guarantees termination, and a stop
+    after MAX_ITERS pivots. Non-finite entries in ``a`` or ``b`` raise
+    ``ValueError``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -79,34 +82,24 @@ def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     while True:
         artificial = basis >= n
         duals = artificial @ inverse
-        reduced = np.concatenate([-(duals @ a), 1.0 - duals * signs])
+        reduced = -(duals @ a)
         candidates = np.flatnonzero(reduced < -PIVOT_TOL)
         if candidates.size == 0:
             converged = True
             break
         if iterations >= MAX_ITERS:
             break
-        if bland:
-            order = candidates
-        else:
-            order = candidates[np.argsort(reduced[candidates])]
-
-        pivot_row = -1
+        order = candidates if bland else candidates[np.argsort(reduced[candidates])]
         for j in order:
-            if j < n:
-                column = inverse @ a[:, j]
-            else:
-                column = inverse[:, j - n] * signs[j - n]
+            column = inverse @ a[:, j]
             rows = np.flatnonzero(column > PIVOT_TOL)
-            if rows.size == 0:
-                continue
-            ratios = x_basic[rows] / column[rows]
-            best = ratios.min()
-            ties = rows[np.flatnonzero(ratios <= best + 1e-15)]
-            pivot_row = int(ties[np.argmin(basis[ties])])
+            if rows.size:
+                break
+        else:
             break
-        if pivot_row < 0:
-            break
+        ratios = x_basic[rows] / column[rows]
+        ties = rows[ratios <= ratios.min() + 1e-15]
+        pivot_row = int(ties[np.argmin(basis[ties])])
 
         inverse[pivot_row] /= column[pivot_row]
         x_basic[pivot_row] /= column[pivot_row]

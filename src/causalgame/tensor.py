@@ -101,13 +101,9 @@ def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[in
     cols, phase = _trace_pattern()
     # Tr[M sigma(t)] = sum_r M[r, c] sigma(t)[c, r] over the one nonzero c
     # of each column of sigma(t). The products are exact (unit phases), so
-    # only the row sum rounds; summing the rows in order keeps every
-    # coefficient bit-identical to a single contraction over all indices.
-    terms = np.take_along_axis(arr, cols, axis=1) * phase
-    coeffs = terms[0].copy()
-    for row in terms[1:]:
-        coeffs += row
-    coeffs /= 16
+    # only the sum over rows rounds; numpy adds the rows in order, which
+    # keeps every coefficient bit-identical to one contraction over all indices.
+    coeffs = (np.take_along_axis(arr, cols, axis=1) * phase).sum(axis=0) / 16
     worst_imag = float(np.max(np.abs(coeffs.imag)))
     if worst_imag > HERMITICITY_ATOL:
         raise ValueError(

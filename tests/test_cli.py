@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causalgame import pauli_text, w_beta
+from causalgame import dense_text, pauli_text, w_beta, w_ocb
 from causalgame.cli import main
 
 
@@ -225,7 +225,7 @@ def test_decompose_dense_writes_json(capsys, tmp_path):
 def test_optimize_dbit_text_output(capsys):
     code, out, _ = run(
         capsys, "optimize", "--mode", "dbit", "--process", "w_ocb",
-        "--restarts", "4", "--max-iters", "600",
+        "--restarts", "4",
     )
     assert code == 0
     value = float(out)
@@ -235,7 +235,7 @@ def test_optimize_dbit_text_output(capsys):
 def test_optimize_ibit_json_is_seed_stable(capsys):
     argv = [
         "optimize", "--mode", "ibit", "--alpha", "0.8", "--restarts", "4",
-        "--max-iters", "600", "--seed", "11", "--json",
+        "--seed", "11", "--json",
     ]
     code, first, _ = run(capsys, *argv)
     assert code == 0
@@ -250,7 +250,7 @@ def test_optimize_ibit_json_is_seed_stable(capsys):
 
 
 def test_optimize_dbit_json_reports_convergence(capsys):
-    argv = ["optimize", "--mode", "dbit", "--process", "w_ocb", "--restarts", "4", "--max-iters", "600"]
+    argv = ["optimize", "--mode", "dbit", "--process", "w_ocb", "--restarts", "4"]
     code, text, _ = run(capsys, *argv)
     assert code == 0
     code, out, _ = run(capsys, *argv, "--json")
@@ -394,6 +394,8 @@ def test_huge_t_vector_is_named_in_the_error(capsys):
         # takes no --tol in either mode.
         ["optimize", "--mode", "dbit", "--tol", "5"],
         ["optimize", "--mode", "ibit", "--tol", "5"],
+        # The sweep cap is a constant, not an option.
+        ["optimize", "--mode", "dbit", "--max-iters", "5"],
     ],
 )
 def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
@@ -458,3 +460,17 @@ def test_readme_python_tour_runs():
     assert blocks, "README has no Python example"
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("key", ["tag", "entries"])
+def test_validate_refuses_a_two_line_tag_or_a_boolean_entry(capsys, tmp_path, key):
+    payload = json.loads(dense_text(w_ocb()))
+    if key == "tag":
+        payload["tag"], message = "lab run 7\nZIII 0.05", "tag must be one line"
+    else:
+        payload["entries"][0], message = [True, False], "entry 0 is not a [real, imag] pair"
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert message in err

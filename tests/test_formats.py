@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from causalgame import (
+    ProcessMatrix,
     causal_mixture,
     dense_text,
     ordered_identity_channel_process,
@@ -156,6 +157,7 @@ def test_dense_parse_refuses_malformed_documents(key, value, message):
         (9, [None, 0.0]),
         (3, ["x", 0]),
         (7, [10**400, 0]),
+        (0, [True, 0.0]),
     ],
 )
 def test_dense_parse_names_the_entry_that_is_not_a_pair(position, entry):
@@ -182,6 +184,23 @@ def test_dense_parse_keeps_the_sign_of_zero():
     flat = parse_process(json.dumps(payload)).matrix.ravel()
     assert [np.signbit(flat[k].real) for k in (1, 2, 3)] == [True, True, False]
     assert [np.signbit(flat[k].imag) for k in (1, 2, 3)] == [True, False, True]
+
+
+def test_dense_parse_refuses_false_for_every_zero():
+    # float() reads false as 0.0: read as a number, this document is w_ocb.
+    payload = json.loads(dense_text(w_ocb()))
+    zero = [0.0, 0.0]
+    first = payload["entries"].index(zero)
+    payload["entries"] = [[False, False] if pair == zero else pair for pair in payload["entries"]]
+    with pytest.raises(ValueError, match=rf"^entry {first} is not a \[real, imag\] pair"):
+        parse_process(json.dumps(payload))
+
+
+def test_dense_parse_reads_a_tag_that_spells_a_boolean():
+    w = ProcessMatrix(w_ocb().matrix, tag="true, not false")
+    clone = parse_process(dense_text(w))
+    assert clone.tag == w.tag
+    npt.assert_array_equal(clone.matrix, w.matrix)
 
 
 def test_first_tag_comment_wins():

@@ -35,8 +35,8 @@ def test_config_guards():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError, match="restarts"):
         OptimizerConfig(restarts=8.0)
-    with pytest.raises(ValueError, match="max_iters"):
-        OptimizerConfig(max_iters=True)
+    with pytest.raises(ValueError, match="restarts"):
+        OptimizerConfig(restarts=True)
 
 
 def _central_difference(objective, theta, h=1e-6):
@@ -82,12 +82,13 @@ def test_instruments_search_is_seed_reproducible():
     npt.assert_array_equal(first.alice.measure, second.alice.measure)
 
 
-def test_instruments_search_reports_convergence():
+def test_instruments_search_reports_convergence(monkeypatch):
     result = maximize_instruments(w_ocb(), 0.5, FAST)
     assert result.iterations == len(result.trace) - 1
     assert result.converged
-    assert result.iterations < FAST.max_iters
-    capped = maximize_instruments(w_ocb(), 0.5, OptimizerConfig(restarts=2, max_iters=1, seed=0))
+    assert result.iterations < optimizer.MAX_SWEEPS
+    monkeypatch.setattr(optimizer, "MAX_SWEEPS", 1)
+    capped = maximize_instruments(w_ocb(), 0.5, OptimizerConfig(restarts=2, seed=0))
     assert capped.iterations == 1
     assert not capped.converged
 
@@ -147,10 +148,10 @@ def test_ansatz_search_reaches_the_family_ceiling():
     assert validate(w_ansatz(*result.coefficients)).is_valid
 
 
-def test_ansatz_search_reports_the_iteration_cap():
-    config = OptimizerConfig(restarts=2, max_iters=1, seed=0)
-    result = maximize_ansatz(0.6, config)
-    assert result.iterations == len(result.trace) - 1 == config.max_iters
+def test_ansatz_search_reports_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(optimizer, "MAX_SWEEPS", 1)
+    result = maximize_ansatz(0.6, OptimizerConfig(restarts=2, seed=0))
+    assert result.iterations == len(result.trace) - 1 == 1
     assert not result.converged
 
 
@@ -177,9 +178,10 @@ def test_threshold_is_where_the_causal_bound_meets_the_family_ceiling():
     assert abs(threshold_alpha(OptimizerConfig(restarts=4, seed=7)) - 1.0 / np.sqrt(2.0)) <= 1e-15
 
 
-def test_threshold_refuses_a_search_short_of_its_ceiling():
+def test_threshold_refuses_a_search_short_of_its_ceiling(monkeypatch):
     # One sweep of one restart stops about 2e-6 below (2 + sqrt 2) / 4.
-    short = OptimizerConfig(restarts=1, max_iters=1, seed=0)
+    monkeypatch.setattr(optimizer, "MAX_SWEEPS", 1)
+    short = OptimizerConfig(restarts=1, seed=0)
     assert maximize_ansatz(0.5, short).gap > 1e-10
     with pytest.raises(NumericalIntegrityError, match="short of its ceiling"):
         threshold_alpha(short)

@@ -196,6 +196,18 @@ def test_decision_reports_the_solve_pivot_count(monkeypatch):
         assert decision.iterations == solves[-1].iterations
 
 
+def test_membership_pivot_counts_are_pinned(vertex_stack):
+    assert is_causal(joint_distribution(w_ocb(), alice_z, bob_branch)).iterations == 10
+    mix = causal_mixture(
+        ordered_identity_channel_process("b_to_a"), ordered_identity_channel_process("a_to_b"), 0.3
+    )
+    assert is_causal(joint_distribution(mix, alice_z, bob_branch)).iterations == 7
+    # A vertex's system has unit columns, so phase_one starts most of its
+    # rows on them; from the bare artificial basis some take 9 pivots.
+    pivots = [is_causal(table.reshape(2, 2, 2, 2, 2)).iterations for table in vertex_stack.T[::8]]
+    assert max(pivots) <= 4
+
+
 def test_unconverged_solve_is_an_error(monkeypatch):
     monkeypatch.setattr(simplex, "MAX_ITERS", 1)
     table = joint_distribution(w_ocb(), alice_z, bob_branch).table

@@ -164,6 +164,13 @@ def test_every_forbidden_term_is_rejected_and_named():
         assert term_label(word) in " ".join(report.failures)
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"])
+def test_tag_is_one_line(brk):
+    # A Pauli file stores the tag in one comment; it would read a second line as a term.
+    with pytest.raises(ValueError, match="^tag must be one line"):
+        ProcessMatrix(w_ocb().matrix, tag=f"lab run 7{brk}ZIII 0.05")
+
+
 def test_causal_mixture_interpolates():
     w_ba = ordered_identity_channel_process("b_to_a")
     w_ab = ordered_identity_channel_process("a_to_b")

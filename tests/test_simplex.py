@@ -74,6 +74,22 @@ def test_random_feasible_systems_recovered():
         npt.assert_allclose(a @ result.solution, b, atol=1e-8)
 
 
+def test_random_infeasible_systems_yield_certificates():
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        a = rng.standard_normal((6, 15))
+        y = rng.standard_normal(6)
+        # Make y.a_j <= 0 for every column; then no b with y.b > 0 is reached.
+        a -= 1.5 * np.outer(y, np.maximum(y @ a, 0.0)) / (y @ y)
+        b = rng.standard_normal(6)
+        b *= np.sign(y @ b)
+        result = phase_one(a, b)
+        assert result.converged
+        assert result.objective > 1e-9
+        assert (result.certificate @ a <= 1e-9).all()
+        assert result.certificate @ b > 1e-9
+
+
 def test_result_is_frozen():
     result = FeasibilityResult(0.0, np.zeros(1), np.zeros(1), 0, True)
     with pytest.raises(AttributeError):
