@@ -95,7 +95,7 @@ def _parse_dense(text: str) -> ProcessMatrix:
     if parts is None or parts.shape != (dim * dim, 2) or np.isnan(parts).any() or boolean:
         for pos, pair in enumerate(entries):
             if not _is_pair(pair):
-                raise ValueError(f"entry {pos} is not a [real, imag] pair: {pair!r}")
+                raise ValueError(f"entry {pos} is not a [real, imag] pair: {json.dumps(pair)}")
     tag = document.get("tag", "")
     if not isinstance(tag, str):
         raise ValueError(f"tag must be a string, got {tag!r}")
@@ -111,9 +111,10 @@ def _parse_pauli(text: str) -> ProcessMatrix:
         if not line:
             continue
         if line.startswith("#"):
-            comment = line[1:].strip()
-            if comment.startswith("tag:") and not tag:
-                tag = comment[4:].strip()
+            # The tag is the rest of its line after the one space pauli_text writes.
+            head, found, rest = raw.partition("tag:")
+            if found and head.strip() == "#" and not tag:
+                tag = rest[1:] if rest.startswith(" ") else rest
             continue
         parts = line.split()
         if len(parts) != 2:

@@ -18,6 +18,7 @@ carries a closed-form upper bound on what any point could score.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -41,6 +42,9 @@ ANSATZ_CEILING = 0.25 * (2.0 + math.sqrt(2.0))
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """``seed`` is a non-negative integer of any size; restart k draws its
+    start from ``default_rng(SeedSequence(seed).spawn(restarts)[k])``."""
+
     restarts: int = 64
     seed: int = 0
 
@@ -49,6 +53,8 @@ class OptimizerConfig:
             raise ValueError(f"restarts must be an integer, got {self.restarts!r}")
         if self.restarts <= 0:
             raise ValueError("restarts must be positive")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,11 +98,52 @@ class OptimizationResult:
         return max(self.upper_bound - self.value, 0.0)
 
 
+def _fold(words: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash tail on uint64 lanes, in place: keep 32 bits, then w ^= w >> 16."""
+    words &= np.uint64(0xFFFFFFFF)
+    return words ^ (words >> np.uint64(16))
+
+
+@functools.cache
+def _consts(init: int, mult: int, skip: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hash constants at steps skip .. skip + count - 1: xor before, multiplier after each step."""
+    steps = np.array([init * pow(mult, i, 2**32) % 2**32 for i in range(skip, skip + count + 1)], np.uint64)
+    steps.flags.writeable = False  # shared by every draw
+    return steps[:-1], steps[1:]
+
+
+@functools.cache
+def _row_seed():
+    """An ``ISeedSequence`` that hands PCG64 its precomputed row; numpy.random loads on first use."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    @dataclass
+    class RowSeed(ISeedSequence):
+        state: np.ndarray
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return RowSeed
+
+
 def _draw(config: OptimizerConfig, draw) -> np.ndarray:
-    """Stacked start, one row per restart, each drawn by ``draw`` from the
-    restart's own generator (a child of ``config.seed``)."""
-    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    return np.vstack([draw(np.random.default_rng(s)) for s in seeds])
+    """Stacked start, one row per restart: row k is drawn by ``draw`` from
+    ``default_rng(SeedSequence(seed).spawn(restarts)[k])``, bit for bit.
+    All children's PCG64 seeds come from one pass: child k's pool is the
+    parent's with k hashed into its four words (16 hash steps in, 4 more
+    per seed word past the fourth), and its seed is that pool hashed into
+    8 uint32 words."""
+    seed = int(config.seed)
+    skip = 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - 4)
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
+    xors, mults = _consts(0x43B0D7E5, 0x931E8875, skip, 4)
+    keys = _fold((np.arange(config.restarts, dtype=np.uint64)[:, None] ^ xors) * mults)
+    mixed = _fold(np.uint64(0xCA01F9DD) * pool - np.uint64(0x4973F715) * keys)
+    xors, mults = _consts(0x8B51F9DD, 0x58F38DED, 0, 8)
+    words = _fold((np.tile(mixed, 2) ^ xors) * mults)
+    states = words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
+    return np.vstack([draw(np.random.default_rng(_row_seed()(state))) for state in states])
 
 
 def _ascend(objective, sweep, theta: np.ndarray):

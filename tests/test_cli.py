@@ -474,3 +474,12 @@ def test_validate_refuses_a_two_line_tag_or_a_boolean_entry(capsys, tmp_path, ke
     code, out, err = run(capsys, "validate", str(path))
     assert (code, out) == (2, "")
     assert message in err
+    if key == "entries":  # named as the JSON the user wrote, not as a Python repr
+        assert err.endswith("pair: [true, false]\n")
+
+
+@pytest.mark.parametrize("command", [["optimize", "--mode", "ibit"], ["threshold"]])
+def test_a_negative_seed_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, *command, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be a non-negative integer, got -1\n"

@@ -163,8 +163,10 @@ def test_dense_parse_refuses_malformed_documents(key, value, message):
 def test_dense_parse_names_the_entry_that_is_not_a_pair(position, entry):
     payload = json.loads(dense_text(w_ocb()))
     payload["entries"][position] = entry
-    with pytest.raises(ValueError, match=rf"^entry {position} is not a \[real, imag\] pair"):
+    with pytest.raises(ValueError, match=rf"^entry {position} is not a \[real, imag\] pair") as info:
         parse_process(json.dumps(payload))
+    # named as the JSON the user wrote: [null, 0.0], not the Python repr [None, 0.0]
+    assert str(info.value).endswith(f"pair: {json.dumps(entry)}")
 
 
 def test_dense_parse_accepts_numeric_strings_and_ints():

@@ -1,6 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalgame import (
     NumericalIntegrityError,
@@ -19,6 +25,7 @@ from causalgame import (
 from causalgame import optimizer, processes, tensor
 from causalgame.optimizer import _ansatz_gradient, _ansatz_objective, _gauge_maximizer
 
+SRC = str(Path(optimizer.__file__).resolve().parents[1])
 CEILING = 0.25 * (2.0 + np.sqrt(2.0))
 
 FAST = OptimizerConfig(restarts=8, seed=0)
@@ -37,6 +44,68 @@ def test_config_guards():
         OptimizerConfig(restarts=8.0)
     with pytest.raises(ValueError, match="restarts"):
         OptimizerConfig(restarts=True)
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, 2.0, -1, np.int64(-3), "7"])
+def test_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        OptimizerConfig(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, np.int64(5), np.uint64(2**63), 2**200, 2**200 + 1])
+def test_config_accepts_numpy_and_huge_integer_seeds(seed):
+    assert OptimizerConfig(seed=seed).seed == seed
+
+
+def _instrument_start(rng):
+    return rng.normal(size=15)
+
+
+def _ansatz_start(rng):  # the same draws, in the same order, as maximize_ansatz's start
+    coeffs, scale, axis = rng.normal(size=6), rng.uniform(0.2, 0.95), rng.normal(size=3)
+    return np.concatenate([coeffs, axis / np.linalg.norm(axis), [scale]])
+
+
+def _spawned(seed, restarts, draw):
+    """The seeding contract, spelled with NumPy's own SeedSequence.spawn."""
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    return np.vstack([draw(np.random.default_rng(child)) for child in children])
+
+
+def _assert_bit_identical(seed, restarts, draw):
+    fast = optimizer._draw(OptimizerConfig(restarts=restarts, seed=seed), draw)
+    reference = _spawned(seed, restarts, draw)
+    assert fast.shape == reference.shape
+    assert np.array_equal(fast.view(np.uint64), reference.view(np.uint64))
+
+
+SEEDS = [0, 1, 7, 12345, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 3, 2**128 + 9, 2**200 + 1]
+SEEDS += [np.uint64(2**63 + 1)]  # a NumPy integer has no bit_length
+
+
+@pytest.mark.parametrize("draw", [_instrument_start, _ansatz_start])
+@pytest.mark.parametrize("restarts", [1, 16, 64])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_draw_matches_seed_sequence_spawn_bit_for_bit(seed, restarts, draw):
+    _assert_bit_identical(seed, restarts, draw)
+
+
+# Seeds of every bit length up to 200 alike, so seeds of more than four 32-bit words are common.
+SEEDS_TO_2_200 = st.sampled_from(range(201)).flatmap(lambda bits: st.integers(2**bits >> 1, 2**bits - 1))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=SEEDS_TO_2_200, restarts=st.integers(1, 40))
+def test_draw_matches_seed_sequence_spawn_for_any_seed(seed, restarts):
+    _assert_bit_identical(seed, restarts, _ansatz_start)
+
+
+@pytest.mark.parametrize("module", ["causalgame", "causalgame.cli"])
+def test_import_leaves_numpy_random_unloaded(module):
+    # numpy.random adds 11-16 ms to every CLI process; the searches load it on first use.
+    code = f"import sys; sys.path.insert(0, {SRC!r}); import {module}; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def _central_difference(objective, theta, h=1e-6):

@@ -212,6 +212,14 @@ def test_pauli_round_trip_is_exact(terms):
     assert pauli_text(parse_process(text)) == text
 
 
+@PROPERTY
+@given(tag=st.text().filter(lambda tag: "".join(tag.splitlines()) == tag))
+def test_a_one_line_tag_survives_both_forms(tag):
+    w = ProcessMatrix(w_ocb().matrix, tag=tag)
+    assert parse_process(dense_text(w)).tag == tag
+    assert parse_process(pauli_text(w)).tag == tag
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)  # one LP per example
 @given(
     columns=st.lists(st.integers(0, 2047), min_size=1, max_size=7, unique=True),
