@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instruments import _check_stack
+from .instruments import _X_BRANCH, _Z_STRATEGY, _check_stack, _proven, alice_z, bob_branch
 from .processes import _matrix_of
 
 BORN_IMAG_ATOL = 1e-10
@@ -51,7 +51,12 @@ class JointDistribution:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.table, dtype=float)
+        arr = np.asarray(self.table)
+        if np.iscomplexobj(arr):
+            if arr.imag.any():  # a NaN part counts as nonzero
+                raise ValueError("table entries must be real, got a nonzero imaginary part")
+            arr = arr.real
+        arr = np.array(arr, dtype=float)
         if arr.shape != (2, 2, 2, 2, 2):
             raise ValueError(f"table must have shape (2,2,2,2,2), got {arr.shape}")
         if not np.isfinite(arr).all():
@@ -89,21 +94,30 @@ def joint_distribution(w, alice, bob) -> JointDistribution:
     ``alice`` is Alice's stack of 4x4 Choi matrices indexed [x, a] and
     ``bob`` Bob's indexed [y, b, b_prime], as ``ObservableSpec`` builds
     them; a callable ``alice(x, a)`` or ``bob(y, b, b_prime)`` returning
-    one element is tabulated into its stack. Both are checked to be
-    instruments at every setting, in one pass, before one contraction of
-    W, viewed as [A, B, A', B'] over the parties' 4-dimensional spaces,
-    with the two stacks; an imaginary residue above 1e-10 in any entry
-    raises NumericalIntegrityError instead of being discarded.
+    one element is tabulated into its stack (``alice_z`` and ``bob_branch``
+    at its default axis stand for their built stacks). A stack that
+    ``ObservableSpec`` built is an instrument by construction; every other
+    is checked to be one at every setting, in one pass, before one
+    contraction of W, viewed as [A, B, A', B'] over the parties'
+    4-dimensional spaces, with the two stacks; an imaginary residue above
+    1e-10 in any entry raises NumericalIntegrityError instead of being
+    discarded.
     """
-    if callable(alice):
+    if alice is alice_z:
+        alice = _Z_STRATEGY.alice_stack
+    elif callable(alice):
         alice = [[alice(x, a) for a in (0, 1)] for x in (0, 1)]
-    if callable(bob):
+    if bob is bob_branch:
+        bob = _X_BRANCH.bob_stack
+    elif callable(bob):
         bob = [[[bob(y, b, bp) for bp in (0, 1)] for b in (0, 1)] for y in (0, 1)]
     alice, bob = np.asarray(alice, dtype=complex), np.asarray(bob, dtype=complex)
     w_arr = _matrix_of(w)
     if alice.shape != (2, 2, 4, 4) or bob.shape != (2, 2, 2, 4, 4):
         raise ValueError(f"need 4x4 instrument elements, got stacks {alice.shape} and {bob.shape}")
-    _check_stack(alice, bob)
+    unproven_alice, unproven_bob = (None if _proven(s) else s for s in (alice, bob))
+    if unproven_alice is not None or unproven_bob is not None:
+        _check_stack(unproven_alice, unproven_bob)
     table = np.einsum("pqrs,xarp,ybcsq->xyabc", w_arr.reshape(4, 4, 4, 4), alice, bob)
     return JointDistribution(_real(table))
 

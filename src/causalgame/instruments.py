@@ -8,13 +8,15 @@ and reprepares a z eigenstate. Bob runs one of two branches: measure
 immediately and forward the maximally mixed state, or decode along an
 axis and encode his own bit. Both parties also have general forms with
 arbitrary measure, encode and relay axes. Each operation is built as one
-read-only stack of its elements by one broadcast product; the
-per-element functions return copies of its entries.
+read-only stack of its elements by one broadcast product, recorded as an
+instrument by construction, so it is not checked again; the per-element
+functions return copies of its entries.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,6 +63,23 @@ def _pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return prod.reshape(*prod.shape[:-4], 4, 4)
 
 
+# ObservableSpec stacks by id; an entry leaves with its stack, so a reused id never matches.
+_PROVEN: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
+
+def _prove(stack: np.ndarray) -> np.ndarray:
+    """A read-only copy of an ObservableSpec stack, recorded by identity as an instrument."""
+    stack = stack.copy()  # owns its data, so no writeable base can change it
+    stack.setflags(write=False)
+    _PROVEN[id(stack)] = stack
+    return stack
+
+
+def _proven(stack) -> bool:
+    """Whether ``stack`` is itself a stack built by ObservableSpec (a copy or view is not)."""
+    return _PROVEN.get(id(stack)) is stack
+
+
 _EYE, _SIGNS = np.eye(2), np.array([1.0, -1.0])[:, None, None]  # I and (-1)^bit
 _Z = _projectors(Z_AXIS)
 # Bob's factors, indexed [y, b, b_prime], as 2 * axis + bit into the projectors of
@@ -96,9 +115,7 @@ class ObservableSpec:
     def alice_stack(self) -> np.ndarray:
         """Alice's elements P(x, measure) (x) P(a, encode), indexed [x, a], built once, read-only."""
         measure, encode = _projectors(np.array([self.measure, self.encode]))
-        stack = _pairs(measure[:, None], encode[None, :])
-        stack.setflags(write=False)
-        return stack
+        return _prove(_pairs(measure[:, None], encode[None, :]))
 
     @cached_property
     def bob_stack(self) -> np.ndarray:
@@ -111,9 +128,7 @@ class ObservableSpec:
         """
         axes = np.array([self.measure, self.relay, self.encode, np.zeros(3)])
         factors = _projectors(axes).reshape(8, 2, 2)
-        stack = _pairs(factors[_BOB_READ], factors[_BOB_WRITTEN])
-        stack.setflags(write=False)
-        return stack
+        return _prove(_pairs(factors[_BOB_READ], factors[_BOB_WRITTEN]))
 
     def to_record(self) -> dict:
         """Plain-data form, as ``optimize --json`` prints it.
@@ -153,9 +168,11 @@ def bob_branch(y, b, b_prime, t=X_AXIS) -> np.ndarray:
     side can recover b from a z measurement.
     """
     y, b, b_prime = _check_bit(y, "y"), _check_bit(b, "b"), _check_bit(b_prime, "b_prime")
-    if t is X_AXIS or b_prime:  # the b_prime = 1 branch does not read t
-        return _X_BRANCH.bob_stack[y, b, b_prime].copy()
-    return _pairs(_projectors(_unit3(t, "t"))[y], _Z[b ^ y])
+    if t is not X_AXIS:
+        t = _unit3(t, "t")  # checked for every element, though b_prime = 1 does not read t
+        if not b_prime:
+            return _pairs(_projectors(t)[y], _Z[b ^ y])
+    return _X_BRANCH.bob_stack[y, b, b_prime].copy()
 
 
 def _branch_stack(t) -> np.ndarray:
@@ -173,25 +190,28 @@ def bob_general(y, b, b_prime, spec: ObservableSpec) -> np.ndarray:
     return spec.bob_stack[_check_bit(y, "y"), _check_bit(b, "b"), _check_bit(b_prime, "b_prime")].copy()
 
 
-def _check_stack(alice: np.ndarray, bob: np.ndarray) -> None:
+def _check_stack(alice: np.ndarray | None, bob: np.ndarray | None) -> None:
     """Positivity and trace preservation of Alice's (2, 2, 4, 4) and Bob's
-    (2, 2, 2, 4, 4) stacks, outcome first, in one pass over their six settings.
+    (2, 2, 2, 4, 4) stacks, outcome first, in one pass over their settings;
+    a party given as None is skipped.
 
     Raises ValueError naming the first failing setting, Alice's first, with
     its failure messages, which are built only for that setting.
     """
-    elements = np.concatenate([alice, bob.reshape(2, 4, 4, 4)], axis=1)
+    given = [(party, stack) for party, stack in (("A", alice), ("B", bob)) if stack is not None]
+    elements = np.concatenate([stack.reshape(2, -1, 4, 4) for _, stack in given], axis=1)
     finite = np.isfinite(elements).all(axis=(-2, -1))
     safe = np.where(finite[..., None, None], elements, 0.0)
     herm = (safe + np.swapaxes(safe, -1, -2).conj()) / 2
     low = np.linalg.eigvalsh(herm)[..., 0]
     # Trace out the output qubit of the summed map: in (2,2,2,2) form an
     # element is indexed [in, out, in', out'].
-    reduced = np.einsum("kiojo->kij", safe.sum(axis=0).reshape(6, 2, 2, 2, 2))
+    reduced = np.einsum("kiojo->kij", safe.sum(axis=0).reshape(-1, 2, 2, 2, 2))
     tp = np.linalg.norm(reduced - np.eye(2), axis=(-2, -1))
     if finite.all() and (low >= -CP_ATOL).all() and (tp <= TP_ATOL).all():
         return
-    for setting in range(6):
+    settings = [(party, index) for party, stack in given for index in np.ndindex(stack.shape[1:-2])]
+    for setting, (party, index) in enumerate(settings):
         found = []
         for k in range(2):
             if not finite[k, setting]:
@@ -201,5 +221,4 @@ def _check_stack(alice: np.ndarray, bob: np.ndarray) -> None:
         if not tp[setting] <= TP_ATOL:
             found.append(f"summed map is not trace preserving: residual {tp[setting]:.3e}")
         if found:
-            party, index = ("A", (setting,)) if setting < 2 else ("B", divmod(setting - 2, 2))
             raise ValueError(f"party {party} instrument at setting {index} is invalid: " + "; ".join(found))

@@ -211,7 +211,7 @@ def is_causal(table) -> CausalDecision:
     certificate gives z, and each block's least free entry the two parts.
     """
     if not isinstance(table, JointDistribution):
-        table = JointDistribution(np.asarray(table, dtype=float))
+        table = JointDistribution(table)
     p = table.table.reshape(32)
     g, h = _split_system()
     result = phase_one(np.vstack([g.T, h @ p]), np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.0]))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -17,8 +18,7 @@ from .tensor import (
     HERMITICITY_ATOL,
     LABELS,
     PAULI_LABELS,
-    hermitian_eigenvalues,
-    hermiticity_residual,
+    _WORDS,
     pauli_compose,
     pauli_decompose,
 )
@@ -43,6 +43,13 @@ ALLOWED_SUPPORTS = frozenset(
         frozenset({"A_I", "B_I", "B_O"}),
     }
 )
+
+
+@cache
+def _allowed_words() -> frozenset[tuple[int, ...]]:
+    """The Pauli words whose support is in ALLOWED_SUPPORTS, built on first use."""
+    supports = (frozenset(label for label, index in zip(LABELS, word) if index) for word in _WORDS)
+    return frozenset(word for word, support in zip(_WORDS, supports) if support in ALLOWED_SUPPORTS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,15 +128,16 @@ def _validate(w, tol: float | None = None) -> tuple[ValidityReport, dict[tuple[i
 
     failures: list[str] = []
 
-    residual = hermiticity_residual(arr)
+    residual = float(np.max(np.abs(arr - arr.conj().T)))
     if residual > HERMITICITY_ATOL:
         failures.append(
             f"not Hermitian: residual {residual:.3e} exceeds {HERMITICITY_ATOL:.1e}"
         )
-    herm = (arr + arr.conj().T) / 2
+    herm = (arr + arr.conj().T) / 2  # exactly Hermitian: eigvalsh reads it as it is
+    if not np.isfinite(herm).all():  # W is finite, but the sum can overflow
+        raise ValueError("matrix has non-finite entries")
 
-    eigenvalues = hermitian_eigenvalues(herm)
-    min_eigenvalue = float(eigenvalues[0])
+    min_eigenvalue = float(np.linalg.eigvalsh(herm)[0])
     if min_eigenvalue < -psd_tol:
         failures.append(
             f"not positive semidefinite: minimum eigenvalue {min_eigenvalue:.6e}"
@@ -141,14 +149,12 @@ def _validate(w, tol: float | None = None) -> tuple[ValidityReport, dict[tuple[i
         failures.append(f"trace {trace!r} differs from {expected!r}")
 
     coefficients = pauli_decompose(herm)
-    forbidden: list[tuple[tuple[int, ...], float]] = []
-    for word in sorted(coefficients):
-        value = coefficients[word]
-        if abs(value) <= support_tol:
-            continue
-        support = frozenset(label for label, index in zip(LABELS, word) if index != 0)
-        if support not in ALLOWED_SUPPORTS:
-            forbidden.append((word, value))
+    allowed = _allowed_words()
+    forbidden = [
+        (word, value)
+        for word, value in sorted(coefficients.items())
+        if word not in allowed and not abs(value) <= support_tol
+    ]
     if forbidden:
         named = ", ".join(f"{term_label(t)}={c:.6g}" for t, c in forbidden)
         failures.append(f"forbidden terms present: {named}")

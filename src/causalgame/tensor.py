@@ -9,6 +9,7 @@ finiteness checks) and the Hilbert-Schmidt (Pauli) decomposition of a
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cache
 
@@ -28,19 +29,8 @@ _PAULI_STACK = np.stack(PAULI)
 # The fixed tensor order of every process matrix: Alice's input and output
 # qubits, then Bob's.
 LABELS = ("A_I", "A_O", "B_I", "B_O")
-
-
-def _as_square(matrix: np.ndarray) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    return arr
-
-
-def hermiticity_residual(matrix: np.ndarray) -> float:
-    """Largest entrywise deviation of M from its conjugate transpose."""
-    arr = _as_square(matrix)
-    return float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+# Every four-qubit Pauli word as an index tuple, at its flat index 64 t0 + 16 t1 + 4 t2 + t3.
+_WORDS = tuple(itertools.product(range(4), repeat=4))
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -50,10 +40,12 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     plausible-looking numbers, and on a Hermiticity residual above
     HERMITICITY_ATOL. The eigenvalues are those of the Hermitian part.
     """
-    arr = _as_square(matrix)
+    arr = np.asarray(matrix, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("matrix has non-finite entries")
-    residual = hermiticity_residual(arr)
+    residual = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
     if residual > HERMITICITY_ATOL:
         raise ValueError(
             f"matrix is not Hermitian: residual {residual:.3e} exceeds {HERMITICITY_ATOL:.1e}"
@@ -62,13 +54,13 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _trace_pattern() -> tuple[np.ndarray, np.ndarray]:
+def _trace_pattern() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero entry of each column of every four-qubit Pauli word.
 
     Column r of sigma(t) is nonzero only in row c = r ^ x(t), where x(t)
     flags the X and Y factors, and that entry is the product of the
-    per-qubit phases. Returns c and the entry as (16, 256) arrays
-    indexed by r and the flat word t.
+    per-qubit phases. Returns c, the entry and the flat index 16 r + c
+    of M[r, c] as (16, 256) arrays indexed by r and the flat word t.
     """
     rows = np.arange(16)[:, None]
     words = np.arange(256)[None, :]
@@ -80,8 +72,9 @@ def _trace_pattern() -> tuple[np.ndarray, np.ndarray]:
         c = r ^ ((t == 1) | (t == 2))
         cols |= c << (3 - k)
         phase = phase * _PAULI_STACK[t, c, r]
-    cols.flags.writeable = phase.flags.writeable = False  # shared by every caller
-    return cols, phase
+    flat = cols + 16 * rows
+    cols.flags.writeable = phase.flags.writeable = flat.flags.writeable = False  # shared by every caller
+    return cols, phase, flat
 
 
 def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[int, ...], float]:
@@ -98,22 +91,19 @@ def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[in
     arr = np.asarray(matrix, dtype=complex)
     if arr.shape != (16, 16):
         raise ValueError(f"expected a 16x16 matrix, got shape {arr.shape}")
-    cols, phase = _trace_pattern()
+    _, phase, flat = _trace_pattern()
     # Tr[M sigma(t)] = sum_r M[r, c] sigma(t)[c, r] over the one nonzero c
     # of each column of sigma(t). The products are exact (unit phases), so
     # only the sum over rows rounds; numpy adds the rows in order, which
     # keeps every coefficient bit-identical to one contraction over all indices.
-    coeffs = (np.take_along_axis(arr, cols, axis=1) * phase).sum(axis=0) / 16
+    coeffs = (arr.ravel().take(flat) * phase).sum(axis=0) / 16
     worst_imag = float(np.max(np.abs(coeffs.imag)))
     if worst_imag > HERMITICITY_ATOL:
         raise ValueError(
             f"coefficients are not real (residual {worst_imag:.3e}); input is not Hermitian"
         )
-    values = coeffs.real
-    out: dict[tuple[int, ...], float] = {}
-    for flat in np.flatnonzero(np.abs(values) > zero_atol).tolist():
-        out[(flat >> 6, (flat >> 4) & 3, (flat >> 2) & 3, flat & 3)] = float(values[flat])
-    return out
+    kept = np.flatnonzero(np.abs(coeffs.real) > zero_atol)
+    return dict(zip(map(_WORDS.__getitem__, kept.tolist()), coeffs.real[kept].tolist()))
 
 
 def pauli_compose(coefficients: dict[tuple[int, ...], float]) -> np.ndarray:
@@ -125,7 +115,7 @@ def pauli_compose(coefficients: dict[tuple[int, ...], float]) -> np.ndarray:
                 raise ValueError(f"index tuple {word} does not match {len(LABELS)} subsystems")
             if any(i not in (0, 1, 2, 3) for i in word):
                 raise ValueError(f"Pauli indices must lie in 0..3, got {word}")
-    cols, phase = _trace_pattern()
+    cols, phase, _ = _trace_pattern()
     flat = np.array(words, dtype=np.intp).reshape(-1, 4) @ (64, 16, 4, 1)
     out = np.zeros((16, 16), dtype=complex)
     # Each term adds into its word's one nonzero entry per column, in dict order.

@@ -1,3 +1,6 @@
+import functools
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,11 +9,13 @@ from causalgame import (
     GameSpec,
     JointDistribution,
     NumericalIntegrityError,
+    ObservableSpec,
     alice_z,
     analytic_max_dbit,
     bob_branch,
     causal_bound,
     causal_mixture,
+    is_causal,
     joint_distribution,
     ordered_identity_channel_process,
     success_components,
@@ -19,7 +24,9 @@ from causalgame import (
     w_beta_weights,
     w_ocb,
 )
+from causalgame import game
 from causalgame.game import _channel_scores
+from causalgame.instruments import X_AXIS, Z_AXIS
 
 
 def test_game_spec_ranges():
@@ -158,3 +165,70 @@ def test_distribution_rejects_non_finite_entries():
     table[0, 0, 0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         JointDistribution(table)
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Count the instrument checks joint_distribution runs."""
+    calls = []
+    real = game._check_stack
+
+    def counted(alice, bob):
+        calls.append((alice, bob))
+        return real(alice, bob)
+
+    monkeypatch.setattr(game, "_check_stack", counted)
+    return calls
+
+
+def test_built_stacks_are_not_checked_again(check_calls):
+    w = w_beta(0.7)
+    alice = ObservableSpec(Z_AXIS, X_AXIS)
+    bob = ObservableSpec(X_AXIS, Z_AXIS, relay=X_AXIS)
+    proven = [
+        (alice.alice_stack, bob.bob_stack),
+        (alice_z, bob_branch),
+        (alice_z, bob.bob_stack),
+    ]
+    for a, b in proven:
+        joint_distribution(w, a, b)
+    assert check_calls == []
+
+
+def test_every_other_operation_is_checked_once(check_calls):
+    w = w_beta(0.7)
+    spec = ObservableSpec(Z_AXIS, X_AXIS)
+    checked = [
+        (lambda x, a: alice_z(x, a), bob_branch),
+        (alice_z, functools.partial(bob_branch, t=X_AXIS)),
+        (spec.alice_stack.copy(), bob_branch),
+        (alice_z, np.array(spec.bob_stack)),
+        (spec.alice_stack[::-1], bob_branch),  # a view is not the built stack
+        (alice_z, spec.bob_stack.tolist()),
+        (lambda x, a: alice_z(x, a), lambda y, b, bp: bob_branch(y, b, bp)),
+    ]
+    for a, b in checked:
+        check_calls.clear()
+        joint_distribution(w, a, b)
+        assert len(check_calls) == 1
+    # Only the party that is not a built stack is checked.
+    check_calls.clear()
+    joint_distribution(w, alice_z, lambda y, b, bp: bob_branch(y, b, bp, t=Z_AXIS))
+    [(alice, bob)] = check_calls
+    assert alice is None and bob.shape == (2, 2, 2, 4, 4)
+
+
+def test_a_complex_table_is_refused_unless_exactly_real():
+    table = joint_distribution(w_ocb(), alice_z, bob_branch).table
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way
+        for imag in (1e-3, 1e-300, np.nan):
+            noisy = table.astype(complex)
+            noisy[0, 0, 0, 0, 0] += 1j * imag
+            with pytest.raises(ValueError, match="imaginary"):
+                JointDistribution(noisy)
+            with pytest.raises(ValueError, match="imaginary"):
+                is_causal(noisy)
+        real = JointDistribution(table.astype(complex))
+        assert real.table.dtype == np.float64 and real.table.tobytes() == table.tobytes()
+        assert is_causal(table.astype(complex)).is_causal == is_causal(table).is_causal

@@ -190,3 +190,14 @@ def test_joint_distribution_flags_non_finite_elements():
 
     with pytest.raises(ValueError, match=r"setting \(0,\) is invalid: element 0 has non-finite"):
         joint_distribution(w_ocb(), poisoned, bob_branch)
+
+
+@pytest.mark.parametrize("t", [[np.nan, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0], [[1.0, 0.0, 0.0]]])
+def test_bob_branch_checks_t_for_every_element(t):
+    with pytest.raises(ValueError) as refused:
+        bob_branch(0, 0, 0, t=t)
+    for y, b in np.ndindex(2, 2):
+        with pytest.raises(ValueError) as info:
+            bob_branch(y, b, 1, t=t)  # the b_prime = 1 branch does not read t, but still checks it
+        assert str(info.value) == str(refused.value)
+    assert str(refused.value).startswith("t must be a ")

@@ -2,6 +2,10 @@
 of the one finiteness check every process entry point shares, of exact file
 round trips, of causal-polytope membership and of the polytope's maximum."""
 
+import dataclasses
+import math
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -31,8 +35,10 @@ from causalgame import (
     witness_s,
     witness_value,
 )
-from causalgame.instruments import X_AXIS, Z_AXIS
+from causalgame.instruments import UNIT_ATOL, X_AXIS, Z_AXIS, _check_stack, _proven
 from causalgame.oracle import _causal_max
+from causalgame.processes import ALLOWED_SUPPORTS, ValidityReport, _validate, term_label
+from causalgame.tensor import LABELS, _trace_pattern, hermitian_eigenvalues, pauli_compose, pauli_decompose
 
 # Deterministic examples keep the suite reproducible run to run.
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -283,3 +289,128 @@ def test_causal_max_matches_the_vertices_exactly_on_integer_functionals(f, verte
     # maximum taken over a wrong set of strategies.
     f = f.astype(float)
     assert _causal_max(f.reshape(2, 2, 2, 2, 2)) == (f @ vertex_stack).max()
+
+
+# --- Checks done once: the proof that skips the instrument check, and validate against its per-word form ---
+
+def _at_edge(axis, f):
+    """``axis`` scaled to norm 1 + f * UNIT_ATOL, stepped inward to the last norm the check accepts."""
+    scale = 1.0 + f * UNIT_ATOL
+    while not abs(math.hypot(*(axis * scale)) - 1.0) <= UNIT_ATOL:
+        scale = np.nextafter(scale, 1.0)
+    return axis * scale
+
+
+edge_unit_axes = st.builds(_at_edge, unit_axes, st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)))
+edge_axes = st.one_of(st.just(np.zeros(3)), edge_unit_axes)
+edge_specs = st.builds(ObservableSpec, measure=edge_axes, encode=edge_axes, relay=edge_unit_axes)
+
+
+@PROPERTY
+@given(spec=edge_specs)
+def test_every_observable_spec_stack_passes_the_instrument_check(spec):
+    # Skipping _check_stack for these stacks is safe only because this holds.
+    alice, bob = spec.alice_stack, spec.bob_stack
+    _check_stack(alice, bob)
+    _check_stack(alice, None)
+    _check_stack(None, bob)
+    assert _proven(alice) and _proven(bob)
+    for stack in (alice, bob):  # no writeable array shares a proven stack's memory
+        assert stack.base is None and not stack.flags.writeable
+    assert not _proven(alice.copy()) and not _proven(np.array(bob)) and not _proven(bob[:])
+
+
+def _reference_decompose(matrix, zero_atol=0.0):
+    """pauli_decompose as it was before the flat gather: take_along_axis and one dict entry per word."""
+    arr = np.asarray(matrix, dtype=complex)
+    cols, phase = _trace_pattern()[:2]
+    coeffs = (np.take_along_axis(arr, cols, axis=1) * phase).sum(axis=0) / 16
+    worst_imag = float(np.max(np.abs(coeffs.imag)))
+    if worst_imag > 1e-12:
+        raise ValueError(f"coefficients are not real (residual {worst_imag:.3e}); input is not Hermitian")
+    values = coeffs.real
+    out = {}
+    for flat in np.flatnonzero(np.abs(values) > zero_atol).tolist():
+        out[(flat >> 6, (flat >> 4) & 3, (flat >> 2) & 3, flat & 3)] = float(values[flat])
+    return out
+
+
+def _reference_validate(w, tol=None):
+    """validate as it was before one-pass checking: two residuals, two Hermitian parts, a support set per word."""
+    psd_tol, trace_tol, support_tol = (1e-9, 1e-9, 1e-10) if tol is None else (tol, tol, tol)
+    arr = w.matrix
+    failures = []
+    residual = float(np.max(np.abs(arr - arr.conj().T)))
+    if residual > 1e-12:
+        failures.append(f"not Hermitian: residual {residual:.3e} exceeds {1e-12:.1e}")
+    herm = (arr + arr.conj().T) / 2
+    min_eigenvalue = float(hermitian_eigenvalues(herm)[0])
+    if min_eigenvalue < -psd_tol:
+        failures.append(f"not positive semidefinite: minimum eigenvalue {min_eigenvalue:.6e}")
+    trace = float(np.trace(arr).real)
+    if abs(trace - 4.0) > trace_tol:
+        failures.append(f"trace {trace!r} differs from {4.0!r}")
+    coefficients = _reference_decompose(herm)
+    forbidden = []
+    for word in sorted(coefficients):
+        value = coefficients[word]
+        if abs(value) <= support_tol:
+            continue
+        support = frozenset(label for label, index in zip(LABELS, word) if index != 0)
+        if support not in ALLOWED_SUPPORTS:
+            forbidden.append((word, value))
+    if forbidden:
+        failures.append("forbidden terms present: " + ", ".join(f"{term_label(t)}={c:.6g}" for t, c in forbidden))
+    report = ValidityReport(not failures, residual, min_eigenvalue, trace, tuple(forbidden), tuple(failures))
+    return report, coefficients
+
+
+def _bits(value):
+    """``value`` with every float spelled by its exact bits, so == compares signs of zero and NaNs too."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, dict):
+        return tuple((_bits(k), _bits(v)) for k, v in value.items())
+    if isinstance(value, ValidityReport):
+        return _bits(dataclasses.astuple(value))
+    return value
+
+
+all_words = st.tuples(*[st.integers(0, 3)] * 4)
+coefficient = st.one_of(st.floats(-0.3, 0.3), st.sampled_from([0.0, -0.0, 1e-11, -1e-11, 2e-10]))
+
+
+@PROPERTY
+@given(
+    terms=st.dictionaries(all_words, coefficient, max_size=12),
+    base=st.sampled_from([None, "w_ocb", "mixture"]),
+    skew=st.sampled_from([0.0, 1e-14, 1e-12, 1e-6, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([None, 0.0, 1e-3]),
+)
+def test_validate_and_decompose_match_their_per_word_form_bit_for_bit(terms, base, skew, seed, tol):
+    matrix = pauli_compose(terms) if terms else np.zeros((16, 16), dtype=complex)
+    if base == "w_ocb":
+        matrix = matrix + w_ocb().matrix
+    elif base == "mixture":
+        matrix = matrix + causal_mixture(
+            ordered_identity_channel_process("b_to_a"), ordered_identity_channel_process("a_to_b"), 0.3
+        ).matrix
+    rng = np.random.default_rng(seed)
+    matrix = matrix + skew * (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    w = ProcessMatrix(matrix)
+    expected_report, expected_map = _reference_validate(w, tol)
+    report, coefficients = _validate(w, tol)
+    assert _bits(report) == _bits(expected_report)
+    assert _bits(coefficients) == _bits(expected_map)
+    assert validate(w, tol=tol) == report
+    herm = (w.matrix + w.matrix.conj().T) / 2
+    for zero_atol in (0.0, 1e-10, 0.05):
+        assert _bits(pauli_decompose(herm, zero_atol)) == _bits(_reference_decompose(herm, zero_atol))
+    if skew >= 1e-6:  # the imaginary-coefficient refusal, same message
+        with pytest.raises(ValueError) as info:
+            _reference_decompose(w.matrix)
+        with pytest.raises(ValueError, match=re.escape(str(info.value))):
+            pauli_decompose(w.matrix)
