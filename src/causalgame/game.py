@@ -95,9 +95,11 @@ def joint_distribution(w, alice, bob) -> JointDistribution:
     ``bob`` Bob's indexed [y, b, b_prime], as ``ObservableSpec`` builds
     them; a callable ``alice(x, a)`` or ``bob(y, b, b_prime)`` returning
     one element is tabulated into its stack (``alice_z`` and ``bob_branch``
-    at its default axis stand for their built stacks). A stack that
-    ``ObservableSpec`` built is an instrument by construction; every other
-    is checked to be one at every setting, in one pass, before one
+    at its default axis stand for their built stacks). A stack with the
+    dtype, shape and bytes of a live stack that ``ObservableSpec`` built
+    is that instrument, however it was made (a copy, or the tabulated
+    elements of the library's element functions); every other is checked
+    to be one at every setting, in one pass, before one
     contraction of W, viewed as [A, B, A', B'] over the parties'
     4-dimensional spaces, with the two stacks; an imaginary residue above
     1e-10 in any entry raises NumericalIntegrityError instead of being

@@ -8,9 +8,11 @@ and reprepares a z eigenstate. Bob runs one of two branches: measure
 immediately and forward the maximally mixed state, or decode along an
 axis and encode his own bit. Both parties also have general forms with
 arbitrary measure, encode and relay axes. Each operation is built as one
-read-only stack of its elements by one broadcast product, recorded as an
-instrument by construction, so it is not checked again; the per-element
-functions return copies of its entries.
+read-only stack of its elements by one broadcast product and recorded by
+its bytes as an instrument by construction, so any stack with the same
+dtype, shape and bytes is not checked again; the per-element functions
+return copies of its entries, and Bob's branch stacks of the last few
+decode axes are kept.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,7 +41,10 @@ def _check_bit(value, name: str) -> int:
 
 
 def _unit3(vec, name: str, allow_zero: bool = False) -> np.ndarray:
-    arr = np.asarray(vec, dtype=float)
+    arr = np.asarray(vec)
+    if np.iscomplexobj(arr) and arr.imag.any():  # a NaN part counts as nonzero
+        raise ValueError(f"{name} must be real, got a nonzero imaginary part")
+    arr = np.asarray(arr.real, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
     norm = math.hypot(*arr)  # no overflow for huge finite entries
@@ -63,25 +68,28 @@ def _pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return prod.reshape(*prod.shape[:-4], 4, 4)
 
 
-# ObservableSpec stacks by id; an entry leaves with its stack, so a reused id never matches.
-_PROVEN: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+# ObservableSpec stacks by their bytes; an entry leaves with its stack.
+_PROVEN: weakref.WeakValueDictionary[bytes, np.ndarray] = weakref.WeakValueDictionary()
 
 
 def _prove(stack: np.ndarray) -> np.ndarray:
-    """A read-only copy of an ObservableSpec stack, recorded by identity as an instrument."""
+    """A read-only copy of an ObservableSpec stack, recorded by its bytes as an
+    instrument; a live stack with the same bytes is returned in its place."""
     stack = stack.copy()  # owns its data, so no writeable base can change it
     stack.setflags(write=False)
-    _PROVEN[id(stack)] = stack
-    return stack
+    return _PROVEN.setdefault(stack.tobytes(), stack)
 
 
 def _proven(stack) -> bool:
-    """Whether ``stack`` is itself a stack built by ObservableSpec (a copy or view is not)."""
-    return _PROVEN.get(id(stack)) is stack
+    """Whether ``stack`` has the dtype, shape and bytes of a live stack built by
+    ObservableSpec, which makes it that instrument, however it was made."""
+    if not isinstance(stack, np.ndarray) or stack.dtype != complex:
+        return False
+    built = _PROVEN.get(stack.tobytes())
+    return built is not None and built.shape == stack.shape
 
 
 _EYE, _SIGNS = np.eye(2), np.array([1.0, -1.0])[:, None, None]  # I and (-1)^bit
-_Z = _projectors(Z_AXIS)
 # Bob's factors, indexed [y, b, b_prime], as 2 * axis + bit into the projectors of
 # (measure, relay, encode, 0): y read along measure or relay, b xor y or I/2 written.
 _BOB_READ = np.array([[[0, 2], [0, 2]], [[1, 3], [1, 3]]])
@@ -167,17 +175,18 @@ def bob_branch(y, b, b_prime, t=X_AXIS) -> np.ndarray:
     along the axis t and encodes b xor y on the output, so the receiving
     side can recover b from a z measurement.
     """
-    y, b, b_prime = _check_bit(y, "y"), _check_bit(b, "b"), _check_bit(b_prime, "b_prime")
-    if t is not X_AXIS:
-        t = _unit3(t, "t")  # checked for every element, though b_prime = 1 does not read t
-        if not b_prime:
-            return _pairs(_projectors(t)[y], _Z[b ^ y])
-    return _X_BRANCH.bob_stack[y, b, b_prime].copy()
+    index = _check_bit(y, "y"), _check_bit(b, "b"), _check_bit(b_prime, "b_prime")
+    return _branch_stack(t)[index].copy()  # t is checked, though b_prime = 1 does not read it
 
 
 def _branch_stack(t) -> np.ndarray:
     """Every element of ``bob_branch`` at a unit decode axis t, indexed [y, b, b_prime]."""
-    return ObservableSpec(_unit3(t, "t"), Z_AXIS).bob_stack
+    return _axis_branch(_unit3(t, "t").tobytes())
+
+
+@lru_cache(maxsize=4)  # one table asks for one axis eight times
+def _axis_branch(axis: bytes) -> np.ndarray:
+    return ObservableSpec(np.frombuffer(axis), Z_AXIS).bob_stack
 
 
 def alice_general(x, a, spec: ObservableSpec) -> np.ndarray:

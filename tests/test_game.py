@@ -10,9 +10,11 @@ from causalgame import (
     JointDistribution,
     NumericalIntegrityError,
     ObservableSpec,
+    alice_general,
     alice_z,
     analytic_max_dbit,
     bob_branch,
+    bob_general,
     causal_bound,
     causal_mixture,
     is_causal,
@@ -189,23 +191,39 @@ def test_built_stacks_are_not_checked_again(check_calls):
         (alice.alice_stack, bob.bob_stack),
         (alice_z, bob_branch),
         (alice_z, bob.bob_stack),
+        # Anything with a live built stack's bytes is that instrument.
+        (lambda x, a: alice_z(x, a), bob_branch),
+        (alice_z, functools.partial(bob_branch, t=X_AXIS)),
+        (alice_z, lambda y, b, bp: bob_branch(y, b, bp, t=Z_AXIS)),
+        (functools.partial(alice_general, spec=alice), functools.partial(bob_general, spec=bob)),
+        (alice.alice_stack.copy(), bob_branch),
+        (alice_z, np.array(bob.bob_stack)),
+        (alice_z, bob.bob_stack.tolist()),
+        (lambda x, a: alice_z(x, a), lambda y, b, bp: bob_branch(y, b, bp)),
     ]
     for a, b in proven:
         joint_distribution(w, a, b)
     assert check_calls == []
 
 
+def _mutated(y, b, bp):
+    element = bob_branch(y, b, bp)
+    element[0, 0] += 1e-13  # still an instrument, but no longer the built one
+    return element
+
+
 def test_every_other_operation_is_checked_once(check_calls):
     w = w_beta(0.7)
-    spec = ObservableSpec(Z_AXIS, X_AXIS)
+    spec, other = ObservableSpec(Z_AXIS, X_AXIS), ObservableSpec(X_AXIS, Z_AXIS)
+    ulp = spec.alice_stack.copy()
+    ulp[0, 0, 0, 0] = np.nextafter(ulp[0, 0, 0, 0].real, 1.0)
+    mixed = np.stack([spec.alice_stack[:, 0], other.alice_stack[:, 1]], axis=1)  # a from two specs
     checked = [
-        (lambda x, a: alice_z(x, a), bob_branch),
-        (alice_z, functools.partial(bob_branch, t=X_AXIS)),
-        (spec.alice_stack.copy(), bob_branch),
-        (alice_z, np.array(spec.bob_stack)),
-        (spec.alice_stack[::-1], bob_branch),  # a view is not the built stack
-        (alice_z, spec.bob_stack.tolist()),
-        (lambda x, a: alice_z(x, a), lambda y, b, bp: bob_branch(y, b, bp)),
+        (alice_z, _mutated),
+        (mixed, bob_branch),
+        (alice_z, spec.bob_stack.swapaxes(1, 2)),  # [y, b_prime, b]
+        (ulp, bob_branch),
+        (spec.alice_stack[::-1], bob_branch),  # x reversed
     ]
     for a, b in checked:
         check_calls.clear()
@@ -213,9 +231,19 @@ def test_every_other_operation_is_checked_once(check_calls):
         assert len(check_calls) == 1
     # Only the party that is not a built stack is checked.
     check_calls.clear()
-    joint_distribution(w, alice_z, lambda y, b, bp: bob_branch(y, b, bp, t=Z_AXIS))
+    joint_distribution(w, alice_z, _mutated)
     [(alice, bob)] = check_calls
     assert alice is None and bob.shape == (2, 2, 2, 4, 4)
+
+
+def test_a_mixed_operation_that_is_not_trace_preserving_is_refused():
+    first, second = ObservableSpec(X_AXIS, Z_AXIS), ObservableSpec(Z_AXIS, Z_AXIS)
+    # Outcome y = 0 read along x, y = 1 along z: the two do not sum to the identity.
+    bob = np.stack([first.bob_stack[0], second.bob_stack[1]])
+    with pytest.raises(ValueError) as info:
+        joint_distribution(w_ocb(), alice_z, bob)
+    expected = "party B instrument at setting (0, 0) is invalid: summed map is not trace preserving: residual "
+    assert str(info.value).startswith(expected)
 
 
 def test_a_complex_table_is_refused_unless_exactly_real():

@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,7 +15,7 @@ from causalgame import (
     joint_distribution,
     w_ocb,
 )
-from causalgame.instruments import X_AXIS, Z_AXIS
+from causalgame.instruments import _PROVEN, X_AXIS, Z_AXIS, _proven
 
 
 def _projector(bit, axis):
@@ -201,3 +204,52 @@ def test_bob_branch_checks_t_for_every_element(t):
             bob_branch(y, b, 1, t=t)  # the b_prime = 1 branch does not read t, but still checks it
         assert str(info.value) == str(refused.value)
     assert str(refused.value).startswith("t must be a ")
+
+
+@pytest.mark.parametrize(
+    "axis", [[1 + 0.5j, 0, 0], [0.6 + 2j, 0.8, 0], [complex(1.0, np.nan), 0, 0], [1, 1e-300j, 0]]
+)
+def test_an_axis_with_a_nonzero_imaginary_part_is_refused(axis):
+    axis = np.array(axis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused, not cast with a ComplexWarning
+        with pytest.raises(ValueError, match="^measure must be real, got a nonzero imaginary part$"):
+            ObservableSpec(measure=axis, encode=Z_AXIS)
+        with pytest.raises(ValueError, match="^t must be real, got a nonzero imaginary part$"):
+            bob_branch(0, 0, 0, t=axis)
+
+
+def test_an_exactly_real_complex_axis_is_accepted():
+    axis = np.array([0.6, 0.8, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = ObservableSpec(measure=axis.astype(complex), encode=Z_AXIS)
+        element = bob_branch(0, 1, 0, t=axis.astype(complex))
+    assert spec.alice_stack.tobytes() == ObservableSpec(measure=axis, encode=Z_AXIS).alice_stack.tobytes()
+    assert element.tobytes() == bob_branch(0, 1, 0, t=axis).tobytes()
+
+
+def test_only_an_array_with_a_built_stacks_dtype_shape_and_bytes_is_proven():
+    built = ObservableSpec(Z_AXIS, X_AXIS).bob_stack
+    assert _proven(built) and _proven(built.copy()) and _proven(np.array(built.tolist()))
+    others = [
+        None,
+        0,
+        built.tobytes(),
+        built.tolist(),
+        built.view("V16"),  # the same shape and bytes as another dtype
+        built.view(np.float64),
+        built.reshape(4, 2, 4, 4),  # the same dtype and bytes in another shape
+        built.reshape(-1),
+    ]
+    for other in others:
+        assert not _proven(other)
+
+
+def test_a_registry_entry_leaves_when_its_spec_is_collected():
+    spec = ObservableSpec(np.array([0.28, 0.96, 0.0]), np.array([0.0, -0.6, 0.8]))
+    key, copy = spec.alice_stack.tobytes(), spec.alice_stack.copy()
+    assert key in _PROVEN and _proven(copy)
+    del spec
+    gc.collect()
+    assert key not in _PROVEN and not _proven(copy)

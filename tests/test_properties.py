@@ -5,6 +5,7 @@ round trips, of causal-polytope membership and of the polytope's maximum."""
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -35,6 +36,7 @@ from causalgame import (
     witness_s,
     witness_value,
 )
+from causalgame import game
 from causalgame.instruments import UNIT_ATOL, X_AXIS, Z_AXIS, _check_stack, _proven
 from causalgame.oracle import _causal_max
 from causalgame.processes import ALLOWED_SUPPORTS, ValidityReport, _validate, term_label
@@ -317,7 +319,45 @@ def test_every_observable_spec_stack_passes_the_instrument_check(spec):
     assert _proven(alice) and _proven(bob)
     for stack in (alice, bob):  # no writeable array shares a proven stack's memory
         assert stack.base is None and not stack.flags.writeable
-    assert not _proven(alice.copy()) and not _proven(np.array(bob)) and not _proven(bob[:])
+    assert _proven(alice.copy()) and _proven(np.array(bob)) and _proven(bob[:])  # the same bytes
+
+
+_EYE, _SIGNS = np.eye(2), np.array([1.0, -1.0])[:, None, None]
+
+
+def _reference_branch_element(y, b, t):
+    """bob_branch(y, b, 0, t) as it was built element by element: the product of
+    t's projector for y and z's projector for b xor y."""
+    def projectors(axis):
+        x1, x2, x3 = axis.T[..., None, None, None]
+        return (_EYE + _SIGNS * (x1 * PAULI[1] + x2 * PAULI[2] + x3 * PAULI[3])) / 2
+
+    p, q = projectors(t)[y], projectors(Z_AXIS)[b ^ y]
+    return (p[:, None, :, None] * q[None, :, None, :]).reshape(4, 4)
+
+
+@PROPERTY
+@given(alice=specs, bob=specs, t=unit_axes, beta=st.floats(0.5, 1.0, exclude_max=True))
+def test_element_function_callables_are_looked_up_not_checked(alice, bob, t, beta):
+    w = w_beta(beta)
+    for y, b in np.ndindex(2, 2):
+        assert bob_branch(y, b, 0, t=t).tobytes() == _reference_branch_element(y, b, t).tobytes()
+        assert bob_branch(y, b, 1, t=t).tobytes() == bob_branch(y, b, 1).tobytes()
+    cases = [
+        (
+            (lambda x, a: alice_z(x, a), lambda y, b, bp: bob_branch(y, b, bp, t=t)),
+            (ObservableSpec(Z_AXIS, Z_AXIS).alice_stack, ObservableSpec(t, Z_AXIS).bob_stack),
+        ),
+        (
+            (lambda x, a: alice_general(x, a, alice), lambda y, b, bp: bob_general(y, b, bp, bob)),
+            (alice.alice_stack, bob.bob_stack),
+        ),
+    ]
+    for callables, stacks in cases:
+        with mock.patch.object(game, "_check_stack", wraps=game._check_stack) as check:
+            table = joint_distribution(w, *callables).table
+        assert check.call_count == 0
+        assert table.tobytes() == joint_distribution(w, *stacks).table.tobytes()
 
 
 def _reference_decompose(matrix, zero_atol=0.0):
