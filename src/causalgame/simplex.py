@@ -4,9 +4,12 @@ Decides whether A x = b has a solution with x >= 0 by minimizing the total
 mass of artificial variables, starting from the slack basis wherever A
 has unit columns. The solver carries only the m x m basis inverse and the
 basic solution (Dantzig and Orchard-Hays' basis-inverse form), so a pivot
-costs one pricing product with A plus O(m^2). On infeasible systems the
-simplex multipliers provide a Farkas certificate: a vector y with
-y.A <= 0 componentwise and y.b > 0.
+costs one pricing product with A plus O(m^2). Pricing is Dantzig's rule,
+the column of most negative reduced cost entering and ties going to the
+lowest index, so the choice among exactly tied columns does not depend on
+numpy's sort dispatch. On infeasible systems the simplex multipliers
+provide a Farkas certificate: a vector y with y.A <= 0 componentwise and
+y.b > 0.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 PIVOT_TOL = 1e-11
 MAX_ITERS = 20000
+STALL_PIVOTS = 60  # degenerate pivots in a row before Bland's rule takes over
 
 
 @dataclass(frozen=True)
@@ -47,12 +51,17 @@ def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     basis), which leaves that inverse unchanged.
     Only the columns of ``a`` are priced: an artificial that leaves the
     basis never returns, and the certificate's y.A <= 0 needs only the
-    reduced costs of ``a``. Every pivot prices with duals c_B B^-1
-    computed afresh, and the last of them, in the caller's row signs, is
-    the certificate. Dantzig pricing with a switch to Bland's rule after a
-    run of degenerate pivots, which guarantees termination, and a stop
-    after MAX_ITERS pivots. Non-finite entries in ``a`` or ``b`` raise
-    ``ValueError``.
+    reduced costs of ``a``. B^-1 and x_B are kept side by side as one
+    m x (m + 1) array, so one product with c_B gives each pivot's duals
+    c_B B^-1, computed afresh, and the objective, and one rank-one step
+    updates both. The last duals, in the caller's row signs, are the
+    certificate. Pricing is one argmax of c_B B^-1 A (Dantzig's rule,
+    the lowest index among ties); only if that column has no positive
+    entry are the other candidates tried, by price, then index. After
+    STALL_PIVOTS degenerate pivots in a row Bland's rule (lowest index
+    with negative reduced cost) takes over for good, which guarantees
+    termination, and the solve stops after MAX_ITERS pivots. Non-finite
+    entries in ``a`` or ``b`` raise ``ValueError``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -64,8 +73,8 @@ def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     m, n = a.shape
 
     signs = np.where(b < 0.0, -1.0, 1.0)
-    inverse = np.diag(signs)
-    x_basic = b * signs
+    tableau = np.column_stack([np.diag(signs), b * signs])  # [B^-1 | x_B], updated in place
+    inverse, x_basic = tableau[:, :m], tableau[:, m]
     basis = np.arange(n, n + m)
     nonzero = a != 0.0
     rows = nonzero.argmax(axis=0)  # each column's first nonzero row
@@ -73,6 +82,8 @@ def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     taken, first = np.unique(rows[unit], return_index=True)
     basis[taken] = np.flatnonzero(unit)[first]
 
+    cost = (basis >= n).astype(float)  # c_B: 1 on an artificial row, 0 once it pivots
+    at = np.ascontiguousarray(a.T)
     bland = False
     stall = 0
     last_objective = np.inf
@@ -80,48 +91,46 @@ def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     converged = False
 
     while True:
-        artificial = basis >= n
-        duals = artificial @ inverse
-        reduced = -(duals @ a)
-        candidates = np.flatnonzero(reduced < -PIVOT_TOL)
-        if candidates.size == 0:
+        priced = cost @ tableau  # c_B B^-1, then the objective c_B x_B
+        duals, objective = priced[:m], priced[m]
+        stall = stall + 1 if objective >= last_objective - 1e-15 else 0
+        bland = bland or stall >= STALL_PIVOTS
+        last_objective = objective
+        prices = duals @ a  # minus the reduced costs
+        j = int((prices > PIVOT_TOL).argmax() if bland else prices.argmax())
+        if prices[j] <= PIVOT_TOL:
             converged = True
             break
         if iterations >= MAX_ITERS:
             break
-        order = candidates if bland else candidates[np.argsort(reduced[candidates])]
-        for j in order:
-            column = inverse @ a[:, j]
-            rows = np.flatnonzero(column > PIVOT_TOL)
-            if rows.size:
+        column = inverse @ at[j]
+        rows = np.flatnonzero(column > PIVOT_TOL)
+        if not rows.size:
+            candidates = np.flatnonzero(prices > PIVOT_TOL)
+            if not bland:
+                candidates = candidates[np.argsort(-prices[candidates], kind="stable")]
+            for j in candidates:
+                column = inverse @ at[j]
+                rows = np.flatnonzero(column > PIVOT_TOL)
+                if rows.size:
+                    break
+            else:
                 break
-        else:
-            break
         ratios = x_basic[rows] / column[rows]
         ties = rows[ratios <= ratios.min() + 1e-15]
         pivot_row = int(ties[np.argmin(basis[ties])])
 
-        inverse[pivot_row] /= column[pivot_row]
-        x_basic[pivot_row] /= column[pivot_row]
+        tableau[pivot_row] /= column[pivot_row]
         column[pivot_row] = 0.0
-        inverse -= np.outer(column, inverse[pivot_row])
-        x_basic -= column * x_basic[pivot_row]
+        tableau -= column[:, None] * tableau[pivot_row]
         basis[pivot_row] = j
+        cost[pivot_row] = 0.0
         iterations += 1
-
-        objective = x_basic[basis >= n].sum()
-        if objective >= last_objective - 1e-15:
-            stall += 1
-            if stall >= 60:
-                bland = True
-        else:
-            stall = 0
-        last_objective = objective
 
     solution = np.zeros(n + m)
     solution[basis] = x_basic
     return FeasibilityResult(
-        objective=float(x_basic[artificial].sum()),
+        objective=float(objective),
         solution=solution[:n],
         certificate=duals,
         iterations=iterations,

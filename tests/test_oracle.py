@@ -14,6 +14,7 @@ from causalgame import (
     oracle_bound,
     ordered_identity_channel_process,
     strategy_success,
+    w_beta,
     w_ocb,
 )
 from causalgame import oracle, simplex
@@ -213,3 +214,40 @@ def test_unconverged_solve_is_an_error(monkeypatch):
     table = joint_distribution(w_ocb(), alice_z, bob_branch).table
     with pytest.raises(RuntimeError, match="did not converge within 1 iterations"):
         is_causal(table)
+
+
+def _membership_systems():
+    """A seeded set of tables on both sides of the polytope's boundary."""
+    rng = np.random.default_rng(41)
+    for beta in np.linspace(0.5, 0.9, 5):
+        played = joint_distribution(w_beta(float(beta)), alice_z, bob_branch).table
+        for noise in np.linspace(0.0, 0.5, 6):
+            yield (1.0 - noise) * played + noise / 4
+    for q in rng.uniform(0.0, 1.0, 10):
+        mix = causal_mixture(
+            ordered_identity_channel_process("b_to_a"),
+            ordered_identity_channel_process("a_to_b"),
+            float(q),
+        )
+        yield joint_distribution(mix, alice_z, bob_branch).table
+
+
+def test_blands_rule_from_the_first_pivot_reaches_the_same_membership_verdicts(monkeypatch):
+    g, h = oracle._split_system()
+    b = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.0])
+    tables = list(_membership_systems())
+    default = [is_causal(table) for table in tables]
+    assert {decision.is_causal for decision in default} == {True, False}
+    monkeypatch.setattr(simplex, "STALL_PIVOTS", 0)
+    bland = [is_causal(table) for table in tables]
+    assert [d.iterations for d in bland] != [d.iterations for d in default]
+    for table, before, after in zip(tables, default, bland):
+        assert after.is_causal == before.is_causal
+        a = np.vstack([g.T, h @ table.reshape(32)])
+        result = phase_one(a, b)
+        if after.is_causal:
+            assert (result.certificate @ a <= 1e-9).all()
+            assert result.certificate @ b > 0.0
+        else:
+            assert (result.solution >= -1e-12).all()
+            npt.assert_allclose(a @ result.solution, b, rtol=0, atol=1e-9)

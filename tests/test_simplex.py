@@ -63,18 +63,15 @@ def test_shape_mismatch_raises():
         phase_one(np.eye(3), np.ones(2))
 
 
-def test_random_feasible_systems_recovered():
+def _random_feasible_systems():
     rng = np.random.default_rng(19)
     for _ in range(20):
         a = rng.standard_normal((6, 15))
         x_true = rng.uniform(0.0, 1.0, 15)
-        b = a @ x_true
-        result = phase_one(a, b)
-        assert result.objective <= 1e-9
-        npt.assert_allclose(a @ result.solution, b, atol=1e-8)
+        yield a, a @ x_true
 
 
-def test_random_infeasible_systems_yield_certificates():
+def _random_infeasible_systems():
     rng = np.random.default_rng(29)
     for _ in range(20):
         a = rng.standard_normal((6, 15))
@@ -83,6 +80,18 @@ def test_random_infeasible_systems_yield_certificates():
         a -= 1.5 * np.outer(y, np.maximum(y @ a, 0.0)) / (y @ y)
         b = rng.standard_normal(6)
         b *= np.sign(y @ b)
+        yield a, b
+
+
+def test_random_feasible_systems_recovered():
+    for a, b in _random_feasible_systems():
+        result = phase_one(a, b)
+        assert result.objective <= 1e-9
+        npt.assert_allclose(a @ result.solution, b, atol=1e-8)
+
+
+def test_random_infeasible_systems_yield_certificates():
+    for a, b in _random_infeasible_systems():
         result = phase_one(a, b)
         assert result.converged
         assert result.objective > 1e-9
@@ -122,3 +131,42 @@ def test_iteration_limit_reports_no_convergence(monkeypatch):
     result = phase_one(a, np.array([1.0, 2.0, 3.0]))
     assert not result.converged
     assert result.iterations == 1
+
+
+def test_ties_on_price_enter_the_lowest_index(monkeypatch):
+    # Columns 2-21 all price at 2, above the first two; SIMD sorts of more
+    # than 16 equal keys put them in an order that depends on the CPU.
+    monkeypatch.setattr(simplex, "MAX_ITERS", 1)
+    top = 0.5 + np.arange(20) / 16  # exact binary fractions, so every sum is exactly 2
+    tied = np.vstack([top, 2.0 - top])
+    a = np.hstack([np.full((2, 2), 0.5), tied])
+    result = phase_one(a, np.array([1.0, 1.0]))
+    assert result.iterations == 1
+    assert np.flatnonzero(result.solution).tolist() == [2]
+
+
+def test_a_top_priced_column_without_a_pivot_entry_is_passed_over(monkeypatch):
+    # Column 0 prices highest, 1.6e-11, but no entry of it clears PIVOT_TOL;
+    # column 1 prices lower and has one that does, so it enters.
+    monkeypatch.setattr(simplex, "MAX_ITERS", 1)
+    a = np.array([[0.8e-11, 1.2e-11], [0.8e-11, 0.2e-11]])
+    result = phase_one(a, np.array([1.0, 1.0]))
+    assert result.iterations == 1
+    assert np.flatnonzero(result.solution).tolist() == [1]
+
+
+def test_blands_rule_from_the_first_pivot_reaches_the_same_verdicts(monkeypatch):
+    systems = [*_random_feasible_systems(), *_random_infeasible_systems()]
+    default = [phase_one(a, b) for a, b in systems]
+    monkeypatch.setattr(simplex, "STALL_PIVOTS", 0)
+    bland = [phase_one(a, b) for a, b in systems]
+    assert [r.iterations for r in bland] != [r.iterations for r in default]
+    for (a, b), before, after in zip(systems, default, bland):
+        assert after.converged
+        assert (after.objective <= 1e-9) == (before.objective <= 1e-9)
+        if after.objective <= 1e-9:
+            assert (after.solution >= -1e-12).all()
+            npt.assert_allclose(a @ after.solution, b, atol=1e-8)
+        else:
+            assert (after.certificate @ a <= 1e-9).all()
+            assert after.certificate @ b > 1e-9
