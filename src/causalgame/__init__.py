@@ -57,7 +57,6 @@ from .tensor import (
     LABELS,
     PAULI,
     PAULI_LABELS,
-    hermitian_eigenvalues,
     pauli_compose,
     pauli_decompose,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "causal_mixture",
     "dense_text",
     "enumerate_strategies",
-    "hermitian_eigenvalues",
     "is_causal",
     "joint_distribution",
     "maximize_ansatz",

@@ -1,10 +1,9 @@
 """Dense complex linear algebra over labeled tensor-product spaces.
 
 Everything downstream works on 16x16 complex matrices on the four qubits
-A_I, A_O, B_I, B_O, in that fixed order. This module supplies a guarded
-Hermitian eigenvalue routine (numpy's ``eigvalsh`` behind Hermiticity and
-finiteness checks) and the Hilbert-Schmidt (Pauli) decomposition of a
-16x16 matrix, and its inverse, used to classify process-matrix terms.
+A_I, A_O, B_I, B_O, in that fixed order. This module supplies the
+Hilbert-Schmidt (Pauli) decomposition of a 16x16 matrix, and its inverse,
+used to classify process-matrix terms.
 """
 
 from __future__ import annotations
@@ -31,26 +30,6 @@ _PAULI_STACK = np.stack(PAULI)
 LABELS = ("A_I", "A_O", "B_I", "B_O")
 # Every four-qubit Pauli word as an index tuple, at its flat index 64 t0 + 16 t1 + 4 t2 + t3.
 _WORDS = tuple(itertools.product(range(4), repeat=4))
-
-
-def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix in ascending order.
-
-    Raises ValueError on non-finite entries, which LAPACK would turn into
-    plausible-looking numbers, and on a Hermiticity residual above
-    HERMITICITY_ATOL. The eigenvalues are those of the Hermitian part.
-    """
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix has non-finite entries")
-    residual = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    if residual > HERMITICITY_ATOL:
-        raise ValueError(
-            f"matrix is not Hermitian: residual {residual:.3e} exceeds {HERMITICITY_ATOL:.1e}"
-        )
-    return np.linalg.eigvalsh((arr + arr.conj().T) / 2)
 
 
 @cache

@@ -13,7 +13,6 @@ from causalgame import (
     OptimizerConfig,
     ProcessMatrix,
     analytic_max_dbit,
-    hermitian_eigenvalues,
     maximize_ansatz,
     maximize_instruments,
     threshold_alpha,
@@ -230,7 +229,7 @@ def test_ansatz_min_eigenvalue_matches_dense_algebra():
         coeffs = rng.uniform(-1.0, 1.0, 6)
         if rng.uniform() < 0.5:
             coeffs /= max(_gauge(coeffs), 1.0)  # sometimes inside, sometimes out
-        dense = hermitian_eigenvalues(w_ansatz(*coeffs).matrix).min()
+        dense = np.linalg.eigvalsh(w_ansatz(*coeffs).matrix).min()
         npt.assert_allclose(0.25 * (1.0 - optimizer._gauge(coeffs)[0]), dense, atol=1e-10)
 
 

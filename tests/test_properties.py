@@ -40,7 +40,7 @@ from causalgame import game
 from causalgame.instruments import UNIT_ATOL, X_AXIS, Z_AXIS, _check_stack, _proven
 from causalgame.oracle import _causal_max
 from causalgame.processes import ALLOWED_SUPPORTS, ValidityReport, _validate, term_label
-from causalgame.tensor import LABELS, _trace_pattern, hermitian_eigenvalues, pauli_compose, pauli_decompose
+from causalgame.tensor import LABELS, _trace_pattern, pauli_compose, pauli_decompose
 
 # Deterministic examples keep the suite reproducible run to run.
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -384,7 +384,7 @@ def _reference_validate(w, tol=None):
     if residual > 1e-12:
         failures.append(f"not Hermitian: residual {residual:.3e} exceeds {1e-12:.1e}")
     herm = (arr + arr.conj().T) / 2
-    min_eigenvalue = float(hermitian_eigenvalues(herm)[0])
+    min_eigenvalue = float(np.linalg.eigvalsh(herm)[0])
     if min_eigenvalue < -psd_tol:
         failures.append(f"not positive semidefinite: minimum eigenvalue {min_eigenvalue:.6e}")
     trace = float(np.trace(arr).real)

@@ -8,7 +8,6 @@ from causalgame import (
     LABELS,
     PAULI,
     PAULI_LABELS,
-    hermitian_eigenvalues,
     pauli_compose,
     pauli_decompose,
 )
@@ -119,25 +118,3 @@ def test_compose_rejects_malformed_words():
         pauli_compose({(0, 0, 0, 4): 1.0})
     with pytest.raises(ValueError, match=r"0\.\.3, got \(0, 5, 0, 0\)"):  # the first bad word
         pauli_compose({(0, 0, 0, 0): 1.0, (0, 5, 0, 0): 1.0, (0, 0): 1.0})
-
-
-def test_hermitian_eigenvalues_match_numpy():
-    rng = np.random.default_rng(5)
-    raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    matrix = raw + raw.conj().T
-    npt.assert_allclose(hermitian_eigenvalues(matrix), np.linalg.eigvalsh(matrix), atol=1e-12)
-
-
-def test_hermitian_eigenvalues_reject_skew_input():
-    matrix = np.zeros((4, 4), dtype=complex)
-    matrix[0, 1] = 2.0
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(matrix)
-
-
-def test_hermitian_eigenvalues_reject_non_finite_input():
-    # LAPACK alone answers [0, -0, 1, 1] here without any error.
-    matrix = np.eye(4, dtype=complex)
-    matrix[0, 0] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        hermitian_eigenvalues(matrix)
