@@ -37,7 +37,6 @@ from .oracle import (
     enumerate_strategies,
     is_causal,
     oracle_bound,
-    strategy_success,
 )
 from .processes import (
     ProcessMatrix,
@@ -95,7 +94,6 @@ __all__ = [
     "pauli_decompose",
     "pauli_text",
     "read_process",
-    "strategy_success",
     "success_components",
     "success_probability",
     "term_label",

@@ -1,5 +1,10 @@
 """Command-line surface for building, checking, and scoring processes.
 
+Each subcommand returns an exit code, a payload and text, and ``main``
+alone renders them: ``--json`` prints the payload as strict JSON, and
+otherwise the text goes to stdout, or byte for byte to the ``--out``
+file. ``sweep-beta`` and ``decompose`` have no payload.
+
 Every subcommand accepts either a process file (dense JSON or Pauli
 text) or a built-in name: ``w_ocb``, ``w_beta@<beta>``, ``ordered_ab``,
 ``ordered_ba``, or ``mix@<q>`` (q weighs ordered_ba against ordered_ab).
@@ -22,7 +27,7 @@ import numpy as np
 
 from .formats import dense_text, pauli_text, read_process
 from .game import GameSpec, analytic_max_dbit, causal_bound, joint_distribution, success_probability
-from .instruments import _X_BRANCH, _Z_STRATEGY, _branch_stack
+from .instruments import ObservableSpec, _branch_stack, alice_z, bob_branch
 from .optimizer import OptimizerConfig, maximize_ansatz, maximize_instruments, threshold_alpha
 from .oracle import oracle_bound
 from .processes import (
@@ -42,14 +47,15 @@ class UsageError(Exception):
     """Bad arguments or unreadable input; maps to exit code 2."""
 
 
+class InvalidProcess(Exception):
+    """A command was given a process that fails validation; maps to exit code 1."""
+
+
+Result = tuple[int, dict | None, str]  # exit code, --json payload (or None), plain text
+
+
 def _fmt(value: float) -> str:
     return f"{float(value):.9g}"
-
-
-def _print_json(payload: dict) -> None:
-    # Strict JSON: a NaN or infinity raises ValueError (exit 2) instead of
-    # printing a token no JSON parser accepts.
-    print(json.dumps(payload, allow_nan=False))
 
 
 def _tolerance(text: str) -> float:
@@ -74,12 +80,24 @@ def _emit(text: str, path: str | None) -> None:
         raise UsageError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _refuse_invalid(w, tol: float | None = None) -> bool:
-    """Validate ``w``; when it fails, name the failures on stderr and return True."""
+def _require_valid(w, tol: float | None = None) -> None:
+    """Validate ``w``; when it fails, raise InvalidProcess naming the failures."""
     report = validate(w, tol=tol)
     if not report.is_valid:
-        print("INVALID process:", "; ".join(report.failures), file=sys.stderr)
-    return not report.is_valid
+        raise InvalidProcess("; ".join(report.failures))
+
+
+def _record(spec: ObservableSpec) -> dict:
+    """One party's operation as ``optimize --json`` prints it: ``corr`` is the
+    measure-encode outer product and ``table`` is always None, both kept so
+    the printed format stays stable."""
+    return {
+        "measure": spec.measure.tolist(),
+        "encode": spec.encode.tolist(),
+        "corr": np.outer(spec.measure, spec.encode).tolist(),
+        "table": None,
+        "relay": spec.relay.tolist(),
+    }
 
 
 def resolve_process(token: str) -> ProcessMatrix:
@@ -107,85 +125,64 @@ def resolve_process(token: str) -> ProcessMatrix:
         raise UsageError(f"malformed process file {token!r}: {exc}") from exc
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> Result:
     w = resolve_process(args.process)
     report = validate(w, tol=args.tol)
-    if args.json:
-        payload = {
-            "process": w.tag or args.process,
-            "is_valid": report.is_valid,
-            "hermiticity_residual": report.hermiticity_residual,
-            "min_eigenvalue": report.min_eigenvalue,
-            "trace": report.trace,
-            "forbidden_terms": {term_label(word): coeff for word, coeff in report.forbidden_terms},
-            "failures": list(report.failures),
-        }
-        _print_json(payload)
-    elif report.is_valid:
-        print("valid")
-    else:
-        print("INVALID")
-        for failure in report.failures:
-            print(f"  {failure}")
-    return 0 if report.is_valid else 1
+    payload = {
+        "process": w.tag or args.process,
+        "is_valid": report.is_valid,
+        "hermiticity_residual": report.hermiticity_residual,
+        "min_eigenvalue": report.min_eigenvalue,
+        "trace": report.trace,
+        "forbidden_terms": {term_label(word): coeff for word, coeff in report.forbidden_terms},
+        "failures": list(report.failures),
+    }
+    if report.is_valid:
+        return 0, payload, "valid\n"
+    return 1, payload, "INVALID\n" + "".join(f"  {failure}\n" for failure in report.failures)
 
 
-def cmd_game(args) -> int:
+def cmd_game(args) -> Result:
     w = resolve_process(args.process)
-    if _refuse_invalid(w, args.tol):
-        return 1
+    _require_valid(w, args.tol)
     spec = GameSpec(alpha=args.alpha, beta=args.beta)
-    dist = joint_distribution(w, _Z_STRATEGY.alice_stack, _branch_stack(args.t_vector))
-    value = success_probability(dist, spec)
-    if args.json:
-        payload = {
-            "process": w.tag,
-            "alpha": spec.alpha,
-            "beta": spec.beta,
-            "success_probability": value,
-            "causal_bound": causal_bound(spec),
-            "distribution": dist.table.ravel().tolist(),
-        }
-        _print_json(payload)
-    else:
-        print(dist.to_csv(), end="")
-        print(f"success_probability {_fmt(value)}")
-        print(f"causal_bound {_fmt(causal_bound(spec))}")
-    return 0
+    dist = joint_distribution(w, alice_z, _branch_stack(args.t_vector))
+    value, bound = success_probability(dist, spec), causal_bound(spec)
+    payload = {
+        "process": w.tag,
+        "alpha": spec.alpha,
+        "beta": spec.beta,
+        "success_probability": value,
+        "causal_bound": bound,
+        "distribution": dist.table.ravel().tolist(),
+    }
+    return 0, payload, f"{dist.to_csv()}success_probability {_fmt(value)}\ncausal_bound {_fmt(bound)}\n"
 
 
-def cmd_sweep_beta(args) -> int:
+def cmd_sweep_beta(args) -> Result:
     if not (0.5 <= args.start < args.stop < 1.0) or args.steps < 2:
         raise UsageError(
             f"need 1/2 <= from < to < 1 and steps >= 2, got "
             f"from={args.start} to={args.stop} steps={args.steps}"
         )
-    rows = []
+    lines = ["beta,p_succ_w_beta,causal_bound,analytic_max,gap\n"]
     for beta in np.linspace(args.start, args.stop, args.steps):
         beta = float(beta)
-        w = w_beta(beta)
         spec = GameSpec(alpha=0.5, beta=beta)
-        dist = joint_distribution(w, _Z_STRATEGY.alice_stack, _X_BRANCH.bob_stack)
-        p_succ = success_probability(dist, spec)
+        p_succ = success_probability(joint_distribution(w_beta(beta), alice_z, bob_branch), spec)
         bound = causal_bound(spec)
-        rows.append((beta, p_succ, bound, analytic_max_dbit(beta), p_succ - bound))
-    lines = ["beta,p_succ_w_beta,causal_bound,analytic_max,gap"]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        row = (beta, p_succ, bound, analytic_max_dbit(beta), p_succ - bound)
+        lines.append(",".join(_fmt(cell) for cell in row) + "\n")
+    return 0, None, "".join(lines)
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> Result:
     spec = GameSpec(alpha=args.alpha, beta=args.beta)
     value = oracle_bound(spec)
-    if args.json:
-        _print_json({"alpha": spec.alpha, "beta": spec.beta, "oracle_bound": value})
-    else:
-        print(_fmt(value))
-    return 0
+    return 0, {"alpha": spec.alpha, "beta": spec.beta, "oracle_bound": value}, f"{_fmt(value)}\n"
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> Result:
     unread = ("alpha",) if args.mode == "dbit" else ("process", "beta")
     for name in unread:
         if getattr(args, name) is not None:
@@ -193,12 +190,11 @@ def cmd_optimize(args) -> int:
     config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     if args.mode == "dbit":
         w = resolve_process("w_ocb" if args.process is None else args.process)
-        if _refuse_invalid(w):
-            return 1
+        _require_valid(w)
         beta = 0.5 if args.beta is None else args.beta
         result = maximize_instruments(w, beta, config)
         head = {"mode": "dbit", "process": w.tag, "beta": beta}
-        tail = {"alice": result.alice.to_record(), "bob": result.bob.to_record()}
+        tail = {"alice": _record(result.alice), "bob": _record(result.bob)}
     else:
         alpha = 0.5 if args.alpha is None else args.alpha
         result = maximize_ansatz(alpha, config)
@@ -214,39 +210,24 @@ def cmd_optimize(args) -> int:
         "gap": result.gap,
         **tail,
     }
-    if args.json:
-        _print_json(payload)
-    else:
-        print(_fmt(result.value))
-    return 0
+    return 0, payload, f"{_fmt(result.value)}\n"
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> Result:
     w = resolve_process(args.process)
-    if _refuse_invalid(w):
-        return 1
+    _require_valid(w)
     value = witness_value(witness_s(), w)
-    if args.json:
-        _print_json({"process": w.tag, "witness_value": value})
-    else:
-        print(_fmt(value))
-    return 0
+    return 0, {"process": w.tag, "witness_value": value}, f"{_fmt(value)}\n"
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args) -> Result:
     value = threshold_alpha(OptimizerConfig(restarts=16, seed=args.seed))
-    if args.json:
-        _print_json({"threshold_alpha": value})
-    else:
-        print(_fmt(value))
-    return 0
+    return 0, {"threshold_alpha": value}, f"{_fmt(value)}\n"
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> Result:
     w = resolve_process(args.process)
-    text = pauli_text(w, zero_atol=args.zero_atol) if args.form == "pauli" else dense_text(w)
-    _emit(text, args.out)
-    return 0
+    return 0, None, pauli_text(w, zero_atol=args.zero_atol) if args.form == "pauli" else dense_text(w)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +319,16 @@ def main(argv=None) -> int:
             # A numpy overflow or invalid value is an error with one message,
             # not a warning printed ahead of (or instead of) an answer.
             warnings.simplefilter("error", RuntimeWarning)
-            return args.func(args)
+            code, payload, text = args.func(args)
+            if payload is not None and args.json:
+                # Strict JSON: a NaN or infinity raises ValueError (exit 2)
+                # instead of printing a token no JSON parser accepts.
+                text = json.dumps(payload, allow_nan=False) + "\n"
+            _emit(text, getattr(args, "out", None))
+            return code
+    except InvalidProcess as exc:
+        print(f"INVALID process: {exc}", file=sys.stderr)
+        return 1
     except (UsageError, ValueError, RuntimeWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -138,20 +138,6 @@ class ObservableSpec:
         factors = _projectors(axes).reshape(8, 2, 2)
         return _prove(_pairs(factors[_BOB_READ], factors[_BOB_WRITTEN]))
 
-    def to_record(self) -> dict:
-        """Plain-data form, as ``optimize --json`` prints it.
-
-        ``corr`` is the measure-encode outer product and ``table`` is
-        always None; both keys keep the printed format stable.
-        """
-        return {
-            "measure": self.measure.tolist(),
-            "encode": self.encode.tolist(),
-            "corr": np.outer(self.measure, self.encode).tolist(),
-            "table": None,
-            "relay": self.relay.tolist(),
-        }
-
 
 # alice_z and bob_branch at its default axis; their stacks are built on first use.
 _Z_STRATEGY, _X_BRANCH = ObservableSpec(Z_AXIS, Z_AXIS), ObservableSpec(X_AXIS, Z_AXIS)

@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .game import GameSpec, JointDistribution, _channel_scores, success_probability
+from .game import GameSpec, JointDistribution, _channel_scores
 from .simplex import phase_one
 
 MEMBERSHIP_TOL = 1e-8
@@ -75,11 +75,6 @@ def _polytope() -> _Polytope:
     return _Polytope(g, h, rhs, columns, onehot)
 
 
-def _split_system() -> tuple[np.ndarray, np.ndarray]:
-    """The constant G (72 x 5) and H (72 x 32) of ``_polytope``."""
-    return _polytope()[:2]
-
-
 @dataclass(frozen=True)
 class DeterministicStrategy:
     """One vertex of the causal polytope.
@@ -112,11 +107,6 @@ def enumerate_strategies() -> tuple[DeterministicStrategy, ...]:
         for leader in product((0, 1), repeat=_polytope().onehot[order].shape[1])
         for follower in product((0, 1), repeat=8)
     )
-
-
-def strategy_success(strategy: DeterministicStrategy, spec: GameSpec) -> float:
-    """Winning probability of a single deterministic strategy."""
-    return success_probability(JointDistribution(strategy.correlation_table()), spec)
 
 
 def _causal_max(f: np.ndarray) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from causalgame import enumerate_strategies
+from causalgame import JointDistribution, enumerate_strategies, success_probability
 
 
 @pytest.fixture(scope="session")
@@ -15,3 +15,8 @@ def vertex_stack():
     stack = np.stack([s.correlation_table().reshape(32) for s in enumerate_strategies()], axis=1)
     stack.setflags(write=False)
     return stack
+
+
+def strategy_success(strategy, spec):
+    """Winning probability of a single deterministic strategy."""
+    return success_probability(JointDistribution(strategy.correlation_table()), spec)

@@ -26,7 +26,6 @@ from causalgame import (
     oracle_bound,
     ordered_identity_channel_process,
     pauli_compose,
-    strategy_success,
     success_probability,
     term_label,
     validate,
@@ -39,6 +38,7 @@ from causalgame import (
 from causalgame.cli import main as cli_main
 from causalgame.processes import ALLOWED_SUPPORTS
 from causalgame.tensor import LABELS, PAULI
+from conftest import strategy_success
 
 BETA_GRID = np.linspace(0.5, 0.99, 50)
 

@@ -320,6 +320,55 @@ def test_readme_examples_print_golden_bytes(capsys, tmp_path, golden, argv, out)
     assert produced == (GOLDEN / golden).read_bytes()
 
 
+# Both --out examples print to stdout exactly the bytes they write.
+OUT_EXAMPLES = [case for case in README_EXAMPLES if case[2]]
+
+
+@pytest.mark.parametrize("golden, argv, out", OUT_EXAMPLES, ids=[c[0] for c in OUT_EXAMPLES])
+def test_without_out_stdout_holds_the_written_bytes(capsys, golden, argv, out):
+    code, stdout, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert stdout.encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.fixture
+def forbidden(tmp_path, monkeypatch):
+    """A process file with one forbidden term, named relative to the working directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "forbidden.txt").write_text("IIII 0.25\nIZII 0.05\n")
+    return "forbidden.txt"
+
+
+# JSON payloads and the validate verdict on a forbidden term, each pinned
+# to its exact stdout bytes and exit code.
+PINNED_EXAMPLES = [
+    ("validate_w_ocb.json", ["validate", "w_ocb", "--json"], 0),
+    ("validate_forbidden.txt", ["validate", "forbidden.txt"], 1),
+    ("validate_forbidden.json", ["validate", "forbidden.txt", "--json"], 1),
+    ("oracle.json", ["oracle", "--alpha", "0.6", "--beta", "0.7", "--json"], 0),
+    ("witness.json", ["witness", "--process", "w_beta@0.5", "--json"], 0),
+    ("threshold.json", ["threshold", "--json"], 0),
+]
+
+
+@pytest.mark.parametrize("golden, argv, exit_code", PINNED_EXAMPLES, ids=[c[0] for c in PINNED_EXAMPLES])
+def test_outputs_print_golden_bytes(capsys, forbidden, golden, argv, exit_code):
+    code, stdout, err = run(capsys, *argv)
+    assert (code, err) == (exit_code, "")
+    assert stdout.encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["game"], ["optimize", "--mode", "dbit"], ["witness"]],
+    ids=["game", "optimize", "witness"],
+)
+def test_json_refusal_prints_nothing_on_stdout(capsys, forbidden, argv):
+    code, out, err = run(capsys, *argv, "--process", forbidden, "--json")
+    assert (code, out) == (1, "")
+    assert err == "INVALID process: forbidden terms present: IZII=0.05\n"
+
+
 # ``game --json`` prints every table entry at full float precision, so these
 # pin the Born table to the last bit where the plain goldens show 9 digits.
 GAME_JSON_EXAMPLES = [

@@ -13,12 +13,12 @@ from causalgame import (
     joint_distribution,
     oracle_bound,
     ordered_identity_channel_process,
-    strategy_success,
     w_beta,
     w_ocb,
 )
 from causalgame import oracle, simplex
 from causalgame.simplex import phase_one
+from conftest import strategy_success
 
 
 def test_strategy_enumeration_covers_both_orders():
@@ -233,7 +233,7 @@ def _membership_systems():
 
 
 def test_blands_rule_from_the_first_pivot_reaches_the_same_membership_verdicts(monkeypatch):
-    g, h = oracle._split_system()
+    g, h = oracle._polytope()[:2]
     b = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.0])
     tables = list(_membership_systems())
     default = [is_causal(table) for table in tables]
