@@ -66,11 +66,11 @@ class OptimizationResult:
     (non-decreasing), one entry per sweep, ending at the sweep where that
     restart retired or at ``MAX_SWEEPS``. The instrument search fills
     ``alice`` and ``bob``, the process-family search ``coefficients`` and
-    ``axis``. ``feasible`` records that the reported point passed its
-    positivity checks. ``converged`` is true when the winning restart
-    retired, at a sweep that gained no more than ``SWEEP_TOL``, within
-    ``MAX_SWEEPS`` sweeps. ``upper_bound`` is a closed-form ceiling on
-    the score of any point of the searched space.
+    ``axis`` (read-only, like the specs' vectors). ``feasible`` records
+    that the reported point passed its positivity checks. ``converged`` is
+    true when the winning restart retired, at a sweep that gained no more
+    than ``SWEEP_TOL``, within ``MAX_SWEEPS`` sweeps. ``upper_bound`` is a
+    closed-form ceiling on the score of any point of the searched space.
     """
 
     value: float
@@ -143,7 +143,8 @@ def _draw(config: OptimizerConfig, draw) -> np.ndarray:
     xors, mults = _consts(0x8B51F9DD, 0x58F38DED, 0, 8)
     words = _fold((np.tile(mixed, 2) ^ xors) * mults)
     states = words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
-    return np.vstack([draw(np.random.default_rng(_row_seed()(state))) for state in states])
+    row_seed, generator = _row_seed(), np.random.default_rng
+    return np.array([draw(generator(row_seed(state))) for state in states])
 
 
 def _ascend(objective, sweep, theta: np.ndarray):
@@ -189,7 +190,7 @@ def _check_rescore(value: float, searched: float, upper_bound: float) -> None:
 def _set_unit(block: np.ndarray, direction: np.ndarray) -> None:
     """Overwrite each row of ``block`` with the unit vector along the same
     row of ``direction``, keeping the old row where the direction is zero."""
-    norms = np.linalg.norm(direction, axis=1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(direction * direction, axis=1, keepdims=True))
     np.divide(direction, norms, out=block, where=norms > 0)
 
 
@@ -260,7 +261,8 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
     value = success_probability(dist, spec)
     # t (x) o is a unit vector, so sigma_max of corr3 flattened to 3x9
     # bounds the trilinear channel; the bilinear one peaks at sigma_max(pair2).
-    corr, pair = np.linalg.norm(corr3.reshape(3, 9), 2), np.linalg.norm(pair2, 2)
+    # svd returns the singular values sorted, largest first.
+    corr, pair = (np.linalg.svd(x, compute_uv=False)[0] for x in (corr3.reshape(3, 9), pair2))
     upper_bound = float(0.5 + 2.0 * beta * corr + 2.0 * (1.0 - beta) * pair)
     _check_rescore(value, searched, upper_bound)
     return OptimizationResult(
@@ -297,12 +299,14 @@ def _gauge_maximizer(g: np.ndarray) -> np.ndarray:
     Either point has gauge exactly 1.
     """
     rows = np.arange(g.shape[0])
-    heavy = np.array([0, 3, 5])[np.argmax(np.abs(g[:, [0, 3, 5]]), axis=1)]
-    rho = np.sqrt(g[:, 1] ** 2 + g[:, 2] ** 2 + g[rows, heavy] ** 2)
+    candidates = g[:, [0, 3, 5]]
+    k = np.argmax(np.abs(candidates), axis=1)
+    g_heavy = candidates[rows, k]
+    rho = np.sqrt(g[:, 1] ** 2 + g[:, 2] ** 2 + g_heavy**2)
     scale = np.divide(1.0, rho, out=np.zeros_like(rho), where=rho > 0)
     c = np.zeros_like(g)
     c[:, 1:3] = g[:, 1:3] * scale[:, None]
-    c[rows, heavy] = g[rows, heavy] * scale
+    c[rows, np.array([0, 3, 5])[k]] = g_heavy * scale
     edge = np.abs(g[:, 4]) > rho
     c[edge] = 0.0
     c[edge, 4] = np.sign(g[edge, 4])
@@ -345,6 +349,30 @@ def _ansatz_sweep(theta: np.ndarray, alpha: float) -> np.ndarray:
     return theta
 
 
+def _ansatz_row(rng) -> np.ndarray:
+    """Row (c0..c5, t0, t1, t2, scale): six normal coefficients, a scale
+    uniform on [0.2, 0.95), then three normal axis entries, in draw order."""
+    row = np.empty(10)
+    row[0:6] = rng.normal(size=6)
+    row[9] = rng.uniform(0.2, 0.95)
+    row[6:9] = rng.normal(size=3)
+    return row
+
+
+def _ansatz_starts(config: OptimizerConfig) -> np.ndarray:
+    """Every restart's ansatz start, its axis (columns 6-8) normalized.
+
+    A stack of (1, 3) @ (3, 1) products runs numpy's ``dot`` loop once
+    per row, as the 1-D ``np.linalg.norm`` does, so each axis comes out
+    as ``axis / np.linalg.norm(axis)``; an ``einsum`` or a row sum of
+    squares can differ in the last bit.
+    """
+    theta = _draw(config, _ansatz_row)
+    axes = theta[:, 6:9]
+    axes /= np.sqrt(axes[:, None, :] @ axes[:, :, None])[:, 0]
+    return theta
+
+
 def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> OptimizationResult:
     """Best success probability over the six-term family at beta = 1/2.
 
@@ -357,12 +385,7 @@ def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> Opti
     """
     config = config or OptimizerConfig()
     spec = GameSpec(alpha, 0.5)
-
-    def start(rng):
-        coeffs, scale, axis = rng.normal(size=6), rng.uniform(0.2, 0.95), rng.normal(size=3)
-        return np.concatenate([coeffs, axis / np.linalg.norm(axis), [scale]])
-
-    theta0 = _draw(config, start)
+    theta0 = _ansatz_starts(config)
     theta0[:, 0:6] *= (theta0[:, 9] / _gauge(theta0[:, 0:6]))[:, None]
     point, searched, trace, converged = _ascend(
         lambda theta: _ansatz_objective(theta, alpha),
@@ -372,6 +395,7 @@ def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> Opti
 
     coefficients = tuple(float(v) for v in point[0:6])
     axis = point[6:9].copy()
+    axis.setflags(write=False)  # value was scored at this axis
     dist = joint_distribution(w_ansatz(*coefficients), _Z_STRATEGY.alice_stack, _branch_stack(axis))
     value = success_probability(dist, spec)
     upper_bound = ANSATZ_CEILING

@@ -71,11 +71,21 @@ def _spawned(seed, restarts, draw):
     return np.vstack([draw(np.random.default_rng(child)) for child in children])
 
 
-def _assert_bit_identical(seed, restarts, draw):
-    fast = optimizer._draw(OptimizerConfig(restarts=restarts, seed=seed), draw)
-    reference = _spawned(seed, restarts, draw)
+def _assert_same_bits(fast, reference):
     assert fast.shape == reference.shape
     assert np.array_equal(fast.view(np.uint64), reference.view(np.uint64))
+
+
+# Each reference draw, with the stacked starts its search builds.
+STARTS = {
+    _instrument_start: lambda config: optimizer._draw(config, _instrument_start),
+    _ansatz_start: optimizer._ansatz_starts,
+}
+
+
+def _assert_bit_identical(seed, restarts, draw):
+    fast = STARTS[draw](OptimizerConfig(restarts=restarts, seed=seed))
+    _assert_same_bits(fast, _spawned(seed, restarts, draw))
 
 
 SEEDS = [0, 1, 7, 12345, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 3, 2**128 + 9, 2**200 + 1]
@@ -97,6 +107,41 @@ SEEDS_TO_2_200 = st.sampled_from(range(201)).flatmap(lambda bits: st.integers(2*
 @given(seed=SEEDS_TO_2_200, restarts=st.integers(1, 40))
 def test_draw_matches_seed_sequence_spawn_for_any_seed(seed, restarts):
     _assert_bit_identical(seed, restarts, _ansatz_start)
+
+
+def _set_unit_reference(block, direction):
+    norms = np.linalg.norm(direction, axis=1, keepdims=True)
+    np.divide(direction, norms, out=block, where=norms > 0)
+
+
+def test_set_unit_matches_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(29)
+    direction = rng.normal(size=(400, 3)) * 10.0 ** rng.uniform(-150.0, 150.0, size=(400, 1))
+    direction[::9] = 0.0  # zero rows keep the old values
+    direction[4::9, 1:] = 0.0
+    direction[5::9] = [1e-150, -1e-150, 3e-151]
+    direction[6::9] = [1e150, 3.0, -1e150]
+    old = rng.normal(size=(400, 3))
+    fast, reference = old.copy(), old.copy()
+    optimizer._set_unit(fast, direction)
+    _set_unit_reference(reference, direction)
+    _assert_same_bits(fast, reference)
+    assert np.array_equal(fast[::9], old[::9])
+    fast, reference = direction.copy(), direction.copy()  # in place, as the instrument start runs it
+    optimizer._set_unit(fast, fast)
+    _set_unit_reference(reference, reference)
+    _assert_same_bits(fast, reference)
+
+
+@pytest.mark.parametrize("process, beta", [(w_ocb(), 0.5), (w_beta(0.6), 0.6), (w_beta(0.85), 0.7)])
+def test_instruments_bound_matches_linalg_two_norms(process, beta):
+    coefficients = processes._validate(process)[1]
+    axes = (1, 2, 3)
+    corr3 = np.array([[[coefficients.get((i, 0, k, l), 0.0) for l in axes] for k in axes] for i in axes])
+    pair2 = np.array([[coefficients.get((0, j, k, 0), 0.0) for k in axes] for j in axes])
+    corr, pair = np.linalg.norm(corr3.reshape(3, 9), 2), np.linalg.norm(pair2, 2)
+    reference = float(0.5 + 2.0 * beta * corr + 2.0 * (1.0 - beta) * pair)
+    assert maximize_instruments(process, beta, FAST).upper_bound == reference
 
 
 @pytest.mark.parametrize("module", ["causalgame", "causalgame.cli"])
@@ -280,6 +325,42 @@ def test_gauge_maximizer_is_the_dual_gauge_point():
     sample = rng.normal(size=(10_000, 6)) * rng.uniform(0.0, 3.0, size=(10_000, 6))
     sample /= _gauge(sample)[:, None]
     assert ((g @ sample.T).max(axis=1) <= score + 1e-12).all()
+
+
+def _gauge_maximizer_reference(g):
+    rows = np.arange(g.shape[0])
+    heavy = np.array([0, 3, 5])[np.argmax(np.abs(g[:, [0, 3, 5]]), axis=1)]
+    rho = np.sqrt(g[:, 1] ** 2 + g[:, 2] ** 2 + g[rows, heavy] ** 2)
+    scale = np.divide(1.0, rho, out=np.zeros_like(rho), where=rho > 0)
+    c = np.zeros_like(g)
+    c[:, 1:3] = g[:, 1:3] * scale[:, None]
+    c[rows, heavy] = g[rows, heavy] * scale
+    edge = np.abs(g[:, 4]) > rho
+    c[edge] = 0.0
+    c[edge, 4] = np.sign(g[edge, 4])
+    return c
+
+
+def test_gauge_maximizer_matches_its_reference_bit_for_bit():
+    rng = np.random.default_rng(31)
+    g = rng.normal(size=(240, 6))
+    g[::5, 4] *= 6.0  # the e4 vertex wins
+    g[1::5] = 0.0
+    g[2::5, [0, 3, 5]] = [0.7, -0.7, 0.7]  # ties among the heavy coordinates
+    g[3::5, [0, 3, 5]] = [0.0, -0.7, 0.7]
+    g[4::10] = [0.0, 3.0, 4.0, 0.0, -5.0, 0.0]  # |g4| ties rho
+    without_edge = g[np.abs(g[:, 4]) <= 0.1]  # no row takes the e4 vertex
+    assert (_gauge_maximizer_reference(g)[:, 4] != 0).any()
+    assert (_gauge_maximizer_reference(without_edge)[:, 4] == 0).all()
+    for rows in (g, without_edge, g[:1], g[:0]):
+        _assert_same_bits(_gauge_maximizer(rows), _gauge_maximizer_reference(rows))
+
+
+def test_ansatz_axis_is_read_only():
+    result = maximize_ansatz(0.6, FAST)
+    with pytest.raises(ValueError, match="read-only"):
+        result.axis[0] = 0.0
+    assert np.linalg.norm(result.axis) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_both_searches_reach_their_closed_forms():
