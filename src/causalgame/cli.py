@@ -25,11 +25,9 @@ import warnings
 
 import numpy as np
 
+# Each command imports the rest of the package it runs, so a command loads
+# only the modules it needs.
 from .formats import dense_text, pauli_text, read_process
-from .game import GameSpec, analytic_max_dbit, causal_bound, joint_distribution, success_probability
-from .instruments import ObservableSpec, _branch_stack, alice_z, bob_branch
-from .optimizer import OptimizerConfig, maximize_ansatz, maximize_instruments, threshold_alpha
-from .oracle import oracle_bound
 from .processes import (
     ProcessMatrix,
     causal_mixture,
@@ -87,7 +85,7 @@ def _require_valid(w, tol: float | None = None) -> None:
         raise InvalidProcess("; ".join(report.failures))
 
 
-def _record(spec: ObservableSpec) -> dict:
+def _record(spec) -> dict:
     """One party's operation as ``optimize --json`` prints it: ``corr`` is the
     measure-encode outer product and ``table`` is always None, both kept so
     the printed format stays stable."""
@@ -143,6 +141,9 @@ def cmd_validate(args) -> Result:
 
 
 def cmd_game(args) -> Result:
+    from .game import GameSpec, causal_bound, joint_distribution, success_probability
+    from .instruments import _branch_stack, alice_z
+
     w = resolve_process(args.process)
     _require_valid(w, args.tol)
     spec = GameSpec(alpha=args.alpha, beta=args.beta)
@@ -160,6 +161,9 @@ def cmd_game(args) -> Result:
 
 
 def cmd_sweep_beta(args) -> Result:
+    from .game import GameSpec, analytic_max_dbit, causal_bound, joint_distribution, success_probability
+    from .instruments import alice_z, bob_branch
+
     if not (0.5 <= args.start < args.stop < 1.0) or args.steps < 2:
         raise UsageError(
             f"need 1/2 <= from < to < 1 and steps >= 2, got "
@@ -177,12 +181,17 @@ def cmd_sweep_beta(args) -> Result:
 
 
 def cmd_oracle(args) -> Result:
+    from .game import GameSpec
+    from .oracle import oracle_bound
+
     spec = GameSpec(alpha=args.alpha, beta=args.beta)
     value = oracle_bound(spec)
     return 0, {"alpha": spec.alpha, "beta": spec.beta, "oracle_bound": value}, f"{_fmt(value)}\n"
 
 
 def cmd_optimize(args) -> Result:
+    from .optimizer import OptimizerConfig, maximize_ansatz, maximize_instruments
+
     unread = ("alpha",) if args.mode == "dbit" else ("process", "beta")
     for name in unread:
         if getattr(args, name) is not None:
@@ -221,6 +230,8 @@ def cmd_witness(args) -> Result:
 
 
 def cmd_threshold(args) -> Result:
+    from .optimizer import OptimizerConfig, threshold_alpha
+
     value = threshold_alpha(OptimizerConfig(restarts=16, seed=args.seed))
     return 0, {"threshold_alpha": value}, f"{_fmt(value)}\n"
 

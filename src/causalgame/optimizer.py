@@ -127,23 +127,30 @@ def _row_seed():
     return RowSeed
 
 
-def _draw(config: OptimizerConfig, draw) -> np.ndarray:
-    """Stacked start, one row per restart: row k is drawn by ``draw`` from
-    ``default_rng(SeedSequence(seed).spawn(restarts)[k])``, bit for bit.
-    All children's PCG64 seeds come from one pass: child k's pool is the
-    parent's with k hashed into its four words (16 hash steps in, 4 more
-    per seed word past the fourth), and its seed is that pool hashed into
-    8 uint32 words."""
-    seed = int(config.seed)
+@functools.lru_cache(maxsize=8)
+def _states(seed: int, restarts: int) -> np.ndarray:
+    """Read-only (restarts, 4) PCG64 seeds of ``SeedSequence(seed).spawn(restarts)``,
+    bit for bit, from one pass: child k's pool is the parent's with k
+    hashed into its four words (16 hash steps in, 4 more per seed word
+    past the fourth), and its seed is that pool hashed into 8 uint32
+    words. Both searches of one config share one hash."""
     skip = 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - 4)
     pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
     xors, mults = _consts(0x43B0D7E5, 0x931E8875, skip, 4)
-    keys = _fold((np.arange(config.restarts, dtype=np.uint64)[:, None] ^ xors) * mults)
+    keys = _fold((np.arange(restarts, dtype=np.uint64)[:, None] ^ xors) * mults)
     mixed = _fold(np.uint64(0xCA01F9DD) * pool - np.uint64(0x4973F715) * keys)
     xors, mults = _consts(0x8B51F9DD, 0x58F38DED, 0, 8)
     words = _fold((np.tile(mixed, 2) ^ xors) * mults)
     states = words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
+    states.flags.writeable = False
+    return states
+
+
+def _draw(config: OptimizerConfig, draw) -> np.ndarray:
+    """Stacked start, one row per restart: row k is drawn by ``draw`` from
+    ``default_rng(SeedSequence(seed).spawn(restarts)[k])``, bit for bit."""
     row_seed, generator = _row_seed(), np.random.default_rng
+    states = _states(int(config.seed), int(config.restarts))
     return np.array([draw(generator(row_seed(state))) for state in states])
 
 

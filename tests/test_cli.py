@@ -406,9 +406,9 @@ def test_non_finite_or_negative_tol_is_a_usage_error(capsys, tmp_path, tol):
 
 
 def test_json_output_refuses_non_finite_numbers(capsys, monkeypatch):
-    from causalgame import cli
+    from causalgame import oracle
 
-    monkeypatch.setattr(cli, "oracle_bound", lambda spec: float("nan"))
+    monkeypatch.setattr(oracle, "oracle_bound", lambda spec: float("nan"))
     code, out, err = run(capsys, "oracle", "--alpha", "0.6", "--beta", "0.7", "--json")
     assert code == 2
     assert out == ""

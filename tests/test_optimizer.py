@@ -109,6 +109,21 @@ def test_draw_matches_seed_sequence_spawn_for_any_seed(seed, restarts):
     _assert_bit_identical(seed, restarts, _ansatz_start)
 
 
+def test_both_searches_of_one_config_hash_its_seeds_once(monkeypatch):
+    folds = []
+    fold = optimizer._fold
+    monkeypatch.setattr(optimizer, "_fold", lambda words: folds.append(1) or fold(words))
+    optimizer._states.cache_clear()
+    config = OptimizerConfig(restarts=16, seed=2**70 + 11)
+    first = optimizer._draw(config, _instrument_start)
+    hashed = len(folds)
+    second = optimizer._ansatz_starts(config)
+    assert hashed > 0 and len(folds) == hashed
+    _assert_same_bits(first, _spawned(config.seed, 16, _instrument_start))
+    _assert_same_bits(second, _spawned(config.seed, 16, _ansatz_start))
+    assert not optimizer._states(config.seed, 16).flags.writeable
+
+
 def _set_unit_reference(block, direction):
     norms = np.linalg.norm(direction, axis=1, keepdims=True)
     np.divide(direction, norms, out=block, where=norms > 0)
