@@ -11,15 +11,16 @@ of a process matrix with the two parties' 4x4 Choi matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .instruments import _X_BRANCH, _Z_STRATEGY, _check_stack, _proven, alice_z, bob_branch
 from .processes import _matrix_of
 
 BORN_IMAG_ATOL = 1e-10
 NORMALIZATION_ATOL = 1e-9
 ENTRY_ATOL = 1e-12
+_A, _B = np.divmod(np.arange(4), 2)  # Alice's and Bob's input bits at the four input pairs
 
 
 class NumericalIntegrityError(ArithmeticError):
@@ -38,6 +39,17 @@ class GameSpec:
             raise ValueError(f"alpha must lie in [1/2, 1), got {self.alpha}")
         if not 0.5 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [1/2, 1), got {self.beta}")
+
+    @cached_property
+    def functional(self) -> np.ndarray:
+        """Read-only f[x, y, a, b, bp] with f . p the winning probability of table p."""
+        weights = np.array([self.alpha, 1.0 - self.alpha])
+        pair = weights[_A] * weights[_B]
+        f = np.zeros((2, 2, 2, 2, 2))
+        f[_B, :, _A, _B, 0] = (self.beta * pair)[:, None]  # Alice names b; Bob's answer is free
+        f[:, _A, _A, _B, 1] = (1.0 - self.beta) * pair  # Bob names a; Alice's answer is free
+        f.setflags(write=False)
+        return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +117,8 @@ def joint_distribution(w, alice, bob) -> JointDistribution:
     1e-10 in any entry raises NumericalIntegrityError instead of being
     discarded.
     """
+    from .instruments import _X_BRANCH, _Z_STRATEGY, _check_stack, _proven, alice_z, bob_branch
+
     if alice is alice_z:
         alice = _Z_STRATEGY.alice_stack
     elif callable(alice):
@@ -124,28 +138,16 @@ def joint_distribution(w, alice, bob) -> JointDistribution:
     return JointDistribution(_real(table))
 
 
-def _channel_scores(table: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """The game's scoring rule, applied to a stack of tables at once.
-
-    ``table`` is indexed [x, y, a, b, b_prime, ...], any trailing axes
-    stacking tables. Returns p(x=b | b_prime=0) and p(y=a | b_prime=1),
-    averaged over alpha-biased inputs, each with the stack's shape.
-    """
-    a, b = np.divmod(np.arange(4), 2)
-    weights = np.array([alpha, 1.0 - alpha])
-    pair = (weights[a] * weights[b]).reshape((4,) + (1,) * (table.ndim - 5))
-    decode = table[b, :, a, b, 0].sum(axis=1)  # Alice names b; Bob's answer is free
-    guess = table[:, a, a, b, 1].sum(axis=0)  # Bob names a; Alice's answer is free
-    return (pair * decode).sum(axis=0), (pair * guess).sum(axis=0)
-
-
 def success_components(dist: JointDistribution, alpha: float) -> tuple[float, float]:
     """The two winning probabilities, averaged over alpha-biased inputs.
 
     Returns (p(x=b | b_prime=0), p(y=a | b_prime=1)).
     """
-    decode, guess = _channel_scores(dist.table, alpha)
-    return float(decode), float(guess)
+    weights = np.array([alpha, 1.0 - alpha])
+    pair = weights[_A] * weights[_B]
+    decode = dist.table[_B, :, _A, _B, 0].sum(axis=1)  # Alice names b; Bob's answer is free
+    guess = dist.table[:, _A, _A, _B, 1].sum(axis=0)  # Bob names a; Alice's answer is free
+    return float((pair * decode).sum(axis=0)), float((pair * guess).sum(axis=0))
 
 
 def success_probability(dist: JointDistribution, spec: GameSpec) -> float:

@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .game import GameSpec, JointDistribution, _channel_scores
+from .game import GameSpec, JointDistribution
 from .simplex import phase_one
 
 MEMBERSHIP_TOL = 1e-8
@@ -129,14 +129,12 @@ def _causal_max(f: np.ndarray) -> float:
 
 
 def oracle_bound(spec: GameSpec) -> float:
-    """Maximum winning probability over all deterministic causal strategies.
+    """Maximum winning probability over the causal polytope.
 
-    Equals the maximum over the whole causal polytope because the success
-    probability is linear in the correlation table: the game's scoring
-    rule, applied to the 32 unit tables, gives that functional.
+    The winning probability is linear in the table, f . p for f the
+    ``spec.functional``, so its maximum is that functional's ``_causal_max``.
     """
-    decode, guess = _channel_scores(np.eye(32).reshape(2, 2, 2, 2, 2, 32), spec.alpha)
-    return _causal_max((spec.beta * decode + (1.0 - spec.beta) * guess).reshape(2, 2, 2, 2, 2))
+    return _causal_max(spec.functional)
 
 
 def _order_weights(part: np.ndarray, order: str) -> np.ndarray:
@@ -163,7 +161,7 @@ def _order_weights(part: np.ndarray, order: str) -> np.ndarray:
     mass = leader[:, 0].sum()
     if mass <= 0.0:
         return np.zeros(2 ** (inputs + 8))
-    weights = leader[:, 0] / mass
+    weights = leader[:, 0] / mass ** (inputs - 1)  # the other inputs' axes also sum to mass
     for i in range(1, inputs):  # one axis per leader input
         weights = weights[..., None] * leader[:, i]
     for m, read in enumerate(READS[order]):

@@ -26,9 +26,9 @@ from causalgame import (
     w_beta_weights,
     w_ocb,
 )
-from causalgame import game
-from causalgame.game import _channel_scores
+from causalgame import instruments
 from causalgame.instruments import X_AXIS, Z_AXIS
+from causalgame.oracle import _causal_max, oracle_bound
 
 
 def test_game_spec_ranges():
@@ -118,17 +118,62 @@ def _loop_components(table, alpha):
     return float(decode), float(guess)
 
 
-def test_channel_scores_equal_the_loop_bit_for_bit_on_tables_and_stacks():
+def test_success_components_equal_the_loop_bit_for_bit():
     rng = np.random.default_rng(11)
     stack = rng.random((2, 2, 2, 2, 2, 200)) ** 3
     stack /= stack.sum(axis=(0, 1))
     alphas = rng.uniform(0.5, 1.0, size=200)
     for k, alpha in enumerate(alphas):
         table = stack[..., k]
-        expected = _loop_components(table, alpha)
-        assert success_components(JointDistribution(table), alpha) == expected
-        decode, guess = _channel_scores(stack, alpha)
-        assert (float(decode[k]), float(guess[k])) == expected
+        assert success_components(JointDistribution(table), alpha) == _loop_components(table, alpha)
+
+
+def _stacked_functional(spec):
+    """The functional as the scoring rule gave it once: applied to the 32 unit tables as one stack."""
+    a, b = np.divmod(np.arange(4), 2)
+    weights = np.array([spec.alpha, 1.0 - spec.alpha])
+    pair = (weights[a] * weights[b]).reshape(4, 1)
+    units = np.eye(32).reshape(2, 2, 2, 2, 2, 32)
+    decode = (pair * units[b, :, a, b, 0].sum(axis=1)).sum(axis=0)
+    guess = (pair * units[:, a, a, b, 1].sum(axis=0)).sum(axis=0)
+    return (spec.beta * decode + (1.0 - spec.beta) * guess).reshape(2, 2, 2, 2, 2)
+
+
+def test_functional_is_read_only_and_computed_once():
+    spec = GameSpec(0.6, 0.7)
+    assert spec.functional is spec.functional
+    with pytest.raises(ValueError, match="read-only"):
+        spec.functional[0, 0, 0, 0, 0] = 1.0
+
+
+def test_functional_scores_each_unit_table_like_the_loop_bit_for_bit():
+    rng = np.random.default_rng(26)
+    for alpha, beta in rng.uniform(0.5, 1.0, size=(20, 2)):
+        f = GameSpec(alpha, beta).functional
+        for j, unit in enumerate(np.eye(32)):
+            decode, guess = _loop_components(unit.reshape(2, 2, 2, 2, 2), alpha)
+            assert f.flat[j] == beta * decode + (1.0 - beta) * guess
+
+
+def test_oracle_bound_is_the_stacked_scoring_bound_bit_for_bit():
+    grid = np.linspace(0.5, 0.99, 40)
+    for alpha in grid:
+        for beta in grid:
+            spec = GameSpec(alpha, beta)
+            reference = _stacked_functional(spec)
+            assert spec.functional.tobytes() == reference.tobytes()
+            assert oracle_bound(spec) == _causal_max(reference)
+
+
+def test_functional_dotted_with_a_table_is_its_winning_probability():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        table = rng.random((2, 2, 2, 2, 2)) ** 3
+        table /= table.sum(axis=(0, 1))
+        spec = GameSpec(*rng.uniform(0.5, 1.0, size=2))
+        value = spec.functional.reshape(32) @ table.reshape(32)
+        # Not bit for bit: the scoring rule sums in another order.
+        assert abs(value - success_probability(JointDistribution(table), spec)) <= 1e-15
 
 
 def test_ordered_process_cannot_beat_the_causal_bound():
@@ -173,13 +218,13 @@ def test_distribution_rejects_non_finite_entries():
 def check_calls(monkeypatch):
     """Count the instrument checks joint_distribution runs."""
     calls = []
-    real = game._check_stack
+    real = instruments._check_stack
 
     def counted(alice, bob):
         calls.append((alice, bob))
         return real(alice, bob)
 
-    monkeypatch.setattr(game, "_check_stack", counted)
+    monkeypatch.setattr(instruments, "_check_stack", counted)
     return calls
 
 

@@ -20,7 +20,7 @@ SRC = str(Path(causalgame.__file__).resolve().parents[1])
 
 BASE = {"causalgame", "causalgame.cli", "causalgame.formats", "causalgame.processes", "causalgame.tensor"}
 SCORE = BASE | {"causalgame.game", "causalgame.instruments"}
-ORACLE = SCORE | {"causalgame.oracle", "causalgame.simplex"}
+ORACLE = BASE | {"causalgame.game", "causalgame.oracle", "causalgame.simplex"}
 
 LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'causalgame')))"
 

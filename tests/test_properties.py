@@ -36,7 +36,7 @@ from causalgame import (
     witness_s,
     witness_value,
 )
-from causalgame import game
+from causalgame import instruments
 from causalgame.instruments import UNIT_ATOL, X_AXIS, Z_AXIS, _check_stack, _proven
 from causalgame.oracle import _causal_max
 from causalgame.processes import ALLOWED_SUPPORTS, ValidityReport, _validate, term_label
@@ -354,7 +354,7 @@ def test_element_function_callables_are_looked_up_not_checked(alice, bob, t, bet
         ),
     ]
     for callables, stacks in cases:
-        with mock.patch.object(game, "_check_stack", wraps=game._check_stack) as check:
+        with mock.patch.object(instruments, "_check_stack", wraps=instruments._check_stack) as check:
             table = joint_distribution(w, *callables).table
         assert check.call_count == 0
         assert table.tobytes() == joint_distribution(w, *stacks).table.tobytes()

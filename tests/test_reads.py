@@ -10,7 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from causalgame import enumerate_strategies, is_causal, oracle
+from causalgame import GameSpec, enumerate_strategies, is_causal, oracle
 from causalgame.oracle import _causal_max
 
 SETTINGS = np.arange(8)  # m = 4a + 2b + b'
@@ -49,6 +49,17 @@ def test_every_seventh_vertex_is_reproduced_by_its_weights(read_map):
         npt.assert_allclose(vertices @ decision.weights, vertices[:, column], rtol=0, atol=1e-9)
 
 
+def test_vertex_mixtures_are_reproduced_by_their_weights(read_map):
+    # A vertex has mass 1 in its part, so only mixtures see how the weights are normalized.
+    vertices, count, _ = read_map
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        p = vertices[:, rng.choice(count, size=6, replace=False)] @ rng.dirichlet(np.ones(6))
+        decision = is_causal(p.reshape(2, 2, 2, 2, 2))
+        assert decision.is_causal
+        npt.assert_allclose(vertices @ decision.weights, p, rtol=0, atol=1e-9)
+
+
 def test_causal_max_is_the_largest_vertex_score(read_map):
     vertices, _, _ = read_map
     rng = np.random.default_rng(22)
@@ -64,3 +75,12 @@ def test_table_that_tells_alice_his_bit_is_causal_iff_bob_reads_bprime(read_map)
     table = np.zeros((2, 2, 8))
     table[(SETTINGS >> 1) & 1, SETTINGS & 1, SETTINGS] = 1.0
     assert is_causal(table.reshape(2, 2, 2, 2, 2)).is_causal == reads_bprime
+
+
+def test_causal_max_gives_the_literature_bounds(read_map):
+    # Guess your neighbour's input (x = b and y = a on uniform inputs) is won
+    # causally with probability 1/2; the unbiased game with 3/4.
+    x, y, a, b, _ = np.indices((2, 2, 2, 2, 2))
+    gyni = ((x == b) & (y == a)) / 8.0
+    assert _causal_max(gyni) == 0.5
+    assert _causal_max(GameSpec(0.5, 0.5).functional) == 0.75
