@@ -26,8 +26,7 @@ import warnings
 import numpy as np
 
 # Each command imports the rest of the package it runs, so a command loads
-# only the modules it needs.
-from .formats import dense_text, pauli_text, read_process
+# only the modules it needs; only a file read or written loads formats.
 from .processes import (
     ProcessMatrix,
     causal_mixture,
@@ -114,6 +113,8 @@ def resolve_process(token: str) -> ProcessMatrix:
             return causal_mixture(resolve_process("ordered_ba"), resolve_process("ordered_ab"), q)
     except ValueError as exc:
         raise UsageError(f"bad built-in process {token!r}: {exc}") from exc
+    from .formats import read_process
+
     try:
         return read_process(token)
     except OSError as exc:
@@ -237,6 +238,8 @@ def cmd_threshold(args) -> Result:
 
 
 def cmd_decompose(args) -> Result:
+    from .formats import dense_text, pauli_text
+
     w = resolve_process(args.process)
     return 0, None, pauli_text(w, zero_atol=args.zero_atol) if args.form == "pauli" else dense_text(w)
 

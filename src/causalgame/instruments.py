@@ -166,13 +166,16 @@ def bob_branch(y, b, b_prime, t=X_AXIS) -> np.ndarray:
 
 
 def _branch_stack(t) -> np.ndarray:
-    """Every element of ``bob_branch`` at a unit decode axis t, indexed [y, b, b_prime]."""
-    return _axis_branch(_unit3(t, "t").tobytes())
+    """Every element of ``bob_branch`` at a unit decode axis t, indexed [y, b, b_prime];
+    a float64 3-vector goes to the memo as is, and is checked only on a miss."""
+    if not (isinstance(t, np.ndarray) and t.dtype == np.float64 and t.shape == (3,)):
+        t = _unit3(t, "t")
+    return _axis_branch(t.tobytes())
 
 
 @lru_cache(maxsize=4)  # one table asks for one axis eight times
 def _axis_branch(axis: bytes) -> np.ndarray:
-    return ObservableSpec(np.frombuffer(axis), Z_AXIS).bob_stack
+    return ObservableSpec(_unit3(np.frombuffer(axis), "t"), Z_AXIS).bob_stack
 
 
 def alice_general(x, a, spec: ObservableSpec) -> np.ndarray:

@@ -187,7 +187,7 @@ class CausalDecision:
     max(0, -least entry of the parts) for a member, and for a non-member
     the table's violation of the certificate's inequality with its
     multipliers scaled to sum 1; ``iterations`` is the pivot count of the
-    dual solve.
+    dual solve and ``bland`` whether Bland's rule took over in it.
     """
 
     is_causal: bool
@@ -198,6 +198,7 @@ class CausalDecision:
     functional: np.ndarray | None = None
     bound: float | None = None
     value: float | None = None
+    bland: bool = False
 
 
 def is_causal(table) -> CausalDecision:
@@ -235,6 +236,7 @@ def is_causal(table) -> CausalDecision:
             functional=functional,
             bound=_causal_max(functional),
             value=float(functional.reshape(32) @ p),
+            bland=result.bland,
         )
     z = result.certificate[:-1] / -result.certificate[-1]  # G z <= H p: Farkas for the dual
     lam, alpha, beta = np.full(8, z[0]), *z[columns]
@@ -255,4 +257,5 @@ def is_causal(table) -> CausalDecision:
         iterations=result.iterations,
         weights=weights,
         parts=(alice_first.reshape(2, 2, 2, 2, 2), bob_first.reshape(2, 2, 2, 2, 2)),
+        bland=result.bland,
     )

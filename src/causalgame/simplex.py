@@ -4,12 +4,14 @@ Decides whether A x = b has a solution with x >= 0 by minimizing the total
 mass of artificial variables, starting from the slack basis wherever A
 has unit columns. The solver carries only the m x m basis inverse and the
 basic solution (Dantzig and Orchard-Hays' basis-inverse form), so a pivot
-costs one pricing product with A plus O(m^2). Pricing is Dantzig's rule,
-the column of most negative reduced cost entering and ties going to the
-lowest index, so the choice among exactly tied columns does not depend on
-numpy's sort dispatch. On infeasible systems the simplex multipliers
-provide a Farkas certificate: a vector y with y.A <= 0 componentwise and
-y.b > 0.
+costs one pricing product with A plus O(m^2): the products run in numpy,
+the ratio test and the bookkeeping on Python floats, whose IEEE division
+and comparison give the same bits without a numpy call per m-vector.
+Pricing is Dantzig's rule, the column of most negative reduced cost
+entering and ties going to the lowest index, so the choice among exactly
+tied columns does not depend on numpy's sort dispatch. On infeasible
+systems the simplex multipliers provide a Farkas certificate: a vector y
+with y.A <= 0 componentwise and y.b > 0.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class FeasibilityResult:
     exactly when the system is feasible. ``solution`` holds the feasible
     point when one exists, ``certificate`` the Farkas vector otherwise
     (both are always populated; interpret by the objective). ``converged``
-    is False only if the iteration limit was hit.
+    is False only if the iteration limit was hit, ``bland`` True if Bland's rule took over.
     """
 
     objective: float
@@ -39,6 +41,12 @@ class FeasibilityResult:
     certificate: np.ndarray
     iterations: int
     converged: bool
+    bland: bool = False
+
+
+def _ratios(column: np.ndarray, x_basic: np.ndarray) -> dict[int, float]:
+    """The ratio test's x_B[i] / column[i] by row i where column[i] > PIVOT_TOL, in Python floats."""
+    return {i: x / c for i, (c, x) in enumerate(zip(column.tolist(), x_basic.tolist())) if c > PIVOT_TOL}
 
 
 def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
@@ -73,16 +81,17 @@ def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     m, n = a.shape
 
     signs = np.where(b < 0.0, -1.0, 1.0)
-    tableau = np.column_stack([np.diag(signs), b * signs])  # [B^-1 | x_B], updated in place
+    tableau = np.zeros((m, m + 1))  # [B^-1 | x_B], updated in place
+    tableau.flat[:: m + 2], tableau[:, m] = signs, b * signs  # B^-1's diagonal, x_B
     inverse, x_basic = tableau[:, :m], tableau[:, m]
-    basis = np.arange(n, n + m)
+    basis = list(range(n, n + m))
     nonzero = a != 0.0
     rows = nonzero.argmax(axis=0)  # each column's first nonzero row
     unit = (nonzero.sum(axis=0) == 1) & (a[rows, np.arange(n)] == 1.0) & (b[rows] >= 0.0)
-    taken, first = np.unique(rows[unit], return_index=True)
-    basis[taken] = np.flatnonzero(unit)[first]
+    for j, row in zip(np.flatnonzero(unit).tolist(), rows[unit].tolist()):
+        basis[row] = min(basis[row], j)  # the first unit column of a row takes it
 
-    cost = (basis >= n).astype(float)  # c_B: 1 on an artificial row, 0 once it pivots
+    cost = np.array([float(k >= n) for k in basis])  # c_B: 1 on an artificial row, 0 once it pivots
     at = np.ascontiguousarray(a.T)
     bland = False
     stall = 0
@@ -92,33 +101,33 @@ def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
 
     while True:
         priced = cost @ tableau  # c_B B^-1, then the objective c_B x_B
-        duals, objective = priced[:m], priced[m]
+        duals, objective = priced[:m], priced.item(m)
         stall = stall + 1 if objective >= last_objective - 1e-15 else 0
         bland = bland or stall >= STALL_PIVOTS
         last_objective = objective
         prices = duals @ a  # minus the reduced costs
         j = int((prices > PIVOT_TOL).argmax() if bland else prices.argmax())
-        if prices[j] <= PIVOT_TOL:
+        if prices.item(j) <= PIVOT_TOL:
             converged = True
             break
         if iterations >= MAX_ITERS:
             break
         column = inverse @ at[j]
-        rows = np.flatnonzero(column > PIVOT_TOL)
-        if not rows.size:
+        ratios = _ratios(column, x_basic)
+        if not ratios:
             candidates = np.flatnonzero(prices > PIVOT_TOL)
             if not bland:
                 candidates = candidates[np.argsort(-prices[candidates], kind="stable")]
-            for j in candidates:
+            for j in candidates.tolist():
                 column = inverse @ at[j]
-                rows = np.flatnonzero(column > PIVOT_TOL)
-                if rows.size:
+                ratios = _ratios(column, x_basic)
+                if ratios:
                     break
             else:
                 break
-        ratios = x_basic[rows] / column[rows]
-        ties = rows[ratios <= ratios.min() + 1e-15]
-        pivot_row = int(ties[np.argmin(basis[ties])])
+        low = min(ratios.values()) + 1e-15
+        ties = [i for i, ratio in ratios.items() if ratio <= low]
+        pivot_row = min(ties, key=basis.__getitem__)  # the lowest basis index among ties
 
         tableau[pivot_row] /= column[pivot_row]
         column[pivot_row] = 0.0
@@ -135,4 +144,5 @@ def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
         certificate=duals,
         iterations=iterations,
         converged=converged,
+        bland=bland,
     )

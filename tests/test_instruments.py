@@ -7,6 +7,7 @@ import pytest
 
 from causalgame import (
     PAULI,
+    instruments,
     ObservableSpec,
     alice_general,
     alice_z,
@@ -204,6 +205,63 @@ def test_bob_branch_checks_t_for_every_element(t):
             bob_branch(y, b, 1, t=t)  # the b_prime = 1 branch does not read t, but still checks it
         assert str(info.value) == str(refused.value)
     assert str(refused.value).startswith("t must be a ")
+
+
+def test_a_tabulated_table_checks_its_decode_axis_once(monkeypatch):
+    checked = []
+    unit3 = instruments._unit3
+
+    def counting(vec, name, allow_zero=False):
+        checked.append(name)
+        return unit3(vec, name, allow_zero)
+
+    monkeypatch.setattr(instruments, "_unit3", counting)
+    instruments._axis_branch.cache_clear()
+    axis = np.array([0.6, 0.0, 0.8])
+    for _ in range(2):  # the second table finds the axis's stack kept
+        joint_distribution(w_ocb(), alice_z, lambda y, b, bp: bob_branch(y, b, bp, t=axis))
+        assert checked.count("t") == 1
+
+
+@pytest.mark.parametrize("t", [[1.0, 1.0, 0.0], [np.nan, 0.0, 0.0], [1e200, 1e200, 0.0], [0.0, 0.0, 0.0]])
+def test_a_bad_float64_axis_is_refused_on_every_call(t):
+    messages = set()
+    for y, b, bp in np.ndindex(2, 2, 2):
+        with pytest.raises(ValueError, match="^t must be a unit vector, got norm ") as info:
+            bob_branch(y, b, bp, t=np.array(t))
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        [2, 0, 0],
+        np.array([2, 0, 0]),
+        np.array([1.0, 1.0, 0.0], dtype=np.float32),
+        np.array([2.0, 0.0, 0.0], dtype=object),
+        np.array([2.0, 0.0, 0.0], dtype=">f8"),
+        np.array([1.0, 0.0]),
+        np.array([[1.0, 0.0, 0.0]]),
+    ],
+)
+def test_an_axis_that_is_not_a_float64_3_vector_is_checked_first(t):
+    with pytest.raises(ValueError, match="^t must be a "):
+        bob_branch(0, 1, 0, t=t)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        [0, 0, 1],
+        np.array([0, 0, 1]),
+        np.array([0.0, 0.0, 1.0], dtype=np.float32),
+        np.array([0, 0, 1.0], dtype=object),
+        np.array([0.0, 0.0, 1.0], dtype=">f8"),
+    ],
+)
+def test_an_axis_that_is_not_a_float64_3_vector_is_read_as_one(t):
+    _assert_same_bits(bob_branch(0, 1, 0, t=t), bob_branch(0, 1, 0, t=Z_AXIS))
 
 
 @pytest.mark.parametrize(

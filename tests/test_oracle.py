@@ -18,7 +18,7 @@ from causalgame import (
 )
 from causalgame import oracle, simplex
 from causalgame.simplex import phase_one
-from conftest import strategy_success
+from conftest import membership_tables, strategy_success
 
 
 def test_strategy_enumeration_covers_both_orders():
@@ -216,26 +216,10 @@ def test_unconverged_solve_is_an_error(monkeypatch):
         is_causal(table)
 
 
-def _membership_systems():
-    """A seeded set of tables on both sides of the polytope's boundary."""
-    rng = np.random.default_rng(41)
-    for beta in np.linspace(0.5, 0.9, 5):
-        played = joint_distribution(w_beta(float(beta)), alice_z, bob_branch).table
-        for noise in np.linspace(0.0, 0.5, 6):
-            yield (1.0 - noise) * played + noise / 4
-    for q in rng.uniform(0.0, 1.0, 10):
-        mix = causal_mixture(
-            ordered_identity_channel_process("b_to_a"),
-            ordered_identity_channel_process("a_to_b"),
-            float(q),
-        )
-        yield joint_distribution(mix, alice_z, bob_branch).table
-
-
 def test_blands_rule_from_the_first_pivot_reaches_the_same_membership_verdicts(monkeypatch):
     g, h = oracle._polytope()[:2]
     b = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.0])
-    tables = list(_membership_systems())
+    tables = list(membership_tables())
     default = [is_causal(table) for table in tables]
     assert {decision.is_causal for decision in default} == {True, False}
     monkeypatch.setattr(simplex, "STALL_PIVOTS", 0)

@@ -2,8 +2,19 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from causalgame import simplex
+from causalgame import (
+    ObservableSpec,
+    alice_general,
+    bob_general,
+    causal_mixture,
+    is_causal,
+    joint_distribution,
+    oracle,
+    ordered_identity_channel_process,
+    simplex,
+)
 from causalgame.simplex import FeasibilityResult, phase_one
+from conftest import membership_tables
 
 
 def test_feasible_system_returns_a_feasible_point():
@@ -170,3 +181,136 @@ def test_blands_rule_from_the_first_pivot_reaches_the_same_verdicts(monkeypatch)
         else:
             assert (after.certificate @ a <= 1e-9).all()
             assert after.certificate @ b > 1e-9
+
+
+def _reference_phase_one(a, b):
+    """``phase_one`` with every step on numpy arrays, the ratio test, basis
+    and objective included: the reference it must match bit for bit."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = a.shape
+    signs = np.where(b < 0.0, -1.0, 1.0)
+    tableau = np.column_stack([np.diag(signs), b * signs])
+    inverse, x_basic = tableau[:, :m], tableau[:, m]
+    basis = np.arange(n, n + m)
+    nonzero = a != 0.0
+    rows = nonzero.argmax(axis=0)
+    unit = (nonzero.sum(axis=0) == 1) & (a[rows, np.arange(n)] == 1.0) & (b[rows] >= 0.0)
+    taken, first = np.unique(rows[unit], return_index=True)
+    basis[taken] = np.flatnonzero(unit)[first]
+    cost = (basis >= n).astype(float)
+    at = np.ascontiguousarray(a.T)
+    bland = False
+    stall = 0
+    last_objective = np.inf
+    iterations = 0
+    converged = False
+    while True:
+        priced = cost @ tableau
+        duals, objective = priced[:m], priced[m]
+        stall = stall + 1 if objective >= last_objective - 1e-15 else 0
+        bland = bland or stall >= simplex.STALL_PIVOTS
+        last_objective = objective
+        prices = duals @ a
+        j = int((prices > simplex.PIVOT_TOL).argmax() if bland else prices.argmax())
+        if prices[j] <= simplex.PIVOT_TOL:
+            converged = True
+            break
+        if iterations >= simplex.MAX_ITERS:
+            break
+        column = inverse @ at[j]
+        rows = np.flatnonzero(column > simplex.PIVOT_TOL)
+        if not rows.size:
+            candidates = np.flatnonzero(prices > simplex.PIVOT_TOL)
+            if not bland:
+                candidates = candidates[np.argsort(-prices[candidates], kind="stable")]
+            for j in candidates:
+                column = inverse @ at[j]
+                rows = np.flatnonzero(column > simplex.PIVOT_TOL)
+                if rows.size:
+                    break
+            else:
+                break
+        ratios = x_basic[rows] / column[rows]
+        ties = rows[ratios <= ratios.min() + 1e-15]
+        pivot_row = int(ties[np.argmin(basis[ties])])
+        tableau[pivot_row] /= column[pivot_row]
+        column[pivot_row] = 0.0
+        tableau -= column[:, None] * tableau[pivot_row]
+        basis[pivot_row] = j
+        cost[pivot_row] = 0.0
+        iterations += 1
+    solution = np.zeros(n + m)
+    solution[basis] = x_basic
+    return FeasibilityResult(float(objective), solution[:n], duals, iterations, converged, bland)
+
+
+def _general_mixture_tables():
+    """Ordered-process mixtures played with seeded general instruments: members."""
+    rng = np.random.default_rng(43)
+
+    def axis():
+        v = rng.standard_normal(3)
+        return v / np.linalg.norm(v)
+
+    for _ in range(40):
+        alice, bob = ObservableSpec(axis(), axis()), ObservableSpec(axis(), axis(), axis())
+        mix = causal_mixture(
+            ordered_identity_channel_process("b_to_a"),
+            ordered_identity_channel_process("a_to_b"),
+            float(rng.uniform(0.0, 1.0)),
+        )
+        yield joint_distribution(
+            mix, lambda x, a: alice_general(x, a, alice), lambda y, b, bp: bob_general(y, b, bp, bob)
+        ).table
+
+
+def _near_degenerate_systems():
+    """Right sides within 2e-15 of zero: the ratios differ by less than the
+    1e-15 tie band, so the band and the tie-break decide the pivots."""
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        yield rng.standard_normal((6, 15)), rng.uniform(-2e-15, 2e-15, 6)
+
+
+def _dual_systems(tables):
+    g, h, rhs = oracle._polytope()[:3]
+    return [(np.vstack([g.T, h @ table.reshape(32)]), rhs) for table in tables]
+
+
+def _systems_for_identity():
+    return [
+        *_random_feasible_systems(),
+        *_random_infeasible_systems(),
+        *_near_degenerate_systems(),
+        *_dual_systems(membership_tables()),
+        *_dual_systems(_general_mixture_tables()),
+    ]
+
+
+@pytest.mark.parametrize("stall_pivots", [simplex.STALL_PIVOTS, 0])
+def test_every_result_field_equals_the_array_reference_bit_for_bit(monkeypatch, stall_pivots):
+    monkeypatch.setattr(simplex, "STALL_PIVOTS", stall_pivots)
+    systems = _systems_for_identity()
+    assert len(systems) == 140
+    for a, b in systems:
+        result, reference = phase_one(a, b), _reference_phase_one(a, b)
+        for name in ("solution", "certificate"):
+            mine, theirs = getattr(result, name), getattr(reference, name)
+            npt.assert_array_equal(mine, theirs, strict=True)
+            assert mine.tobytes() == theirs.tobytes()  # the sign of a zero too
+        assert result.iterations == reference.iterations
+        assert result.converged is reference.converged
+        assert result.bland is reference.bland
+        assert type(result.objective) is float
+        assert np.float64(result.objective).tobytes() == np.float64(reference.objective).tobytes()
+
+
+def test_bland_reports_whether_blands_rule_took_over(monkeypatch):
+    tables = list(membership_tables())
+    systems = [*_random_feasible_systems(), *_random_infeasible_systems(), *_dual_systems(tables)]
+    assert not any(phase_one(a, b).bland for a, b in systems)
+    assert not any(is_causal(table).bland for table in tables)
+    monkeypatch.setattr(simplex, "STALL_PIVOTS", 0)
+    assert all(phase_one(a, b).bland for a, b in systems)
+    assert all(is_causal(table).bland for table in tables)
