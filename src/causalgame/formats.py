@@ -27,12 +27,11 @@ _WORD_INDEX = {letter: index for index, letter in enumerate(PAULI_LABELS)}
 
 def dense_text(w: ProcessMatrix) -> str:
     """Serialize as the dense JSON document, ending with a newline."""
-    entries = [[float(z.real), float(z.imag)] for z in w.matrix.ravel()]
     document = {
         "dimension": 16,
         "layout": list(LABELS),
         "tag": w.tag,
-        "entries": entries,
+        "entries": w.matrix.view(float).reshape(256, 2).tolist(),
     }
     return json.dumps(document, indent=None, separators=(",", ":")) + "\n"
 
@@ -43,7 +42,7 @@ def pauli_text(w: ProcessMatrix, zero_atol: float = 0.0) -> str:
     Exact zeros are always omitted; ``zero_atol`` additionally drops
     coefficients at or below it, which is useful for pruning the
     last-ulp dust that Hilbert-Schmidt coefficients of composed
-    matrices carry. A non-finite or negative ``zero_atol`` raises
+    matrices carry. A non-finite, negative or bool ``zero_atol`` raises
     ValueError.
     """
     coefficients = pauli_decompose(w.matrix, zero_atol=zero_atol)

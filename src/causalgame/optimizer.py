@@ -247,11 +247,13 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
     if not report.is_valid:
         raise ValueError("process matrix failed validation: " + "; ".join(report.failures))
     # corr3[i, k, l] weighs Alice's input axis against Bob's decode and
-    # encode axes (the message-to-Alice channel); pair2[j, k] Alice's
-    # encode axis against Bob's relay axis (the message-to-Bob channel).
-    axes = (1, 2, 3)
-    corr3 = np.array([[[coefficients.get((i, 0, k, l), 0.0) for l in axes] for k in axes] for i in axes])
-    pair2 = np.array([[coefficients.get((0, j, k, 0), 0.0) for k in axes] for j in axes])
+    # encode axes (the message-to-Alice channel, words i0kl); pair2[j, k]
+    # Alice's encode axis against Bob's relay axis (the message-to-Bob
+    # channel, words 0jk0), indices running over X, Y, Z. Adding 0.0 makes
+    # a -0.0 coefficient +0.0, so a zero word scores the same whatever its sign.
+    words = coefficients.reshape(4, 4, 4, 4)
+    corr3 = words[1:, 0, 1:, 1:] + 0.0
+    pair2 = words[0, 1:, 1:, 0] + 0.0
 
     theta0 = _draw(config, lambda rng: rng.normal(size=15))
     blocks = theta0.reshape(-1, 3)

@@ -56,17 +56,20 @@ def _trace_pattern() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cols, phase, flat
 
 
-def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[int, ...], float]:
-    """Expand a Hermitian 16x16 matrix in the four-qubit Pauli basis.
+def _check_tolerance(name: str, value) -> None:
+    """Refuse a tolerance that is a bool (which would read as 0 or 1), not finite, or negative."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got the bool {value!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
-    Returns the sparse map from index tuples (0=I, 1=X, 2=Y, 3=Z per
-    qubit) to real coefficients, with coefficient(t) = Tr[M sigma(t)] / 16.
-    Entries with |c| <= ``zero_atol`` are dropped; the default keeps
-    everything nonzero at working precision. ``zero_atol`` must be finite
-    and non-negative.
+
+def _coefficients(matrix: np.ndarray) -> np.ndarray:
+    """The 256 real Pauli coefficients Tr[M sigma(t)] / 16 of a Hermitian 16x16 matrix.
+
+    Word t = (t0, t1, t2, t3) sits at flat index 64 t0 + 16 t1 + 4 t2 + t3,
+    the order of ``_WORDS``.
     """
-    if not (math.isfinite(zero_atol) and zero_atol >= 0):
-        raise ValueError(f"zero_atol must be finite and non-negative, got {zero_atol!r}")
     arr = np.asarray(matrix, dtype=complex)
     if arr.shape != (16, 16):
         raise ValueError(f"expected a 16x16 matrix, got shape {arr.shape}")
@@ -81,8 +84,22 @@ def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[in
         raise ValueError(
             f"coefficients are not real (residual {worst_imag:.3e}); input is not Hermitian"
         )
-    kept = np.flatnonzero(np.abs(coeffs.real) > zero_atol)
-    return dict(zip(map(_WORDS.__getitem__, kept.tolist()), coeffs.real[kept].tolist()))
+    return coeffs.real
+
+
+def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[int, ...], float]:
+    """Expand a Hermitian 16x16 matrix in the four-qubit Pauli basis.
+
+    Returns the sparse map from index tuples (0=I, 1=X, 2=Y, 3=Z per
+    qubit) to real coefficients, with coefficient(t) = Tr[M sigma(t)] / 16.
+    Entries with |c| <= ``zero_atol`` are dropped; the default keeps
+    everything nonzero at working precision. ``zero_atol`` must be finite
+    and non-negative, and not a bool.
+    """
+    _check_tolerance("zero_atol", zero_atol)
+    values = _coefficients(matrix)
+    kept = np.flatnonzero(np.abs(values) > zero_atol)
+    return dict(zip(map(_WORDS.__getitem__, kept.tolist()), values[kept].tolist()))
 
 
 def pauli_compose(coefficients: dict[tuple[int, ...], float]) -> np.ndarray:

@@ -13,6 +13,36 @@ from causalgame import (
     w_beta,
 )
 
+# The supports (the subsystems a Pauli word acts on) a valid bipartite qubit
+# process may carry: those of an A-before-B process and those of a
+# B-before-A one (Oreshkov, Costa and Brukner, Nat. Commun. 3, 1092 (2012);
+# Araujo et al., NJP 17, 102001 (2015)). Written out, not derived.
+VALID_SUPPORTS = frozenset(
+    map(
+        frozenset,
+        [
+            (),
+            ("A_I",),
+            ("B_I",),
+            ("A_I", "B_I"),
+            ("A_O", "B_I"),
+            ("A_I", "A_O", "B_I"),
+            ("A_I", "B_O"),
+            ("A_I", "B_I", "B_O"),
+        ],
+    )
+)
+
+
+def word_at(flat):
+    """The Pauli word (0=I, 1=X, 2=Y, 3=Z on A_I, A_O, B_I, B_O) at flat index 64 t0 + 16 t1 + 4 t2 + t3."""
+    return (flat >> 6, (flat >> 4) & 3, (flat >> 2) & 3, flat & 3)
+
+
+def support(word):
+    """The subsystems a Pauli word acts on."""
+    return frozenset(label for label, index in zip(("A_I", "A_O", "B_I", "B_O"), word) if index)
+
 
 @pytest.fixture(scope="session")
 def vertex_stack():

@@ -36,9 +36,8 @@ from causalgame import (
     witness_value,
 )
 from causalgame.cli import main as cli_main
-from causalgame.processes import ALLOWED_SUPPORTS
-from causalgame.tensor import LABELS, PAULI
-from conftest import strategy_success
+from causalgame.tensor import PAULI
+from conftest import VALID_SUPPORTS, strategy_success, support, word_at
 
 BETA_GRID = np.linspace(0.5, 0.99, 50)
 
@@ -132,11 +131,8 @@ def test_c05_validity_grid_and_forbidden_perturbations():
     base = w_beta(0.6).matrix
     rejected = 0
     for flat in range(256):
-        word = ((flat >> 6) & 3, (flat >> 4) & 3, (flat >> 2) & 3, flat & 3)
-        support = frozenset(
-            label for label, index in zip(LABELS, word) if index != 0
-        )
-        if support in ALLOWED_SUPPORTS:
+        word = word_at(flat)
+        if support(word) in VALID_SUPPORTS:
             continue
         report = validate(base + pauli_compose({word: 0.05}))
         assert not report.is_valid

@@ -67,6 +67,13 @@ def test_non_finite_or_negative_zero_atol_is_refused(zero_atol):
         pauli_text(w_ocb(), zero_atol=zero_atol)
 
 
+@pytest.mark.parametrize("zero_atol", [True, np.True_, False])
+def test_bool_zero_atol_is_refused(zero_atol):
+    # True read as 1.0 wrote only the tag line, a file parse_process refuses.
+    with pytest.raises(ValueError, match="zero_atol must be a number, got the bool"):
+        pauli_text(w_beta(0.7), zero_atol=zero_atol)
+
+
 def test_format_detection_by_leading_brace():
     w = w_ocb()
     assert parse_process(dense_text(w)).tag == "w_ocb"

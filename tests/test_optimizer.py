@@ -23,6 +23,7 @@ from causalgame import (
 )
 from causalgame import optimizer, processes, tensor
 from causalgame.optimizer import _ansatz_gradient, _ansatz_objective, _gauge_maximizer
+from causalgame.tensor import pauli_compose, pauli_decompose
 
 SRC = str(Path(optimizer.__file__).resolve().parents[1])
 CEILING = 0.25 * (2.0 + np.sqrt(2.0))
@@ -150,7 +151,8 @@ def test_set_unit_matches_linalg_norm_bit_for_bit():
 
 @pytest.mark.parametrize("process, beta", [(w_ocb(), 0.5), (w_beta(0.6), 0.6), (w_beta(0.85), 0.7)])
 def test_instruments_bound_matches_linalg_two_norms(process, beta):
-    coefficients = processes._validate(process)[1]
+    # The sparse map of the Hermitian part validate reads, looked up word by word.
+    coefficients = pauli_decompose((process.matrix + process.matrix.conj().T) / 2)
     axes = (1, 2, 3)
     corr3 = np.array([[[coefficients.get((i, 0, k, l), 0.0) for l in axes] for k in axes] for i in axes])
     pair2 = np.array([[coefficients.get((0, j, k, 0), 0.0) for k in axes] for j in axes])
@@ -227,34 +229,40 @@ def test_flat_process_scores_a_coin_flip():
     npt.assert_allclose(result.value, 0.5, atol=1e-12)
 
 
-def test_instruments_search_decomposes_the_process_once(monkeypatch):
+@pytest.mark.parametrize("word", [(0, 1, 2, 0), (0, 3, 1, 0), (1, 0, 2, 3), (2, 0, 3, 1), (3, 0, 1, 2)])
+def test_instruments_search_reads_each_correlation_word_in_its_place(word):
+    # One word 0jk0 (j != k) or i0kl (i, k, l distinct): the search reaches
+    # its bound only if it scores that word on the axes the Born rule does.
+    process = ProcessMatrix(np.eye(16) / 4 + pauli_compose({word: 0.2}))
+    result = maximize_instruments(process, 0.6, FAST)
+    npt.assert_allclose(result.value, result.upper_bound, atol=1e-12)
+    npt.assert_allclose(result.upper_bound, 0.66 if word[0] == 0 else 0.74, atol=1e-15)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """The matrices passed to ``tensor._coefficients``, which every Pauli decomposition runs."""
     calls = []
-    real = tensor.pauli_decompose
+    real = tensor._coefficients
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
     for module in (tensor, processes, optimizer):
-        if hasattr(module, "pauli_decompose"):
-            monkeypatch.setattr(module, "pauli_decompose", counted)
+        if hasattr(module, "_coefficients"):
+            monkeypatch.setattr(module, "_coefficients", counted)
+    return calls
+
+
+def test_instruments_search_decomposes_the_process_once(decompositions):
     maximize_instruments(w_ocb(), 0.5, FAST)
-    assert len(calls) == 1
+    assert len(decompositions) == 1
 
 
-def test_ansatz_search_decomposes_nothing(monkeypatch):
-    calls = []
-    real = tensor.pauli_decompose
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for module in (tensor, processes, optimizer):
-        if hasattr(module, "pauli_decompose"):
-            monkeypatch.setattr(module, "pauli_decompose", counted)
+def test_ansatz_search_decomposes_nothing(decompositions):
     result = maximize_ansatz(0.6, FAST)
-    assert calls == []
+    assert decompositions == []
     assert result.feasible
 
 

@@ -17,35 +17,31 @@ from causalgame import (
     witness_s,
     witness_value,
 )
+from causalgame.processes import ALLOWED, ONE_WAY
+from conftest import VALID_SUPPORTS, support, word_at
 
 BETA_GRID = np.linspace(0.5, 0.99, 50)
 
-# Support masks (A_I, A_O, B_I, B_O) that a valid process may carry. A word
-# on an output space must be paired with the other party's input, so no term
-# lets a party signal to its own past.
-ALLOWED_MASKS = {
-    (0, 0, 0, 0),
-    (1, 0, 0, 0),
-    (0, 0, 1, 0),
-    (1, 0, 1, 0),
-    (0, 1, 1, 0),
-    (1, 1, 1, 0),
-    (1, 0, 0, 1),
-    (1, 0, 1, 1),
-}
-
-
 def forbidden_words():
-    words = []
-    for flat in range(256):
-        word = ((flat >> 6) & 3, (flat >> 4) & 3, (flat >> 2) & 3, flat & 3)
-        if tuple(int(i != 0) for i in word) not in ALLOWED_MASKS:
-            words.append(word)
-    return words
+    return [word_at(flat) for flat in range(256) if support(word_at(flat)) not in VALID_SUPPORTS]
 
 
 def test_the_forbidden_word_count():
     assert len(forbidden_words()) == 168
+
+
+def test_the_allowed_mask_is_the_union_of_the_two_one_way_supports():
+    assert ALLOWED.tolist() == [support(word_at(flat)) in VALID_SUPPORTS for flat in range(256)]
+    assert ALLOWED.sum() == 88
+    # A one-way process leaves the second party's output alone.
+    for direction, idle in (("a_to_b", "B_O"), ("b_to_a", "A_O")):
+        supports = [support(word_at(flat)) for flat in range(256)]
+        assert ONE_WAY[direction].tolist() == [s in VALID_SUPPORTS and idle not in s for s in supports]
+        words = pauli_decompose(ordered_identity_channel_process(direction).matrix)
+        assert all(ONE_WAY[direction][64 * t0 + 16 * t1 + 4 * t2 + t3] for t0, t1, t2, t3 in words)
+    assert (ONE_WAY["a_to_b"] | ONE_WAY["b_to_a"]).tolist() == ALLOWED.tolist()
+    for mask in (ALLOWED, *ONE_WAY.values()):
+        assert mask.dtype == bool and mask.shape == (256,) and not mask.flags.writeable
 
 
 def test_w_ocb_is_the_symmetric_family_member():
@@ -153,6 +149,15 @@ def test_validate_rejects_a_non_finite_or_negative_tol(tol):
     matrix = 0.25 * (np.eye(16) + pauli_compose({(0, 3, 3, 0): 0.9, (3, 0, 1, 3): 0.9}))
     assert validate(matrix).min_eigenvalue < -0.05
     with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        validate(matrix, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [True, False, np.True_, np.False_])
+def test_validate_rejects_a_bool_tol(tol):
+    # True would read as a tolerance of 1.0 and pass this matrix.
+    matrix = 0.25 * (np.eye(16) + pauli_compose({(0, 3, 3, 0): 0.9, (3, 0, 1, 3): 0.9}))
+    assert validate(matrix, tol=1.0).is_valid
+    with pytest.raises(ValueError, match="tol must be a number, got the bool"):
         validate(matrix, tol=tol)
 
 

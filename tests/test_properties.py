@@ -39,8 +39,9 @@ from causalgame import (
 from causalgame import instruments
 from causalgame.instruments import UNIT_ATOL, X_AXIS, Z_AXIS, _check_stack, _proven
 from causalgame.oracle import _causal_max
-from causalgame.processes import ALLOWED_SUPPORTS, ValidityReport, _validate, term_label
-from causalgame.tensor import LABELS, _trace_pattern, pauli_compose, pauli_decompose
+from causalgame.processes import ValidityReport, _validate, term_label
+from causalgame.tensor import _trace_pattern, pauli_compose, pauli_decompose
+from conftest import VALID_SUPPORTS, support, word_at
 
 # Deterministic examples keep the suite reproducible run to run.
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -360,23 +361,25 @@ def test_element_function_callables_are_looked_up_not_checked(alice, bob, t, bet
         assert table.tobytes() == joint_distribution(w, *stacks).table.tobytes()
 
 
-def _reference_decompose(matrix, zero_atol=0.0):
-    """pauli_decompose as it was before the flat gather: take_along_axis and one dict entry per word."""
+def _reference_coefficients(matrix):
+    """All 256 Pauli coefficients as they were read before the flat gather: by take_along_axis."""
     arr = np.asarray(matrix, dtype=complex)
     cols, phase = _trace_pattern()[:2]
     coeffs = (np.take_along_axis(arr, cols, axis=1) * phase).sum(axis=0) / 16
     worst_imag = float(np.max(np.abs(coeffs.imag)))
     if worst_imag > 1e-12:
         raise ValueError(f"coefficients are not real (residual {worst_imag:.3e}); input is not Hermitian")
-    values = coeffs.real
-    out = {}
-    for flat in np.flatnonzero(np.abs(values) > zero_atol).tolist():
-        out[(flat >> 6, (flat >> 4) & 3, (flat >> 2) & 3, flat & 3)] = float(values[flat])
-    return out
+    return coeffs.real
+
+
+def _reference_decompose(matrix, zero_atol=0.0):
+    """pauli_decompose as one dict entry per word kept."""
+    values = _reference_coefficients(matrix)
+    return {word_at(flat): float(values[flat]) for flat in np.flatnonzero(np.abs(values) > zero_atol).tolist()}
 
 
 def _reference_validate(w, tol=None):
-    """validate as it was before one-pass checking: two residuals, two Hermitian parts, a support set per word."""
+    """validate word by word: a support set per word, judged against the literal list of valid supports."""
     psd_tol, trace_tol, support_tol = (1e-9, 1e-9, 1e-10) if tol is None else (tol, tol, tol)
     arr = w.matrix
     failures = []
@@ -390,14 +393,14 @@ def _reference_validate(w, tol=None):
     trace = float(np.trace(arr).real)
     if abs(trace - 4.0) > trace_tol:
         failures.append(f"trace {trace!r} differs from {4.0!r}")
-    coefficients = _reference_decompose(herm)
+    coefficients = _reference_coefficients(herm)
+    sparse = _reference_decompose(herm)
     forbidden = []
-    for word in sorted(coefficients):
-        value = coefficients[word]
+    for word in sorted(sparse):
+        value = sparse[word]
         if abs(value) <= support_tol:
             continue
-        support = frozenset(label for label, index in zip(LABELS, word) if index != 0)
-        if support not in ALLOWED_SUPPORTS:
+        if support(word) not in VALID_SUPPORTS:
             forbidden.append((word, value))
     if forbidden:
         failures.append("forbidden terms present: " + ", ".join(f"{term_label(t)}={c:.6g}" for t, c in forbidden))
@@ -441,10 +444,10 @@ def test_validate_and_decompose_match_their_per_word_form_bit_for_bit(terms, bas
     rng = np.random.default_rng(seed)
     matrix = matrix + skew * (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
     w = ProcessMatrix(matrix)
-    expected_report, expected_map = _reference_validate(w, tol)
+    expected_report, expected_coefficients = _reference_validate(w, tol)
     report, coefficients = _validate(w, tol)
     assert _bits(report) == _bits(expected_report)
-    assert _bits(coefficients) == _bits(expected_map)
+    assert coefficients.shape == (256,) and coefficients.tobytes() == expected_coefficients.tobytes()
     assert validate(w, tol=tol) == report
     herm = (w.matrix + w.matrix.conj().T) / 2
     for zero_atol in (0.0, 1e-10, 0.05):

@@ -97,6 +97,12 @@ def test_decompose_is_bit_identical_to_one_contraction():
         assert dense.tobytes() == np.where(reference == 0.0, 0.0, reference).tobytes()
 
 
+@pytest.mark.parametrize("zero_atol", [True, False, np.True_, np.False_])
+def test_decompose_rejects_a_bool_zero_atol(zero_atol):
+    with pytest.raises(ValueError, match="zero_atol must be a number, got the bool"):
+        pauli_decompose(np.eye(16) / 4, zero_atol=zero_atol)
+
+
 def test_decompose_rejects_non_hermitian_input():
     matrix = np.zeros((16, 16), dtype=complex)
     matrix[0, 1] = 1.0
