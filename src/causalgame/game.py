@@ -21,6 +21,15 @@ BORN_IMAG_ATOL = 1e-10
 NORMALIZATION_ATOL = 1e-9
 ENTRY_ATOL = 1e-12
 _A, _B = np.divmod(np.arange(4), 2)  # Alice's and Bob's input bits at the four input pairs
+# The winning entries of a table p[x, y, a, b, bp] at the four input pairs: at
+# bp = 0 Alice names b and Bob's answer is free, at bp = 1 Bob names a and Alice's is.
+_DECODE, _GUESS = np.s_[_B, :, _A, _B, 0], np.s_[:, _A, _A, _B, 1]
+
+
+def _pair_weights(alpha: float) -> np.ndarray:
+    """p(a) p(b) at the four input pairs, each bit 0 with probability alpha."""
+    weights = np.array([alpha, 1.0 - alpha])
+    return weights[_A] * weights[_B]
 
 
 class NumericalIntegrityError(ArithmeticError):
@@ -43,11 +52,10 @@ class GameSpec:
     @cached_property
     def functional(self) -> np.ndarray:
         """Read-only f[x, y, a, b, bp] with f . p the winning probability of table p."""
-        weights = np.array([self.alpha, 1.0 - self.alpha])
-        pair = weights[_A] * weights[_B]
+        pair = _pair_weights(self.alpha)
         f = np.zeros((2, 2, 2, 2, 2))
-        f[_B, :, _A, _B, 0] = (self.beta * pair)[:, None]  # Alice names b; Bob's answer is free
-        f[:, _A, _A, _B, 1] = (1.0 - self.beta) * pair  # Bob names a; Alice's answer is free
+        f[_DECODE] = (self.beta * pair)[:, None]
+        f[_GUESS] = (1.0 - self.beta) * pair
         f.setflags(write=False)
         return f
 
@@ -111,8 +119,10 @@ def joint_distribution(w, alice, bob) -> JointDistribution:
     dtype, shape and bytes of a live stack that ``ObservableSpec`` built
     is that instrument, however it was made (a copy, or the tabulated
     elements of the library's element functions); every other is checked
-    to be one at every setting, in one pass, before one
-    contraction of W, viewed as [A, B, A', B'] over the parties'
+    to be one at every setting, in one pass: each element finite,
+    Hermitian and positive, and each setting's elements summing to a
+    trace-preserving map, else ValueError names the first failing setting.
+    Then one contraction of W, viewed as [A, B, A', B'] over the parties'
     4-dimensional spaces, with the two stacks; an imaginary residue above
     1e-10 in any entry raises NumericalIntegrityError instead of being
     discarded.
@@ -143,10 +153,8 @@ def success_components(dist: JointDistribution, alpha: float) -> tuple[float, fl
 
     Returns (p(x=b | b_prime=0), p(y=a | b_prime=1)).
     """
-    weights = np.array([alpha, 1.0 - alpha])
-    pair = weights[_A] * weights[_B]
-    decode = dist.table[_B, :, _A, _B, 0].sum(axis=1)  # Alice names b; Bob's answer is free
-    guess = dist.table[:, _A, _A, _B, 1].sum(axis=0)  # Bob names a; Alice's answer is free
+    pair = _pair_weights(alpha)
+    decode, guess = dist.table[_DECODE].sum(axis=1), dist.table[_GUESS].sum(axis=0)
     return float((pair * decode).sum(axis=0)), float((pair * guess).sum(axis=0))
 
 

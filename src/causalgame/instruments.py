@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .tensor import PAULI
+from .tensor import PAULI, _hermitian_part, _not_hermitian
 
 CP_ATOL = 1e-9
 TP_ATOL = 1e-10
@@ -189,24 +189,27 @@ def bob_general(y, b, b_prime, spec: ObservableSpec) -> np.ndarray:
 
 
 def _check_stack(alice: np.ndarray | None, bob: np.ndarray | None) -> None:
-    """Positivity and trace preservation of Alice's (2, 2, 4, 4) and Bob's
-    (2, 2, 2, 4, 4) stacks, outcome first, in one pass over their settings;
-    a party given as None is skipped.
+    """Complete positivity and trace preservation of Alice's (2, 2, 4, 4) and
+    Bob's (2, 2, 2, 4, 4) stacks, outcome first, in one pass over their
+    settings; a party given as None is skipped.
 
-    Raises ValueError naming the first failing setting, Alice's first, with
-    its failure messages, which are built only for that setting.
+    Every element must be finite, Hermitian by the rule of
+    ``tensor._hermitian_part`` and positive; the elements of each setting
+    must sum to a trace-preserving map. Raises ValueError naming the first
+    failing setting, Alice's first, with its failure messages, which are
+    built only for that setting.
     """
     given = [(party, stack) for party, stack in (("A", alice), ("B", bob)) if stack is not None]
     elements = np.concatenate([stack.reshape(2, -1, 4, 4) for _, stack in given], axis=1)
     finite = np.isfinite(elements).all(axis=(-2, -1))
     safe = np.where(finite[..., None, None], elements, 0.0)
-    herm = (safe + np.swapaxes(safe, -1, -2).conj()) / 2
+    herm, residual, skewed = _hermitian_part(safe)
     low = np.linalg.eigvalsh(herm)[..., 0]
     # Trace out the output qubit of the summed map: in (2,2,2,2) form an
     # element is indexed [in, out, in', out'].
     reduced = np.einsum("kiojo->kij", safe.sum(axis=0).reshape(-1, 2, 2, 2, 2))
     tp = np.linalg.norm(reduced - np.eye(2), axis=(-2, -1))
-    if finite.all() and (low >= -CP_ATOL).all() and (tp <= TP_ATOL).all():
+    if finite.all() and not skewed.any() and (low >= -CP_ATOL).all() and (tp <= TP_ATOL).all():
         return
     settings = [(party, index) for party, stack in given for index in np.ndindex(stack.shape[1:-2])]
     for setting, (party, index) in enumerate(settings):
@@ -214,6 +217,8 @@ def _check_stack(alice: np.ndarray | None, bob: np.ndarray | None) -> None:
         for k in range(2):
             if not finite[k, setting]:
                 found.append(f"element {k} has non-finite entries")
+            elif skewed[k, setting]:
+                found.append(f"element {k} is {_not_hermitian(residual[k, setting])}")
             elif low[k, setting] < -CP_ATOL:
                 found.append(f"element {k} is not positive: minimum eigenvalue {low[k, setting]:.6e}")
         if not tp[setting] <= TP_ATOL:

@@ -337,12 +337,10 @@ def _ansatz_objective(theta: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _ansatz_gradient(theta: np.ndarray, alpha: float) -> np.ndarray:
-    """Exact rowwise gradient of ``_ansatz_objective``."""
-    grad = np.empty_like(theta)
-    grad[:, 0] = 0.25
-    grad[:, 1:4] = 0.25 * theta[:, 6:9]
-    grad[:, 4:6] = 0.25 * (2.0 * alpha - 1.0)
-    grad[:, 6:9] = 0.25 * theta[:, 1:4]
+    """Exact rowwise gradient of ``_ansatz_objective`` in the six coefficients (columns 0-5)."""
+    grad = np.full((theta.shape[0], 6), 0.25)
+    grad[:, 1:4] *= theta[:, 6:9]
+    grad[:, 4:6] *= 2.0 * alpha - 1.0
     return grad
 
 
@@ -354,7 +352,7 @@ def _ansatz_sweep(theta: np.ndarray, alpha: float) -> np.ndarray:
     point that maximizes their linear score given t.
     """
     _set_unit(theta[:, 6:9], theta[:, 1:4])
-    theta[:, 0:6] = _gauge_maximizer(_ansatz_gradient(theta, alpha)[:, 0:6])
+    theta[:, 0:6] = _gauge_maximizer(_ansatz_gradient(theta, alpha))
     return theta
 
 

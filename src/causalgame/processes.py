@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import HERMITICITY_ATOL, PAULI_LABELS, _WORDS, _check_tolerance, _coefficients, pauli_compose
+from .tensor import (
+    PAULI_LABELS, _WORDS, _check_tolerance, _coefficients, _hermitian_part, _not_hermitian, pauli_compose,
+)
 
 PSD_ATOL = 1e-9
 TRACE_ATOL = 1e-9
@@ -108,14 +110,8 @@ def _validate(w, tol: float | None = None) -> tuple[ValidityReport, np.ndarray]:
         psd_tol = trace_tol = support_tol = tol
     arr = _matrix_of(w)
 
-    failures: list[str] = []
-
-    residual = float(np.max(np.abs(arr - arr.conj().T)))
-    if residual > HERMITICITY_ATOL:
-        failures.append(
-            f"not Hermitian: residual {residual:.3e} exceeds {HERMITICITY_ATOL:.1e}"
-        )
-    herm = (arr + arr.conj().T) / 2  # exactly Hermitian: eigvalsh reads it as it is
+    herm, residual, skewed = _hermitian_part(arr)  # herm is exactly Hermitian: eigvalsh reads it as it is
+    failures = [_not_hermitian(residual)] if skewed else []
     if not np.isfinite(herm).all():  # W is finite, but the sum can overflow
         raise ValueError("matrix has non-finite entries")
 
@@ -126,9 +122,8 @@ def _validate(w, tol: float | None = None) -> tuple[ValidityReport, np.ndarray]:
         )
 
     trace = float(np.trace(arr).real)
-    expected = 4.0
-    if abs(trace - expected) > trace_tol:
-        failures.append(f"trace {trace!r} differs from {expected!r}")
+    if abs(trace - 4.0) > trace_tol:
+        failures.append(f"trace {trace!r} differs from {4.0!r}")
 
     coefficients = _coefficients(herm)
     # Flat index order is the sorted word order; a NaN coefficient (from a
@@ -141,7 +136,7 @@ def _validate(w, tol: float | None = None) -> tuple[ValidityReport, np.ndarray]:
 
     return ValidityReport(
         is_valid=not failures,
-        hermiticity_residual=residual,
+        hermiticity_residual=float(residual),
         min_eigenvalue=min_eigenvalue,
         trace=trace,
         forbidden_terms=tuple(forbidden),

@@ -3,7 +3,8 @@
 Everything downstream works on 16x16 complex matrices on the four qubits
 A_I, A_O, B_I, B_O, in that fixed order. This module supplies the
 Hilbert-Schmidt (Pauli) decomposition of a 16x16 matrix, and its inverse,
-used to classify process-matrix terms.
+used to classify process-matrix terms, and the one Hermiticity rule that
+process matrices, decompositions and instrument elements are held to.
 """
 
 from __future__ import annotations
@@ -64,27 +65,35 @@ def _check_tolerance(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
-def _coefficients(matrix: np.ndarray) -> np.ndarray:
-    """The 256 real Pauli coefficients Tr[M sigma(t)] / 16 of a Hermitian 16x16 matrix.
+def _hermitian_part(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Hermiticity rule of every process matrix and instrument element.
+
+    For a matrix or a stack of them, returns the Hermitian part (M + M^H) / 2,
+    the residual max |M - M^H| of each matrix, and whether that residual
+    exceeds HERMITICITY_ATOL.
+    """
+    adjoint = np.swapaxes(matrix, -1, -2).conj()
+    residual = np.abs(matrix - adjoint).max(axis=(-2, -1))
+    return (matrix + adjoint) / 2, residual, residual > HERMITICITY_ATOL
+
+
+def _not_hermitian(residual: float) -> str:
+    """The failure text of a residual that exceeds HERMITICITY_ATOL."""
+    return f"not Hermitian: residual {residual:.3e} exceeds {HERMITICITY_ATOL:.1e}"
+
+
+def _coefficients(arr: np.ndarray) -> np.ndarray:
+    """The 256 real Pauli coefficients Tr[M sigma(t)] / 16 of a Hermitian 16x16 complex array.
 
     Word t = (t0, t1, t2, t3) sits at flat index 64 t0 + 16 t1 + 4 t2 + t3,
     the order of ``_WORDS``.
     """
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.shape != (16, 16):
-        raise ValueError(f"expected a 16x16 matrix, got shape {arr.shape}")
     _, phase, flat = _trace_pattern()
     # Tr[M sigma(t)] = sum_r M[r, c] sigma(t)[c, r] over the one nonzero c
     # of each column of sigma(t). The products are exact (unit phases), so
     # only the sum over rows rounds; numpy adds the rows in order, which
     # keeps every coefficient bit-identical to one contraction over all indices.
-    coeffs = (arr.ravel().take(flat) * phase).sum(axis=0) / 16
-    worst_imag = float(np.max(np.abs(coeffs.imag)))
-    if worst_imag > HERMITICITY_ATOL:
-        raise ValueError(
-            f"coefficients are not real (residual {worst_imag:.3e}); input is not Hermitian"
-        )
-    return coeffs.real
+    return ((arr.ravel().take(flat) * phase).sum(axis=0) / 16).real
 
 
 def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[int, ...], float]:
@@ -94,10 +103,17 @@ def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[in
     qubit) to real coefficients, with coefficient(t) = Tr[M sigma(t)] / 16.
     Entries with |c| <= ``zero_atol`` are dropped; the default keeps
     everything nonzero at working precision. ``zero_atol`` must be finite
-    and non-negative, and not a bool.
+    and non-negative, and not a bool. A matrix that fails the Hermiticity
+    rule of ``_hermitian_part`` raises ValueError.
     """
     _check_tolerance("zero_atol", zero_atol)
-    values = _coefficients(matrix)
+    arr = np.asarray(matrix, dtype=complex)
+    if arr.shape != (16, 16):
+        raise ValueError(f"expected a 16x16 matrix, got shape {arr.shape}")
+    _, residual, skewed = _hermitian_part(arr)
+    if skewed:
+        raise ValueError(f"input is {_not_hermitian(residual)}")
+    values = _coefficients(arr)
     kept = np.flatnonzero(np.abs(values) > zero_atol)
     return dict(zip(map(_WORDS.__getitem__, kept.tolist()), values[kept].tolist()))
 

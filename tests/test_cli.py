@@ -3,9 +3,10 @@ import re
 from pathlib import Path
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
-from causalgame import dense_text, pauli_text, w_beta, w_ocb
+from causalgame import ProcessMatrix, dense_text, pauli_text, read_process, w_beta, w_ocb
 from causalgame.cli import main
 
 
@@ -48,6 +49,25 @@ def test_round_trip_preserves_an_invalid_verdict(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", str(copy))
     assert code == 1
     assert "IZII" in out
+
+
+def test_a_large_hermitian_file_is_invalid_and_decomposes(capsys, tmp_path):
+    # Exactly Hermitian, with entries near 1e6 whose Pauli coefficient sums
+    # round to imaginary parts near 1e-10: a verdict (exit 1), not a usage error.
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    matrix = (a + a.conj().T) / 2 * 1e6
+    path, written = tmp_path / "large.json", tmp_path / "large.txt"
+    path.write_text(dense_text(ProcessMatrix(matrix)))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0] == "INVALID"
+    assert lines[1].startswith("  not positive semidefinite: minimum eigenvalue ")
+    assert lines[2].startswith("  trace ")
+    code, _, err = run(capsys, "decompose", "--process", str(path), "--form", "pauli", "--out", str(written))
+    assert (code, err) == (0, "")
+    npt.assert_allclose(read_process(written).matrix, matrix, rtol=0, atol=1e-6)
 
 
 def test_validate_json_payload(capsys):
@@ -394,7 +414,7 @@ def test_non_finite_t_vector_is_a_usage_error(capsys):
     assert "unit vector" in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-0.001"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.001", "abc"])
 def test_non_finite_or_negative_tol_is_a_usage_error(capsys, tmp_path, tol):
     # Trace 4.8 and eigenvalue -0.6: invalid at any meaningful tolerance.
     path = tmp_path / "bad.txt"

@@ -17,6 +17,7 @@ from causalgame import (
     w_beta,
     w_ocb,
 )
+from causalgame.formats import _parse_dense
 
 
 def test_dense_round_trip_is_exact():
@@ -99,6 +100,19 @@ def test_empty_input_is_rejected():
         parse_process("# tag: nothing\n# just comments\n")
 
 
+def test_dense_parser_refuses_a_document_that_is_not_an_object():
+    # parse_process sends only text starting with '{' here, which JSON reads as an object.
+    with pytest.raises(ValueError, match="^dense process file must be a JSON object$"):
+        _parse_dense("[1, 2]")
+
+
+def test_pauli_parse_skips_blank_lines_and_still_counts_them():
+    spaced = parse_process("\nIIII 0.25\n\n   \nIZZI 0.1\n\n")
+    assert spaced.matrix.tobytes() == parse_process("IIII 0.25\nIZZI 0.1\n").matrix.tobytes()
+    with pytest.raises(ValueError, match="^line 3: "):
+        parse_process("IIII 0.25\n\nIZZI\n")
+
+
 def test_pauli_parse_errors_carry_line_numbers():
     with pytest.raises(ValueError, match="line 2"):
         parse_process("IIII 0.25\nIZZI\n")
@@ -145,6 +159,7 @@ def test_dense_parse_errors():
         ("entries", 5, "entries must be a list, got 5"),
         ("entries", [[[0.25, 0.0]]] * 256, r"entry 0 is not a \[real, imag\] pair"),
         ("entries", [[[0.25], [0.0]]] * 256, r"entry 0 is not a \[real, imag\] pair"),
+        ("tag", 5, "tag must be a string, got 5"),
     ],
 )
 def test_dense_parse_refuses_malformed_documents(key, value, message):

@@ -197,6 +197,12 @@ def test_bound_formulas():
         npt.assert_allclose(analytic_max_dbit(beta), expected, atol=1e-15)
 
 
+@pytest.mark.parametrize("beta", [0.49, 1.0, np.nan])
+def test_analytic_max_refuses_beta_outside_its_range(beta):
+    with pytest.raises(ValueError, match=r"beta must lie in \[1/2, 1\)"):
+        analytic_max_dbit(beta)
+
+
 def test_joint_distribution_names_the_invalid_bob_setting():
     def broken(y, b, bp):
         # At (b, bp) = (1, 0) both outcomes carry the same element, so the

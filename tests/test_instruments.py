@@ -1,4 +1,5 @@
 import gc
+import re
 import warnings
 
 import numpy as np
@@ -158,6 +159,38 @@ def test_joint_distribution_catches_broken_families():
 
     with pytest.raises(ValueError, match=r"party A instrument at setting \(0,\) is invalid: .*trace"):
         joint_distribution(w_ocb(), doubled, bob_branch)
+
+
+def _alice_z_plus(term):
+    """alice_z's stack, indexed [x, a], with ``term`` added at x = 0 and taken
+    away at x = 1: the summed map, and so trace preservation, is unchanged."""
+    stack = np.array([[alice_z(x, a) for a in (0, 1)] for x in (0, 1)])
+    stack[0] += term
+    stack[1] -= term
+    return stack
+
+
+def test_joint_distribution_refuses_a_non_hermitian_instrument():
+    # i times a Hermitian term: the elements' Hermitian parts stay alice_z's.
+    stack = _alice_z_plus(0.3j * np.kron(PAULI[1], PAULI[0]))
+    skewed = "is not Hermitian: residual 6.000e-01 exceeds 1.0e-12"
+    expected = f"party A instrument at setting (0,) is invalid: element 0 {skewed}; element 1 {skewed}"
+    for alice in (stack, lambda x, a: stack[x, a]):
+        with pytest.raises(ValueError) as info:
+            joint_distribution(w_ocb(), alice, bob_branch)
+        assert str(info.value) == expected
+
+
+def test_joint_distribution_names_an_element_that_is_not_positive():
+    # 0.3 X on the input qubit: eigenvalue -0.3 where the output projector is zero.
+    stack = _alice_z_plus(0.3 * np.kron(PAULI[1], PAULI[0]))
+    with pytest.raises(ValueError) as info:
+        joint_distribution(w_ocb(), stack, bob_branch)
+    assert re.fullmatch(
+        r"party A instrument at setting \(0,\) is invalid: element 0 is not positive: minimum eigenvalue "
+        r"-3\.000000e-01; element 1 is not positive: minimum eigenvalue -3\.000000e-01",
+        str(info.value),
+    )
 
 
 @pytest.mark.parametrize(

@@ -183,7 +183,8 @@ def test_ansatz_gradient_matches_central_differences():
     theta = rng.normal(size=(20, 9))
     for alpha in (0.5, 0.8):
         numeric = _central_difference(lambda x: _ansatz_objective(x, alpha), theta)
-        npt.assert_allclose(_ansatz_gradient(theta, alpha), numeric, rtol=0, atol=1e-8)
+        # The gradient covers the six coefficients; the sweep sets the axis from them directly.
+        npt.assert_allclose(_ansatz_gradient(theta, alpha), numeric[:, 0:6], rtol=0, atol=1e-8)
 
 
 def test_instruments_search_hits_the_family_maximum():
@@ -237,6 +238,14 @@ def test_instruments_search_reads_each_correlation_word_in_its_place(word):
     result = maximize_instruments(process, 0.6, FAST)
     npt.assert_allclose(result.value, result.upper_bound, atol=1e-12)
     npt.assert_allclose(result.upper_bound, 0.66 if word[0] == 0 else 0.74, atol=1e-15)
+
+
+@pytest.mark.parametrize("search", ["instruments", "ansatz"])
+def test_a_rescore_that_misses_the_search_value_is_refused(monkeypatch, search):
+    score = optimizer.success_probability
+    monkeypatch.setattr(optimizer, "success_probability", lambda dist, spec: score(dist, spec) - 1e-6)
+    with pytest.raises(NumericalIntegrityError, match="not reproduced by the Born pipeline"):
+        maximize_instruments(w_ocb(), 0.5, FAST) if search == "instruments" else maximize_ansatz(0.5, FAST)
 
 
 @pytest.fixture

@@ -40,7 +40,7 @@ from causalgame import instruments
 from causalgame.instruments import UNIT_ATOL, X_AXIS, Z_AXIS, _check_stack, _proven
 from causalgame.oracle import _causal_max
 from causalgame.processes import ValidityReport, _validate, term_label
-from causalgame.tensor import _trace_pattern, pauli_compose, pauli_decompose
+from causalgame.tensor import _hermitian_part, _trace_pattern, pauli_compose, pauli_decompose
 from conftest import VALID_SUPPORTS, support, word_at
 
 # Deterministic examples keep the suite reproducible run to run.
@@ -126,7 +126,7 @@ def _refusal(alice, bob) -> str:
     spec=specs,
     party=st.sampled_from("AB"),
     position=st.integers(0, 2**16),
-    defect=st.sampled_from(["nan", "doubled", "shape"]),
+    defect=st.sampled_from(["nan", "doubled", "skewed", "shape"]),
 )
 def test_an_invalid_stack_is_refused_with_the_callable_forms_message(spec, party, position, defect):
     alice, bob = np.array(spec.alice_stack), np.array(spec.bob_stack)  # writeable copies
@@ -138,6 +138,9 @@ def test_an_invalid_stack_is_refused_with_the_callable_forms_message(spec, party
     elif defect == "doubled":
         stack[index] *= 2.0
         expected = "summed map is not trace preserving"
+    elif defect == "skewed":
+        stack[index] += 0.3j * np.kron(PAULI[1], PAULI[0])  # anti-Hermitian
+        expected = f"element {index[0]} is not Hermitian: residual 6.000e-01 exceeds 1.0e-12"
     elif party == "A":
         alice, expected = alice[..., :2, :2], "need 4x4 instrument elements, got stacks (2, 2, 2, 2)"
     else:
@@ -317,6 +320,7 @@ def test_every_observable_spec_stack_passes_the_instrument_check(spec):
     _check_stack(alice, bob)
     _check_stack(alice, None)
     _check_stack(None, bob)
+    assert _hermitian_part(alice)[1].max() == _hermitian_part(bob)[1].max() == 0.0  # exactly Hermitian
     assert _proven(alice) and _proven(bob)
     for stack in (alice, bob):  # no writeable array shares a proven stack's memory
         assert stack.base is None and not stack.flags.writeable
@@ -361,19 +365,32 @@ def test_element_function_callables_are_looked_up_not_checked(alice, bob, t, bet
         assert table.tobytes() == joint_distribution(w, *stacks).table.tobytes()
 
 
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), scale=st.one_of(st.floats(1e-3, 1e9), st.sampled_from([1e6, 1e9])))
+def test_validate_reports_on_every_hermitian_matrix_and_never_raises(seed, scale):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    w = ProcessMatrix((a + a.conj().T) / 2 * scale)  # exactly Hermitian at every scale
+    report = validate(w)
+    assert report.hermiticity_residual == 0.0
+    assert not any(failure.startswith("not Hermitian") for failure in report.failures)
+    assert len(pauli_decompose(w.matrix)) > 0
+
+
 def _reference_coefficients(matrix):
     """All 256 Pauli coefficients as they were read before the flat gather: by take_along_axis."""
     arr = np.asarray(matrix, dtype=complex)
     cols, phase = _trace_pattern()[:2]
     coeffs = (np.take_along_axis(arr, cols, axis=1) * phase).sum(axis=0) / 16
-    worst_imag = float(np.max(np.abs(coeffs.imag)))
-    if worst_imag > 1e-12:
-        raise ValueError(f"coefficients are not real (residual {worst_imag:.3e}); input is not Hermitian")
     return coeffs.real
 
 
 def _reference_decompose(matrix, zero_atol=0.0):
-    """pauli_decompose as one dict entry per word kept."""
+    """pauli_decompose as one dict entry per word kept, refusing a matrix by the
+    residual that validate reports: max |M - M^H| above 1e-12."""
+    residual = float(np.max(np.abs(matrix - matrix.conj().T)))
+    if residual > 1e-12:
+        raise ValueError(f"input is not Hermitian: residual {residual:.3e} exceeds {1e-12:.1e}")
     values = _reference_coefficients(matrix)
     return {word_at(flat): float(values[flat]) for flat in np.flatnonzero(np.abs(values) > zero_atol).tolist()}
 
@@ -452,8 +469,10 @@ def test_validate_and_decompose_match_their_per_word_form_bit_for_bit(terms, bas
     herm = (w.matrix + w.matrix.conj().T) / 2
     for zero_atol in (0.0, 1e-10, 0.05):
         assert _bits(pauli_decompose(herm, zero_atol)) == _bits(_reference_decompose(herm, zero_atol))
-    if skew >= 1e-6:  # the imaginary-coefficient refusal, same message
-        with pytest.raises(ValueError) as info:
-            _reference_decompose(w.matrix)
-        with pytest.raises(ValueError, match=re.escape(str(info.value))):
+    try:  # W itself, accepted or refused by the Hermiticity rule, with the same message
+        expected = _reference_decompose(w.matrix)
+    except ValueError as refusal:
+        with pytest.raises(ValueError, match=re.escape(str(refusal))):
             pauli_decompose(w.matrix)
+    else:
+        assert _bits(pauli_decompose(w.matrix)) == _bits(expected)

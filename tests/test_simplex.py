@@ -166,6 +166,16 @@ def test_a_top_priced_column_without_a_pivot_entry_is_passed_over(monkeypatch):
     assert np.flatnonzero(result.solution).tolist() == [1]
 
 
+def test_no_priced_column_with_a_pivot_entry_stops_unconverged():
+    # The only column prices at 1.8e-11, above PIVOT_TOL, yet neither of its
+    # entries clears PIVOT_TOL, so no column can enter.
+    a = np.array([[0.9e-11], [0.9e-11]])
+    result = phase_one(a, np.array([1.0, 1.0]))
+    assert not result.converged
+    assert result.iterations == 0
+    assert result.objective == 2.0
+
+
 def test_blands_rule_from_the_first_pivot_reaches_the_same_verdicts(monkeypatch):
     systems = [*_random_feasible_systems(), *_random_infeasible_systems()]
     default = [phase_one(a, b) for a, b in systems]

@@ -124,3 +124,14 @@ def test_compose_rejects_malformed_words():
         pauli_compose({(0, 0, 0, 4): 1.0})
     with pytest.raises(ValueError, match=r"0\.\.3, got \(0, 5, 0, 0\)"):  # the first bad word
         pauli_compose({(0, 0, 0, 0): 1.0, (0, 5, 0, 0): 1.0, (0, 0): 1.0})
+
+
+def test_decompose_refuses_by_the_entry_residual():
+    # The skew adds at most 2e-12 / 16 to any coefficient's imaginary part,
+    # but the entrywise residual max |M - M^H| is 2e-12.
+    matrix = np.eye(16, dtype=complex) / 4
+    matrix[0, 1] = 2e-12
+    with pytest.raises(ValueError, match=r"^input is not Hermitian: residual 2\.000e-12 exceeds 1\.0e-12$"):
+        pauli_decompose(matrix)
+    matrix[1, 0] = 2e-12
+    assert pauli_decompose(matrix)[(0, 0, 0, 1)] == 0.25e-12
