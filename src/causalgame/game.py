@@ -10,6 +10,7 @@ of a process matrix with the two parties' 4x4 Choi matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -122,10 +123,14 @@ def joint_distribution(w, alice, bob) -> JointDistribution:
     to be one at every setting, in one pass: each element finite,
     Hermitian and positive, and each setting's elements summing to a
     trace-preserving map, else ValueError names the first failing setting.
-    Then one contraction of W, viewed as [A, B, A', B'] over the parties'
-    4-dimensional spaces, with the two stacks; an imaginary residue above
-    1e-10 in any entry raises NumericalIntegrityError instead of being
-    discarded.
+    Then two contractions of W, viewed as [A, B, A', B'] over the parties'
+    4-dimensional spaces: Alice's stack first, summing over her two
+    indices, then Bob's. Where each of Alice's elements has one nonzero
+    entry (``alice_z``) every sum over her indices has one nonzero term,
+    so the table has the bits of one contraction over all four indices;
+    on a general stack it differs from that by rounding only. An
+    imaginary residue above 1e-10 in any entry raises
+    NumericalIntegrityError instead of being discarded.
     """
     from .instruments import _X_BRANCH, _Z_STRATEGY, _check_stack, _proven, alice_z, bob_branch
 
@@ -144,7 +149,8 @@ def joint_distribution(w, alice, bob) -> JointDistribution:
     unproven_alice, unproven_bob = (None if _proven(s) else s for s in (alice, bob))
     if unproven_alice is not None or unproven_bob is not None:
         _check_stack(unproven_alice, unproven_bob)
-    table = np.einsum("pqrs,xarp,ybcsq->xyabc", w_arr.reshape(4, 4, 4, 4), alice, bob)
+    halves = np.einsum("xarp,pqrs->xaqs", alice, w_arr.reshape(4, 4, 4, 4))
+    table = np.einsum("xaqs,ybcsq->xyabc", halves, bob)
     return JointDistribution(_real(table))
 
 
@@ -173,4 +179,4 @@ def analytic_max_dbit(beta: float) -> float:
     """Largest winning probability of the w_beta family at alpha = 1/2."""
     if not 0.5 <= beta < 1.0:
         raise ValueError(f"beta must lie in [1/2, 1), got {beta}")
-    return 0.5 * (1.0 + np.sqrt(1.0 - 2.0 * beta + 2.0 * beta * beta))
+    return 0.5 * (1.0 + math.sqrt(1.0 - 2.0 * beta + 2.0 * beta * beta))

@@ -141,6 +141,8 @@ class ObservableSpec:
 
 # alice_z and bob_branch at its default axis; their stacks are built on first use.
 _Z_STRATEGY, _X_BRANCH = ObservableSpec(Z_AXIS, Z_AXIS), ObservableSpec(X_AXIS, Z_AXIS)
+# The state bob_branch writes in its decode branch, indexed [y, b]: P(b xor y, z).
+_Z_WRITTEN = _projectors(Z_AXIS)[np.bitwise_xor.outer(range(2), range(2))]
 
 
 def alice_z(x, a) -> np.ndarray:
@@ -175,7 +177,12 @@ def _branch_stack(t) -> np.ndarray:
 
 @lru_cache(maxsize=4)  # one table asks for one axis eight times
 def _axis_branch(axis: bytes) -> np.ndarray:
-    return ObservableSpec(_unit3(np.frombuffer(axis), "t"), Z_AXIS).bob_stack
+    """ObservableSpec(t, Z_AXIS).bob_stack, built from the default branch's stack:
+    only its b_prime = 0 block, P(y, t) (x) P(b xor y, z), reads t, and only its
+    first factor moves with t; each entry is the same one product."""
+    stack = _X_BRANCH.bob_stack.copy()
+    stack[:, :, 0] = _pairs(_projectors(_unit3(np.frombuffer(axis), "t"))[:, None], _Z_WRITTEN)
+    return _prove(stack)
 
 
 def alice_general(x, a, spec: ObservableSpec) -> np.ndarray:

@@ -103,13 +103,16 @@ def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[in
     qubit) to real coefficients, with coefficient(t) = Tr[M sigma(t)] / 16.
     Entries with |c| <= ``zero_atol`` are dropped; the default keeps
     everything nonzero at working precision. ``zero_atol`` must be finite
-    and non-negative, and not a bool. A matrix that fails the Hermiticity
-    rule of ``_hermitian_part`` raises ValueError.
+    and non-negative, and not a bool. A matrix with a non-finite entry, or
+    one that fails the Hermiticity rule of ``_hermitian_part``, raises
+    ValueError.
     """
     _check_tolerance("zero_atol", zero_atol)
     arr = np.asarray(matrix, dtype=complex)
     if arr.shape != (16, 16):
         raise ValueError(f"expected a 16x16 matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
     _, residual, skewed = _hermitian_part(arr)
     if skewed:
         raise ValueError(f"input is {_not_hermitian(residual)}")

@@ -197,6 +197,16 @@ def test_bound_formulas():
         npt.assert_allclose(analytic_max_dbit(beta), expected, atol=1e-15)
 
 
+def test_closed_forms_are_python_floats_with_the_bits_of_numpys_square_root():
+    dist = joint_distribution(w_beta(0.7), alice_z, bob_branch)
+    for beta in np.linspace(0.5, 0.99, 50):
+        value = analytic_max_dbit(beta)
+        assert type(value) is float
+        assert value.hex() == float(0.5 * (1.0 + np.sqrt(1.0 - 2.0 * beta + 2.0 * beta * beta))).hex()
+        spec = GameSpec(0.5, float(beta))
+        assert type(causal_bound(spec)) is type(success_probability(dist, spec)) is float
+
+
 @pytest.mark.parametrize("beta", [0.49, 1.0, np.nan])
 def test_analytic_max_refuses_beta_outside_its_range(beta):
     with pytest.raises(ValueError, match=r"beta must lie in \[1/2, 1\)"):

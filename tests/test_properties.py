@@ -1,4 +1,5 @@
-"""Property tests of the instrument product form and its stacks, of Born-table normalization,
+"""Property tests of the instrument product form and its stacks, of the Born table's
+contraction order and normalization,
 of the one finiteness check every process entry point shares, of exact file
 round trips, of causal-polytope membership and of the polytope's maximum."""
 
@@ -31,6 +32,7 @@ from causalgame import (
     parse_process,
     pauli_text,
     validate,
+    w_ansatz,
     w_beta,
     w_ocb,
     witness_s,
@@ -107,6 +109,30 @@ def test_every_element_is_a_writeable_copy_of_its_stack_entry(spec, t):
     assert spec.alice_stack is spec.alice_stack and spec.bob_stack is spec.bob_stack
 
 
+# Every unit coordinate axis with each sign on each of its zeros.
+signed_zero_axes = st.sampled_from(
+    [
+        np.array(v)
+        for k in range(3)
+        for one in (1.0, -1.0)
+        for zeros in ((0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0))
+        for v in [list(zeros[:k]) + [one] + list(zeros[k:])]
+    ]
+)
+
+
+@PROPERTY
+@given(t=st.one_of(unit_axes, signed_zero_axes), scale=st.sampled_from([0.0, 0.5, 1.0 + 1e-9, 2.0]))
+def test_a_decode_axis_branch_has_the_bytes_of_its_observable_spec_stack(t, scale):
+    expected = ObservableSpec(t, Z_AXIS).bob_stack
+    stack = instruments._branch_stack(t)
+    assert stack.dtype == expected.dtype and stack.shape == expected.shape == (2, 2, 2, 4, 4)
+    assert stack.tobytes() == expected.tobytes()
+    assert not stack.flags.writeable and _proven(stack)
+    with pytest.raises(ValueError, match="t must be a unit vector"):
+        instruments._branch_stack(t * scale)
+
+
 @PROPERTY
 @given(alice=specs, bob=specs, beta=st.floats(0.5, 1.0, exclude_max=True))
 def test_stacks_and_callables_give_bit_identical_tables(alice, bob, beta):
@@ -180,6 +206,36 @@ def test_causal_mixture_tables_are_normalized(alice, bob, q):
 @given(alice=specs, bob=specs, beta=st.floats(0.5, 1.0, exclude_max=True))
 def test_w_beta_tables_are_normalized(alice, bob, beta):
     _assert_normalized(w_beta(beta), alice, bob)
+
+
+def _one_contraction(w, alice, bob):
+    """The Born table by its definition: Tr[W (A (x) B)] as one contraction over all four indices."""
+    return np.einsum("pqrs,xarp,ybcsq->xyabc", w.matrix.reshape(4, 4, 4, 4), alice, bob).real
+
+
+born_processes = st.one_of(
+    st.floats(0.5, 1.0, exclude_max=True).map(w_beta),
+    st.floats(0.0, 1.0).map(
+        lambda q: causal_mixture(
+            ordered_identity_channel_process("b_to_a"), ordered_identity_channel_process("a_to_b"), q
+        )
+    ),
+    # Six coefficients with |c| summing to at most 0.9 keep W >= 0.1 / 4.
+    st.tuples(*[st.floats(-0.15, 0.15)] * 6).map(lambda c: w_ansatz(*c)),
+)
+
+
+@PROPERTY
+@given(w=born_processes, t=unit_axes, alice=specs, bob=specs)
+def test_the_born_table_is_the_one_contraction_over_all_indices(w, t, alice, bob):
+    # Each of alice_z's elements has one nonzero entry, so contracting her
+    # side first adds the same nonzero terms in the same order: same bits.
+    table = joint_distribution(w, alice_z, lambda y, b, bp: bob_branch(y, b, bp, t=t)).table
+    expected = _one_contraction(w, ObservableSpec(Z_AXIS, Z_AXIS).alice_stack, ObservableSpec(t, Z_AXIS).bob_stack)
+    assert table.tobytes() == expected.tobytes()
+    # General stacks sum in another order, which moves only the last bits.
+    table = joint_distribution(w, alice.alice_stack, bob.bob_stack).table
+    npt.assert_allclose(table, _one_contraction(w, alice.alice_stack, bob.bob_stack), rtol=0, atol=1e-15)
 
 
 @PROPERTY

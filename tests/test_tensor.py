@@ -135,3 +135,17 @@ def test_decompose_refuses_by_the_entry_residual():
         pauli_decompose(matrix)
     matrix[1, 0] = 2e-12
     assert pauli_decompose(matrix)[(0, 0, 0, 1)] == 0.25e-12
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{(0, 0): np.nan}, {(0, 1): np.inf, (1, 0): np.inf}, {(0, 1): -np.inf, (1, 0): -np.inf}],
+)
+def test_decompose_refuses_non_finite_entries(entries):
+    # A NaN residual passes no Hermiticity bound and a NaN coefficient no
+    # zero_atol, so a decomposition would drop them without a word.
+    matrix = np.eye(16, dtype=complex) / 4
+    for index, value in entries.items():
+        matrix[index] = value
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        pauli_decompose(matrix)
