@@ -68,8 +68,6 @@ def _parse_dense(text: str) -> ProcessMatrix:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed dense process file: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ValueError("dense process file must be a JSON object")
     for key in ("dimension", "layout", "entries"):
         if key not in document:
             raise ValueError(f"dense process file missing key {key!r}")

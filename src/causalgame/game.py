@@ -114,15 +114,13 @@ def joint_distribution(w, alice, bob) -> JointDistribution:
 
     ``alice`` is Alice's stack of 4x4 Choi matrices indexed [x, a] and
     ``bob`` Bob's indexed [y, b, b_prime], as ``ObservableSpec`` builds
-    them; a callable ``alice(x, a)`` or ``bob(y, b, b_prime)`` returning
-    one element is tabulated into its stack (``alice_z`` and ``bob_branch``
-    at its default axis stand for their built stacks). A stack with the
-    dtype, shape and bytes of a live stack that ``ObservableSpec`` built
-    is that instrument, however it was made (a copy, or the tabulated
-    elements of the library's element functions); every other is checked
-    to be one at every setting, in one pass: each element finite,
-    Hermitian and positive, and each setting's elements summing to a
-    trace-preserving map, else ValueError names the first failing setting.
+    them, or a callable ``alice(x, a)`` or ``bob(y, b, b_prime)`` returning
+    one element. Each operation must be an instrument at every setting:
+    each element finite, Hermitian and positive, and each setting's
+    elements summing to a trace-preserving map, else ValueError names the
+    party and its first failing setting (``instruments._stacks`` resolves
+    and checks both, Alice's first; a stack that ``ObservableSpec`` built
+    is not checked again). The process is read after the operations.
     Then two contractions of W, viewed as [A, B, A', B'] over the parties'
     4-dimensional spaces: Alice's stack first, summing over her two
     indices, then Bob's. Where each of Alice's elements has one nonzero
@@ -132,24 +130,10 @@ def joint_distribution(w, alice, bob) -> JointDistribution:
     imaginary residue above 1e-10 in any entry raises
     NumericalIntegrityError instead of being discarded.
     """
-    from .instruments import _X_BRANCH, _Z_STRATEGY, _check_stack, _proven, alice_z, bob_branch
+    from .instruments import _stacks
 
-    if alice is alice_z:
-        alice = _Z_STRATEGY.alice_stack
-    elif callable(alice):
-        alice = [[alice(x, a) for a in (0, 1)] for x in (0, 1)]
-    if bob is bob_branch:
-        bob = _X_BRANCH.bob_stack
-    elif callable(bob):
-        bob = [[[bob(y, b, bp) for bp in (0, 1)] for b in (0, 1)] for y in (0, 1)]
-    alice, bob = np.asarray(alice, dtype=complex), np.asarray(bob, dtype=complex)
-    w_arr = _matrix_of(w)
-    if alice.shape != (2, 2, 4, 4) or bob.shape != (2, 2, 2, 4, 4):
-        raise ValueError(f"need 4x4 instrument elements, got stacks {alice.shape} and {bob.shape}")
-    unproven_alice, unproven_bob = (None if _proven(s) else s for s in (alice, bob))
-    if unproven_alice is not None or unproven_bob is not None:
-        _check_stack(unproven_alice, unproven_bob)
-    halves = np.einsum("xarp,pqrs->xaqs", alice, w_arr.reshape(4, 4, 4, 4))
+    alice, bob = _stacks(alice, bob)
+    halves = np.einsum("xarp,pqrs->xaqs", alice, _matrix_of(w).reshape(4, 4, 4, 4))
     table = np.einsum("xaqs,ybcsq->xyabc", halves, bob)
     return JointDistribution(_real(table))
 

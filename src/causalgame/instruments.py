@@ -195,19 +195,44 @@ def bob_general(y, b, b_prime, spec: ObservableSpec) -> np.ndarray:
     return spec.bob_stack[_check_bit(y, "y"), _check_bit(b, "b"), _check_bit(b_prime, "b_prime")].copy()
 
 
-def _check_stack(alice: np.ndarray | None, bob: np.ndarray | None) -> None:
-    """Complete positivity and trace preservation of Alice's (2, 2, 4, 4) and
-    Bob's (2, 2, 2, 4, 4) stacks, outcome first, in one pass over their
-    settings; a party given as None is skipped.
+def _stacks(alice, bob) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's (2, 2, 4, 4) and Bob's (2, 2, 2, 4, 4) stacks of 4x4 elements, each an instrument.
+
+    A callable ``alice(x, a)`` or ``bob(y, b, b_prime)`` returning one
+    element is tabulated into its stack; ``alice_z`` and ``bob_branch`` at
+    its default axis stand for their built stacks. A stack with the dtype,
+    shape and bytes of a live ObservableSpec stack is that instrument,
+    however it was made; every other is checked by ``_check_stack``,
+    Alice's first.
+    """
+    if alice is alice_z:
+        alice = _Z_STRATEGY.alice_stack
+    elif callable(alice):
+        alice = [[alice(x, a) for a in (0, 1)] for x in (0, 1)]
+    if bob is bob_branch:
+        bob = _X_BRANCH.bob_stack
+    elif callable(bob):
+        bob = [[[bob(y, b, bp) for bp in (0, 1)] for b in (0, 1)] for y in (0, 1)]
+    alice, bob = np.asarray(alice, dtype=complex), np.asarray(bob, dtype=complex)
+    if alice.shape != (2, 2, 4, 4) or bob.shape != (2, 2, 2, 4, 4):
+        raise ValueError(f"need 4x4 instrument elements, got stacks {alice.shape} and {bob.shape}")
+    for party, stack in (("A", alice), ("B", bob)):
+        if not _proven(stack):
+            _check_stack(party, stack)
+    return alice, bob
+
+
+def _check_stack(party: str, stack: np.ndarray) -> None:
+    """Complete positivity and trace preservation of one party's stack of 4x4
+    elements, outcome first, in one pass over its settings.
 
     Every element must be finite, Hermitian by the rule of
     ``tensor._hermitian_part`` and positive; the elements of each setting
-    must sum to a trace-preserving map. Raises ValueError naming the first
-    failing setting, Alice's first, with its failure messages, which are
+    must sum to a trace-preserving map. Raises ValueError naming ``party``
+    and the first failing setting, with its failure messages, which are
     built only for that setting.
     """
-    given = [(party, stack) for party, stack in (("A", alice), ("B", bob)) if stack is not None]
-    elements = np.concatenate([stack.reshape(2, -1, 4, 4) for _, stack in given], axis=1)
+    elements = stack.reshape(2, -1, 4, 4)
     finite = np.isfinite(elements).all(axis=(-2, -1))
     safe = np.where(finite[..., None, None], elements, 0.0)
     herm, residual, skewed = _hermitian_part(safe)
@@ -218,8 +243,7 @@ def _check_stack(alice: np.ndarray | None, bob: np.ndarray | None) -> None:
     tp = np.linalg.norm(reduced - np.eye(2), axis=(-2, -1))
     if finite.all() and not skewed.any() and (low >= -CP_ATOL).all() and (tp <= TP_ATOL).all():
         return
-    settings = [(party, index) for party, stack in given for index in np.ndindex(stack.shape[1:-2])]
-    for setting, (party, index) in enumerate(settings):
+    for setting, index in enumerate(np.ndindex(stack.shape[1:-2])):
         found = []
         for k in range(2):
             if not finite[k, setting]:

@@ -31,8 +31,8 @@ from .game import (
     joint_distribution,
     success_probability,
 )
-from .instruments import _Z_STRATEGY, ObservableSpec, _branch_stack
-from .processes import PSD_ATOL, _validate, w_ansatz
+from .instruments import ObservableSpec, _branch_stack, alice_z
+from .processes import PSD_ATOL, validate, w_ansatz
 
 REEVAL_ATOL = 1e-10
 SWEEP_TOL = 1e-9
@@ -243,7 +243,7 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
     """
     config = config or OptimizerConfig()
     spec = GameSpec(0.5, beta)
-    report, coefficients = _validate(w)
+    report = validate(w)
     if not report.is_valid:
         raise ValueError("process matrix failed validation: " + "; ".join(report.failures))
     # corr3[i, k, l] weighs Alice's input axis against Bob's decode and
@@ -251,7 +251,7 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
     # Alice's encode axis against Bob's relay axis (the message-to-Bob
     # channel, words 0jk0), indices running over X, Y, Z. Adding 0.0 makes
     # a -0.0 coefficient +0.0, so a zero word scores the same whatever its sign.
-    words = coefficients.reshape(4, 4, 4, 4)
+    words = report.coefficients.reshape(4, 4, 4, 4)
     corr3 = words[1:, 0, 1:, 1:] + 0.0
     pair2 = words[0, 1:, 1:, 0] + 0.0
 
@@ -403,7 +403,7 @@ def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> Opti
     coefficients = tuple(float(v) for v in point[0:6])
     axis = point[6:9].copy()
     axis.setflags(write=False)  # value was scored at this axis
-    dist = joint_distribution(w_ansatz(*coefficients), _Z_STRATEGY.alice_stack, _branch_stack(axis))
+    dist = joint_distribution(w_ansatz(*coefficients), alice_z, _branch_stack(axis))
     value = success_probability(dist, spec)
     upper_bound = ANSATZ_CEILING
     _check_rescore(value, searched, upper_bound)

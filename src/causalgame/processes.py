@@ -8,7 +8,7 @@ terms, and the witness operator that certifies causal nonseparability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,7 +65,11 @@ class ProcessMatrix:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Outcome of the process-matrix checks, one failure string per violation."""
+    """Outcome of the process-matrix checks, one failure string per violation.
+
+    ``coefficients`` holds the 256 Pauli coefficients of W's Hermitian part
+    that the support check read, read-only, by flat word index.
+    """
 
     is_valid: bool
     hermiticity_residual: float
@@ -73,6 +77,7 @@ class ValidityReport:
     trace: float
     forbidden_terms: tuple[tuple[tuple[int, ...], float], ...] = ()
     failures: tuple[str, ...] = ()
+    coefficients: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _matrix_of(w) -> np.ndarray:
@@ -98,11 +103,6 @@ def validate(w, *, tol: float | None = None) -> ValidityReport:
     ``tol`` replaces the PSD, trace and support tolerances at once; it
     must be finite and non-negative, and not a bool.
     """
-    return _validate(w, tol)[0]
-
-
-def _validate(w, tol: float | None = None) -> tuple[ValidityReport, np.ndarray]:
-    """``validate`` plus the 256 Pauli coefficients of W's Hermitian part it read, by flat index."""
     if tol is None:
         psd_tol, trace_tol, support_tol = PSD_ATOL, TRACE_ATOL, SUPPORT_ATOL
     else:
@@ -126,6 +126,7 @@ def _validate(w, tol: float | None = None) -> tuple[ValidityReport, np.ndarray]:
         failures.append(f"trace {trace!r} differs from {4.0!r}")
 
     coefficients = _coefficients(herm)
+    coefficients.setflags(write=False)
     # Flat index order is the sorted word order; a NaN coefficient (from a
     # row sum that overflows) is not named.
     flat = np.flatnonzero(~ALLOWED & (np.abs(coefficients) > support_tol)).tolist()
@@ -141,7 +142,8 @@ def _validate(w, tol: float | None = None) -> tuple[ValidityReport, np.ndarray]:
         trace=trace,
         forbidden_terms=tuple(forbidden),
         failures=tuple(failures),
-    ), coefficients
+        coefficients=coefficients,
+    )
 
 
 def w_beta_weights(beta: float) -> tuple[float, float]:

@@ -17,7 +17,6 @@ from causalgame import (
     w_beta,
     w_ocb,
 )
-from causalgame.formats import _parse_dense
 
 
 def test_dense_round_trip_is_exact():
@@ -98,12 +97,6 @@ def test_empty_input_is_rejected():
         parse_process("")
     with pytest.raises(ValueError, match="no Pauli terms"):
         parse_process("# tag: nothing\n# just comments\n")
-
-
-def test_dense_parser_refuses_a_document_that_is_not_an_object():
-    # parse_process sends only text starting with '{' here, which JSON reads as an object.
-    with pytest.raises(ValueError, match="^dense process file must be a JSON object$"):
-        _parse_dense("[1, 2]")
 
 
 def test_pauli_parse_skips_blank_lines_and_still_counts_them():

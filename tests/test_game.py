@@ -236,9 +236,9 @@ def check_calls(monkeypatch):
     calls = []
     real = instruments._check_stack
 
-    def counted(alice, bob):
-        calls.append((alice, bob))
-        return real(alice, bob)
+    def counted(party, stack):
+        calls.append((party, stack))
+        return real(party, stack)
 
     monkeypatch.setattr(instruments, "_check_stack", counted)
     return calls
@@ -293,8 +293,8 @@ def test_every_other_operation_is_checked_once(check_calls):
     # Only the party that is not a built stack is checked.
     check_calls.clear()
     joint_distribution(w, alice_z, _mutated)
-    [(alice, bob)] = check_calls
-    assert alice is None and bob.shape == (2, 2, 2, 4, 4)
+    [(party, stack)] = check_calls
+    assert party == "B" and stack.shape == (2, 2, 2, 4, 4)
 
 
 def test_a_mixed_operation_that_is_not_trace_preserving_is_refused():

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -41,7 +41,7 @@ from causalgame import (
 from causalgame import instruments
 from causalgame.instruments import UNIT_ATOL, X_AXIS, Z_AXIS, _check_stack, _proven
 from causalgame.oracle import _causal_max
-from causalgame.processes import ValidityReport, _validate, term_label
+from causalgame.processes import ValidityReport, term_label
 from causalgame.tensor import _hermitian_part, _trace_pattern, pauli_compose, pauli_decompose
 from conftest import VALID_SUPPORTS, support, word_at
 
@@ -316,6 +316,39 @@ def test_causal_mixture_tables_are_causal_and_their_weights_reproduce_them(
     npt.assert_allclose(vertex_stack @ decision.weights, table.reshape(32), rtol=0, atol=1e-9)
 
 
+def _with_first_input(direction, state):
+    """The ordered process of ``direction`` with the first party's input in the state
+    (I + state . sigma) / 2 in place of I / 2: each word gains the state's terms there."""
+    slot = 0 if direction == "a_to_b" else 2  # A_I or B_I
+    terms = pauli_decompose(ordered_identity_channel_process(direction).matrix)
+    for word, value in list(terms.items()):
+        for pauli, r in enumerate(state, start=1):
+            terms[word[:slot] + (pauli,) + word[slot + 1:]] = value * r
+    return ProcessMatrix(pauli_compose(terms))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1 defect A")
+@settings(derandomize=True, max_examples=15, deadline=None)  # one LP per example
+@given(
+    direction=st.sampled_from(["a_to_b", "b_to_a"]),
+    state=st.builds(lambda axis, purity: axis * purity, unit_axes, st.one_of(st.just(1.0), st.floats(0.0, 1.0))),
+    alice=specs,
+    bob=specs,
+)
+# Bob is first, with input |0><0|: read along z at b' = 0 and along x at b' = 1, his
+# answer y depends on b', which the shipped map's Bob-first leader cannot follow.
+@example(
+    direction="b_to_a",
+    state=Z_AXIS,
+    alice=ObservableSpec(Z_AXIS, Z_AXIS),
+    bob=ObservableSpec(measure=Z_AXIS, encode=Z_AXIS, relay=X_AXIS),
+)
+def test_ordered_processes_with_a_first_party_input_state_give_causal_tables(direction, state, alice, bob):
+    w = _with_first_input(direction, state)
+    assert validate(w).is_valid
+    assert is_causal(joint_distribution(w, alice.alice_stack, bob.bob_stack)).is_causal
+
+
 @PROPERTY
 @given(beta=st.floats(0.5, 0.95), axis=unit_axes, noise=st.floats(0.0, 0.5))
 def test_every_verdict_carries_evidence_against_the_vertices(beta, axis, noise, vertex_stack):
@@ -373,9 +406,8 @@ edge_specs = st.builds(ObservableSpec, measure=edge_axes, encode=edge_axes, rela
 def test_every_observable_spec_stack_passes_the_instrument_check(spec):
     # Skipping _check_stack for these stacks is safe only because this holds.
     alice, bob = spec.alice_stack, spec.bob_stack
-    _check_stack(alice, bob)
-    _check_stack(alice, None)
-    _check_stack(None, bob)
+    _check_stack("A", alice)
+    _check_stack("B", bob)
     assert _hermitian_part(alice)[1].max() == _hermitian_part(bob)[1].max() == 0.0  # exactly Hermitian
     assert _proven(alice) and _proven(bob)
     for stack in (alice, bob):  # no writeable array shares a proven stack's memory
@@ -477,14 +509,16 @@ def _reference_validate(w, tol=None):
             forbidden.append((word, value))
     if forbidden:
         failures.append("forbidden terms present: " + ", ".join(f"{term_label(t)}={c:.6g}" for t, c in forbidden))
-    report = ValidityReport(not failures, residual, min_eigenvalue, trace, tuple(forbidden), tuple(failures))
-    return report, coefficients
+    return ValidityReport(not failures, residual, min_eigenvalue, trace, tuple(forbidden), tuple(failures), coefficients)
 
 
 def _bits(value):
-    """``value`` with every float spelled by its exact bits, so == compares signs of zero and NaNs too."""
+    """``value`` with every float spelled by its exact bits, so == compares signs of zero and NaNs too;
+    an array by its dtype, shape and bytes."""
     if isinstance(value, float):
         return value.hex()
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
     if isinstance(value, (tuple, list)):
         return tuple(_bits(v) for v in value)
     if isinstance(value, dict):
@@ -517,11 +551,9 @@ def test_validate_and_decompose_match_their_per_word_form_bit_for_bit(terms, bas
     rng = np.random.default_rng(seed)
     matrix = matrix + skew * (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
     w = ProcessMatrix(matrix)
-    expected_report, expected_coefficients = _reference_validate(w, tol)
-    report, coefficients = _validate(w, tol)
-    assert _bits(report) == _bits(expected_report)
-    assert coefficients.shape == (256,) and coefficients.tobytes() == expected_coefficients.tobytes()
-    assert validate(w, tol=tol) == report
+    report = validate(w, tol=tol)
+    assert _bits(report) == _bits(_reference_validate(w, tol))  # the coefficients' bytes too
+    assert report.coefficients.shape == (256,) and not report.coefficients.flags.writeable
     herm = (w.matrix + w.matrix.conj().T) / 2
     for zero_atol in (0.0, 1e-10, 0.05):
         assert _bits(pauli_decompose(herm, zero_atol)) == _bits(_reference_decompose(herm, zero_atol))
