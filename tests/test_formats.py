@@ -99,6 +99,25 @@ def test_empty_input_is_rejected():
         parse_process("# tag: nothing\n# just comments\n")
 
 
+def test_dense_parser_refuses_a_document_that_is_not_an_object(tmp_path):
+    # Only text starting with '{' goes to the dense reader, which JSON reads as an
+    # object or refuses; any other JSON document falls to the Pauli reader and fails there.
+    with pytest.raises(ValueError, match="^malformed dense process file: "):
+        parse_process('{"dimension": 16] ')
+    for text, message in [
+        ("[1, 2]", "^line 1: Pauli word must be 4 characters over IXYZ, got '\\[1,'$"),
+        ("5", "^line 1: expected 'WORD coefficient', got '5'$"),
+        ("null", "^line 1: expected 'WORD coefficient', got 'null'$"),
+        ('"x"', "^line 1: expected 'WORD coefficient', got '\"x\"'$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            parse_process(text)
+        path = tmp_path / "process.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            read_process(path)
+
+
 def test_pauli_parse_skips_blank_lines_and_still_counts_them():
     spaced = parse_process("\nIIII 0.25\n\n   \nIZZI 0.1\n\n")
     assert spaced.matrix.tobytes() == parse_process("IIII 0.25\nIZZI 0.1\n").matrix.tobytes()
