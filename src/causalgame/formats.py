@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
 from .processes import ProcessMatrix, term_label
-from .tensor import LABELS, PAULI_LABELS, pauli_compose, pauli_decompose
+from .tensor import _WORDS, LABELS, PAULI_LABELS, pauli_compose, pauli_decompose
 
-_WORD_INDEX = {letter: index for index, letter in enumerate(PAULI_LABELS)}
+_WORD_OF = {term_label(word): word for word in _WORDS}  # "IZZI" -> (0, 3, 3, 0), for all 256 words
 
 
 def dense_text(w: ProcessMatrix) -> str:
@@ -82,14 +83,18 @@ def _parse_dense(text: str) -> ProcessMatrix:
         raise ValueError(f"entries must be a list, got {entries!r}")
     if len(entries) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
-    try:  # numbers and numeric strings, as float() reads them
-        parts = np.array(entries, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        parts = None
+    parts = None
+    # Only lists of two can all be pairs; then their parts, in order, are the
+    # flat run of numbers, and numeric strings count, as float() reads them.
+    if {*map(type, entries)} == {list} and {*map(len, entries)} == {2}:
+        try:
+            parts = np.fromiter(chain.from_iterable(entries), float, 2 * dim * dim).reshape(dim * dim, 2)
+        except (TypeError, ValueError, OverflowError):
+            pass
     # numpy reads null as NaN and a boolean as 0 or 1 (looked for only where
-    # the text spells one); a pair nested deeper or split gives another shape
+    # the text spells one)
     boolean = "true" in text or "false" in text
-    if parts is None or parts.shape != (dim * dim, 2) or np.isnan(parts).any() or boolean:
+    if parts is None or np.isnan(parts).any() or boolean:
         for pos, pair in enumerate(entries):
             if not _is_pair(pair):
                 raise ValueError(f"entry {pos} is not a [real, imag] pair: {json.dumps(pair)}")
@@ -117,11 +122,11 @@ def _parse_pauli(text: str) -> ProcessMatrix:
         if len(parts) != 2:
             raise ValueError(f"line {number}: expected 'WORD coefficient', got {raw!r}")
         label, value = parts
-        if len(label) != 4 or any(ch not in _WORD_INDEX for ch in label):
+        word = _WORD_OF.get(label)
+        if word is None:
             raise ValueError(
                 f"line {number}: Pauli word must be 4 characters over {PAULI_LABELS}, got {label!r}"
             )
-        word = tuple(_WORD_INDEX[ch] for ch in label)
         if word in coefficients:
             raise ValueError(f"line {number}: duplicate Pauli word {label}")
         try:

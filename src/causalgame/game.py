@@ -25,6 +25,9 @@ _A, _B = np.divmod(np.arange(4), 2)  # Alice's and Bob's input bits at the four 
 # The winning entries of a table p[x, y, a, b, bp] at the four input pairs: at
 # bp = 0 Alice names b and Bob's answer is free, at bp = 1 Bob names a and Alice's is.
 _DECODE, _GUESS = np.s_[_B, :, _A, _B, 0], np.s_[:, _A, _A, _B, 1]
+# The same entries as flat indices into the table, one pair per input pair.
+_FLAT = np.arange(32).reshape(2, 2, 2, 2, 2)
+_WINNING = tuple(zip(_A.tolist(), _B.tolist(), _FLAT[_DECODE].tolist(), _FLAT[_GUESS].T.tolist()))
 
 
 def _pair_weights(alpha: float) -> np.ndarray:
@@ -80,12 +83,11 @@ class JointDistribution:
         arr = np.array(arr, dtype=float)
         if arr.shape != (2, 2, 2, 2, 2):
             raise ValueError(f"table must have shape (2,2,2,2,2), got {arr.shape}")
-        if not np.isfinite(arr).all():
+        low, high = arr.min(), arr.max()  # NaN if any entry is, infinite if an extreme one is
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise ValueError("table entries must be finite")
-        if arr.min() < -ENTRY_ATOL or arr.max() > 1.0 + ENTRY_ATOL:
-            raise ValueError(
-                f"entries outside [0, 1]: min {arr.min()!r}, max {arr.max()!r}"
-            )
+        if low < -ENTRY_ATOL or high > 1.0 + ENTRY_ATOL:
+            raise ValueError(f"entries outside [0, 1]: min {low!r}, max {high!r}")
         sums = arr.sum(axis=(0, 1))
         worst = float(np.abs(sums - 1.0).max())
         if worst > NORMALIZATION_ATOL:
@@ -141,11 +143,20 @@ def joint_distribution(w, alice, bob) -> JointDistribution:
 def success_components(dist: JointDistribution, alpha: float) -> tuple[float, float]:
     """The two winning probabilities, averaged over alpha-biased inputs.
 
-    Returns (p(x=b | b_prime=0), p(y=a | b_prime=1)).
+    Returns (p(x=b | b_prime=0), p(y=a | b_prime=1)). Both are summed on
+    Python floats in the order numpy sums the same arrays: the two winning
+    entries of each input pair first, then p(a) p(b) times that pair sum,
+    added from 0.0 over (a, b) = (0, 0), (0, 1), (1, 0), (1, 1). So each
+    has the bits of the array reduction over ``_DECODE`` or ``_GUESS``.
     """
-    pair = _pair_weights(alpha)
-    decode, guess = dist.table[_DECODE].sum(axis=1), dist.table[_GUESS].sum(axis=0)
-    return float((pair * decode).sum(axis=0)), float((pair * guess).sum(axis=0))
+    weights = alpha, 1.0 - alpha
+    entries = dist.table.ravel().tolist()
+    decode = guess = 0.0
+    for a, b, (d0, d1), (g0, g1) in _WINNING:
+        pair = float(weights[a] * weights[b])
+        decode += pair * (entries[d0] + entries[d1])
+        guess += pair * (entries[g0] + entries[g1])
+    return decode, guess
 
 
 def success_probability(dist: JointDistribution, spec: GameSpec) -> float:

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .tensor import PAULI, _hermitian_part, _not_hermitian
+from .tensor import _hermitian_part, _not_hermitian
 
 CP_ATOL = 1e-9
 TP_ATOL = 1e-10
@@ -55,10 +55,24 @@ def _unit3(vec, name: str, allow_zero: bool = False) -> np.ndarray:
 
 
 def _projectors(axes: np.ndarray) -> np.ndarray:
-    """(I + (-1)^bit axis . sigma)/2 for one axis (3,) or a row of axes (n, 3),
-    indexed [..., bit, i, j]: the two projectors of a unit axis, I/2 twice for zero."""
-    x, y, z = axes.T[..., None, None, None]
-    return (_EYE + _SIGNS * (x * PAULI[1] + y * PAULI[2] + z * PAULI[3])) / 2
+    """(I + (-1)^bit axis . sigma)/2 for one float axis (3,) or a row of them (n, 3),
+    indexed [..., bit, i, j]: the two projectors of a unit axis, I/2 twice for zero.
+
+    Written out entry by entry on Python floats, with the bits of the
+    broadcast complex expression (I + s (x X + y Y + z Z)) / 2 for s = +-1,
+    the sign of each zero included. Each Pauli entry is 0, +-1 or +-1j, so
+    every product in that expression is exact and its entries are
+    (1 + s z) / 2 and (1 - s z) / 2 on the diagonal and s (x -+ i y) / 2 off
+    it; adding the entries of I (1 and 0, each with imaginary part +0.0)
+    before halving turns every zero part into +0.0. Hence 0.0 + x, never x
+    alone: that shorter form gives some zeros the other sign.
+    """
+    parts = []  # the real and imaginary part of each entry, in [bit, i, j] order
+    for x, y, z in axes.reshape(-1, 3).tolist():
+        up, down = (1.0 + z) / 2, (1.0 - z) / 2
+        px, py, mx, my = (0.0 + x) / 2, (0.0 + y) / 2, (0.0 - x) / 2, (0.0 - y) / 2
+        parts += [up, 0.0, px, my, px, py, down, 0.0, down, 0.0, mx, py, mx, my, up, 0.0]
+    return np.array(parts).view(complex).reshape(*axes.shape[:-1], 2, 2, 2)
 
 
 def _pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -89,7 +103,6 @@ def _proven(stack) -> bool:
     return built is not None and built.shape == stack.shape
 
 
-_EYE, _SIGNS = np.eye(2), np.array([1.0, -1.0])[:, None, None]  # I and (-1)^bit
 # Bob's factors, indexed [y, b, b_prime], as 2 * axis + bit into the projectors of
 # (measure, relay, encode, 0): y read along measure or relay, b xor y or I/2 written.
 _BOB_READ = np.array([[[0, 2], [0, 2]], [[1, 3], [1, 3]]])

@@ -33,7 +33,8 @@ ONE_WAY = {
     "b_to_a": ~_ON_A_O & (_ON_A_I | ~_ON_B_O),
 }
 ALLOWED = ONE_WAY["a_to_b"] | ONE_WAY["b_to_a"]
-for _mask in (*ONE_WAY.values(), ALLOWED):
+_FORBIDDEN = ~ALLOWED
+for _mask in (*ONE_WAY.values(), ALLOWED, _FORBIDDEN):
     _mask.flags.writeable = False
 
 
@@ -129,7 +130,7 @@ def validate(w, *, tol: float | None = None) -> ValidityReport:
     coefficients.setflags(write=False)
     # Flat index order is the sorted word order; a NaN coefficient (from a
     # row sum that overflows) is not named.
-    flat = np.flatnonzero(~ALLOWED & (np.abs(coefficients) > support_tol)).tolist()
+    flat = np.flatnonzero(_FORBIDDEN & (np.abs(coefficients) > support_tol)).tolist()
     forbidden = [(_WORDS[t], c) for t, c in zip(flat, coefficients[flat].tolist())]
     if forbidden:
         named = ", ".join(f"{term_label(t)}={c:.6g}" for t, c in forbidden)

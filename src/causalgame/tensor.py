@@ -34,13 +34,16 @@ _WORDS = tuple(itertools.product(range(4), repeat=4))
 
 
 @cache
-def _trace_pattern() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _trace_pattern() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero entry of each column of every four-qubit Pauli word.
 
     Column r of sigma(t) is nonzero only in row c = r ^ x(t), where x(t)
     flags the X and Y factors, and that entry is the product of the
-    per-qubit phases. Returns c, the entry and the flat index 16 r + c
-    of M[r, c] as (16, 256) arrays indexed by r and the flat word t.
+    per-qubit phases, one of 1, -1, 1j and -1j. Returns c, the entry, and
+    the real part of M[r, c] * entry as an index into the float view of a
+    flattened 16x16 complex M with the sign it carries there: M[r, c].real
+    for a phase of +-1, M[r, c].imag for +-1j. All four are (16, 256)
+    arrays indexed by r and the flat word t.
     """
     rows = np.arange(16)[:, None]
     words = np.arange(256)[None, :]
@@ -52,9 +55,12 @@ def _trace_pattern() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         c = r ^ ((t == 1) | (t == 2))
         cols |= c << (3 - k)
         phase = phase * _PAULI_STACK[t, c, r]
-    flat = cols + 16 * rows
-    cols.flags.writeable = phase.flags.writeable = flat.flags.writeable = False  # shared by every caller
-    return cols, phase, flat
+    imaginary = phase.imag != 0
+    part = 2 * (cols + 16 * rows) + imaginary
+    sign = np.where(imaginary, -phase.imag, phase.real)
+    for shared in (cols, phase, part, sign):  # shared by every caller
+        shared.flags.writeable = False
+    return cols, phase, part, sign
 
 
 def _check_tolerance(name: str, value) -> None:
@@ -73,8 +79,11 @@ def _hermitian_part(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     exceeds HERMITICITY_ATOL.
     """
     adjoint = np.swapaxes(matrix, -1, -2).conj()
-    residual = np.abs(matrix - adjoint).max(axis=(-2, -1))
-    return (matrix + adjoint) / 2, residual, residual > HERMITICITY_ATOL
+    # Finite entries can sum past the float range: the part or the residual
+    # comes out infinite, which each caller refuses or reports, unwarned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs(matrix - adjoint).max(axis=(-2, -1))
+        return (matrix + adjoint) / 2, residual, residual > HERMITICITY_ATOL
 
 
 def _not_hermitian(residual: float) -> str:
@@ -83,17 +92,22 @@ def _not_hermitian(residual: float) -> str:
 
 
 def _coefficients(arr: np.ndarray) -> np.ndarray:
-    """The 256 real Pauli coefficients Tr[M sigma(t)] / 16 of a Hermitian 16x16 complex array.
+    """The 256 real Pauli coefficients Tr[M sigma(t)] / 16 of a finite Hermitian 16x16 complex array.
 
     Word t = (t0, t1, t2, t3) sits at flat index 64 t0 + 16 t1 + 4 t2 + t3,
     the order of ``_WORDS``.
     """
-    _, phase, flat = _trace_pattern()
-    # Tr[M sigma(t)] = sum_r M[r, c] sigma(t)[c, r] over the one nonzero c
-    # of each column of sigma(t). The products are exact (unit phases), so
-    # only the sum over rows rounds; numpy adds the rows in order, which
-    # keeps every coefficient bit-identical to one contraction over all indices.
-    return ((arr.ravel().take(flat) * phase).sum(axis=0) / 16).real
+    _, _, part, sign = _trace_pattern()
+    # Tr[M sigma(t)] = sum_r M[r, c] sigma(t)[c, r] over the one nonzero c of
+    # each column of sigma(t). That entry is +-1 or +-1j, so the real part
+    # of each product is exactly +- one part of M[r, c]: the real part for
+    # +-1, the imaginary part for +-1j, read here from the float view. Only
+    # the sum over rows rounds, and numpy adds the rows in order from +0.0
+    # whether they hold these parts or the complex products, so every
+    # coefficient, a zero's sign included, is the one the complex products
+    # give, and bit-identical to one contraction over all indices up to the
+    # sign of a zero.
+    return (arr.ravel().view(float).take(part) * sign).sum(axis=0) / 16
 
 
 def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[int, ...], float]:
@@ -130,7 +144,7 @@ def pauli_compose(coefficients: dict[tuple[int, ...], float]) -> np.ndarray:
                 raise ValueError(f"index tuple {word} does not match {len(LABELS)} subsystems")
             if any(i not in (0, 1, 2, 3) for i in word):
                 raise ValueError(f"Pauli indices must lie in 0..3, got {word}")
-    cols, phase, _ = _trace_pattern()
+    cols, phase, _, _ = _trace_pattern()
     flat = np.array(words, dtype=np.intp).reshape(-1, 4) @ (64, 16, 4, 1)
     out = np.zeros((16, 16), dtype=complex)
     # Each term adds into its word's one nonzero entry per column, in dict order.

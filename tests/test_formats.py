@@ -203,6 +203,22 @@ def test_dense_parse_names_the_entry_that_is_not_a_pair(position, entry):
     assert str(info.value).endswith(f"pair: {json.dumps(entry)}")
 
 
+@pytest.mark.parametrize(
+    "position, entries",
+    [
+        (12, ["12"]),  # two characters, each a digit
+        (30, [{"1": 0, "2": 0}]),  # two keys, each numeric
+        (40, [[1, 2, 3], [4]]),  # the count of numbers still comes out at 512
+    ],
+)
+def test_dense_parse_refuses_entries_that_flatten_to_the_right_count(position, entries):
+    payload = json.loads(dense_text(w_ocb()))
+    payload["entries"][position : position + len(entries)] = entries
+    with pytest.raises(ValueError, match=rf"^entry {position} is not a \[real, imag\] pair") as info:
+        parse_process(json.dumps(payload))
+    assert str(info.value).endswith(f"pair: {json.dumps(entries[0])}")
+
+
 def test_dense_parse_accepts_numeric_strings_and_ints():
     w = w_ocb()
     payload = json.loads(dense_text(w))

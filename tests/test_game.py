@@ -75,7 +75,8 @@ def test_distribution_guards():
     bad = np.zeros((2, 2, 2, 2, 2))
     bad[0, 0, 0, 0, 0] = -0.1
     bad[1, 1, 0, 0, 0] = 1.1
-    with pytest.raises(ValueError):
+    outside = r"^entries outside \[0, 1\]: min (np\.float64\()?-0\.1\)?, max (np\.float64\()?1\.1\)?$"
+    with pytest.raises(ValueError, match=outside):
         JointDistribution(bad)
     with pytest.raises(ValueError, match="shape"):
         JointDistribution(np.zeros((2, 2)))
@@ -126,6 +127,34 @@ def test_success_components_equal_the_loop_bit_for_bit():
     for k, alpha in enumerate(alphas):
         table = stack[..., k]
         assert success_components(JointDistribution(table), alpha) == _loop_components(table, alpha)
+
+
+def _array_components(table, alpha):
+    """The scoring rule as numpy arrays reduced it: pair sums, then weighted sums over the input pairs."""
+    a, b = np.divmod(np.arange(4), 2)
+    weights = np.array([alpha, 1.0 - alpha])
+    pair = weights[a] * weights[b]
+    decode, guess = table[b, :, a, b, 0].sum(axis=1), table[:, a, a, b, 1].sum(axis=0)
+    return float((pair * decode).sum(axis=0)), float((pair * guess).sum(axis=0))
+
+
+def test_success_components_have_the_bits_of_the_array_reduction():
+    rng = np.random.default_rng(31)
+    # Every mass on a losing answer, so both components are sums of zeros; some of them -0.0.
+    losing = np.zeros((2, 2, 2, 2, 2))
+    for free, a, b in np.ndindex(2, 2, 2):
+        losing[1 - b, free, a, b, 0] = losing[free, 1 - a, a, b, 1] = 0.5
+    tables = [(losing, 0.5), (np.where(losing == 0.0, -0.0, losing), 0.75)]
+    for _ in range(400):
+        table = rng.random((2, 2, 2, 2, 2)) * (rng.random((2, 2, 2, 2, 2)) < 0.6)
+        table[0, 0] += 0.125
+        table /= table.sum(axis=(0, 1))
+        table = np.where(table == 0.0, rng.choice([0.0, -0.0], size=table.shape), table)
+        tables.append((table, float(rng.uniform(0.5, 1.0))))
+    for table, alpha in tables:
+        components = success_components(JointDistribution(table), alpha)
+        assert [value.hex() for value in components] == [value.hex() for value in _array_components(table, alpha)]
+    assert success_components(JointDistribution(tables[1][0]), 0.75) == (0.0, 0.0)
 
 
 def _stacked_functional(spec):
@@ -224,10 +253,12 @@ def test_joint_distribution_names_the_invalid_bob_setting():
 
 
 def test_distribution_rejects_non_finite_entries():
-    table = joint_distribution(w_ocb(), alice_z, bob_branch).table.copy()
-    table[0, 0, 0, 0, 0] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        JointDistribution(table)
+    for bad in (np.nan, np.inf, -np.inf):
+        table = joint_distribution(w_ocb(), alice_z, bob_branch).table.copy()
+        table[0, 0, 0, 0, 0] = bad
+        table[1, 1, 1, 1, 1] = 1.5  # out of range too: finiteness is refused first
+        with pytest.raises(ValueError, match="^table entries must be finite$"):
+            JointDistribution(table)
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ of the one finiteness check every process entry point shares, of exact file
 round trips, of causal-polytope membership and of the polytope's maximum."""
 
 import dataclasses
+import itertools
 import math
 import re
 from unittest import mock
@@ -107,6 +108,31 @@ def test_every_element_is_a_writeable_copy_of_its_stack_entry(spec, t):
         assert element.tobytes() == entry.tobytes()
         assert element.flags.writeable and not entry.flags.writeable
     assert spec.alice_stack is spec.alice_stack and spec.bob_stack is spec.bob_stack
+
+
+def _broadcast_projectors(axes):
+    """(I + (-1)^bit axis . sigma)/2 as one broadcast numpy expression over a (3,) or (n, 3) array."""
+    x, y, z = axes.T[..., None, None, None]
+    signs = np.array([1.0, -1.0])[:, None, None]
+    return (np.eye(2) + signs * (x * PAULI[1] + y * PAULI[2] + z * PAULI[3])) / 2
+
+
+@PROPERTY
+@given(axes=st.lists(unit_or_zero_axes, min_size=1, max_size=4))
+def test_projectors_have_the_bits_of_the_broadcast_expression(axes):
+    for arr in (axes[0], np.array(axes)):
+        expected = _broadcast_projectors(arr)
+        assert instruments._projectors(arr).tobytes() == expected.tobytes()
+        assert instruments._projectors(arr).shape == expected.shape == (*arr.shape[:-1], 2, 2, 2)
+
+
+def test_projectors_keep_the_sign_of_every_zero():
+    # Every axis with components among signed zeros, units, the smallest
+    # subnormals (whose half rounds to a signed zero) and two plain values,
+    # each alone and all as one row.
+    axes = np.array(list(itertools.product((0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 0.6, -0.8), repeat=3)))
+    for arr in (*axes, axes):
+        assert instruments._projectors(arr).tobytes() == _broadcast_projectors(arr).tobytes()
 
 
 # Every unit coordinate axis with each sign on each of its zeros.

@@ -11,6 +11,7 @@ from causalgame import (
     pauli_compose,
     pauli_decompose,
 )
+from causalgame.tensor import _coefficients, _hermitian_part, _trace_pattern
 
 
 def test_pauli_algebra():
@@ -95,6 +96,30 @@ def test_decompose_is_bit_identical_to_one_contraction():
         for word, value in coeffs.items():
             dense[sum(index << (2 * (3 - k)) for k, index in enumerate(word))] = value
         assert dense.tobytes() == np.where(reference == 0.0, 0.0, reference).tobytes()
+
+
+def _complex_product_coefficients(arr):
+    """The coefficients as the complex products M[r, c] * sigma(t)[c, r], summed over rows, real part last."""
+    cols, phase = _trace_pattern()[:2]
+    flat = cols + 16 * np.arange(16)[:, None]
+    return ((arr.ravel().take(flat) * phase).sum(axis=0) / 16).real
+
+
+def test_coefficients_have_the_bits_of_the_complex_products():
+    # The real view reads one part of each entry; compared by bytes, so a
+    # zero coefficient of the other sign would fail. Some entries are exact
+    # zeros of either sign, which is where a sign could flip.
+    rng = np.random.default_rng(37)
+    for k in range(200):
+        raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        if k % 2:
+            for part in (raw.real, raw.imag):
+                zeros = rng.random((16, 16)) < 0.7
+                part[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        herm = _hermitian_part(raw)[0]
+        for matrix in (herm, raw + raw.conj().T):
+            expected = _complex_product_coefficients(matrix)
+            assert _coefficients(matrix).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("zero_atol", [True, False, np.True_, np.False_])
