@@ -240,21 +240,24 @@ def _check_stack(party: str, stack: np.ndarray) -> None:
     elements, outcome first, in one pass over its settings.
 
     Every element must be finite, Hermitian by the rule of
-    ``tensor._hermitian_part`` and positive; the elements of each setting
-    must sum to a trace-preserving map. Raises ValueError naming ``party``
-    and the first failing setting, with its failure messages, which are
-    built only for that setting.
+    ``tensor._hermitian_part``, with a Hermitian part inside the float
+    range, and positive; the elements of each setting must sum to a
+    trace-preserving map, a residual that overflows counting as infinite.
+    Raises ValueError naming ``party`` and the first failing setting, with
+    its failure messages, which are built only for that setting.
     """
     elements = stack.reshape(2, -1, 4, 4)
     finite = np.isfinite(elements).all(axis=(-2, -1))
     safe = np.where(finite[..., None, None], elements, 0.0)
     herm, residual, skewed = _hermitian_part(safe)
-    low = np.linalg.eigvalsh(herm)[..., 0]
+    bounded = np.isfinite(herm).all(axis=(-2, -1))  # finite entries can sum past the float range
+    low = np.linalg.eigvalsh(np.where(bounded[..., None, None], herm, 0.0))[..., 0]
     # Trace out the output qubit of the summed map: in (2,2,2,2) form an
     # element is indexed [in, out, in', out'].
-    reduced = np.einsum("kiojo->kij", safe.sum(axis=0).reshape(-1, 2, 2, 2, 2))
-    tp = np.linalg.norm(reduced - np.eye(2), axis=(-2, -1))
-    if finite.all() and not skewed.any() and (low >= -CP_ATOL).all() and (tp <= TP_ATOL).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        reduced = np.einsum("kiojo->kij", safe.sum(axis=0).reshape(-1, 2, 2, 2, 2))
+        tp = np.linalg.norm(reduced - np.eye(2), axis=(-2, -1))
+    if finite.all() and bounded.all() and not skewed.any() and (low >= -CP_ATOL).all() and (tp <= TP_ATOL).all():
         return
     for setting, index in enumerate(np.ndindex(stack.shape[1:-2])):
         found = []
@@ -263,6 +266,8 @@ def _check_stack(party: str, stack: np.ndarray) -> None:
                 found.append(f"element {k} has non-finite entries")
             elif skewed[k, setting]:
                 found.append(f"element {k} is {_not_hermitian(residual[k, setting])}")
+            elif not bounded[k, setting]:
+                found.append(f"element {k} has a Hermitian part that overflows")
             elif low[k, setting] < -CP_ATOL:
                 found.append(f"element {k} is not positive: minimum eigenvalue {low[k, setting]:.6e}")
         if not tp[setting] <= TP_ATOL:

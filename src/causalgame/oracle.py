@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
@@ -39,7 +39,15 @@ _LOW = np.array(
     [[0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, -1, 0, 0], [0, 0, -1, 1, 0, 0, 0], [-1, 1, -1, 1, 0, 1, 0]]
 )
 _PAIRS = ((0, 2), (0, 3), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (3, 1))
-_Polytope = namedtuple("_Polytope", "g h rhs columns onehot")
+
+
+class _Polytope(namedtuple("_Polytope", "g h rhs onehot gather")):
+    """What ``_polytope`` derives from ``READS``."""
+
+    @cached_property
+    def weight_plan(self) -> tuple:
+        """``_weight_plan`` of this map, built on the first member's weights."""
+        return _weight_plan(self.onehot)
 
 
 @cache
@@ -50,12 +58,13 @@ def _polytope() -> _Polytope:
     input at that setting. p is causal iff some z has G z <= H p, where
     z = (lambda, alpha_i..., beta_j...) fixes the margins of a split
     p = P + S: P has mass lambda, alpha_i of it on x = 0 where Alice reads
-    input i, S has mass beta_j on y = 0 where Bob reads input j, and
-    ``columns`` (2, 8) is each setting's alpha and beta column of z. The
-    first rows keep each alpha in [0, lambda] and each beta in
-    [0, 1 - lambda], 1 read as the sum of p / 8; then eight rows per
-    setting m say l_i <= l_j + p_s[j] (the first rows imply the four
-    other pairs i != j). The Farkas dual is [G'; (H p)'] u = ``rhs``.
+    input i, S has mass beta_j on y = 0 where Bob reads input j.
+    ``gather`` (7, 8) indexes (z, p) for each setting's lambda, alpha,
+    beta and p[x, y] (row 3 + 2x + y). The first rows of G keep each
+    alpha in [0, lambda] and each beta in [0, 1 - lambda], 1 read as the
+    sum of p / 8; then eight rows per setting m say l_i <= l_j + p_s[j]
+    (the first rows imply the four other pairs i != j). The Farkas dual
+    is [G'; (H p)'] u = ``rhs``.
     """
     onehot = {order: np.eye(reads.max() + 1)[reads] for order, reads in READS.items()}
     alice, bob = onehot["a_first"].shape[1], onehot["b_first"].shape[1]
@@ -70,9 +79,54 @@ def _polytope() -> _Polytope:
         g[row, [0, *columns[:, m]]] = form[:3]
         h[row, m::8] = np.eye(4)[j] - form[3:]  # p_s is p[m::8], flattened [x, y]
     rhs = np.append(np.zeros(1 + margins), -1.0)
-    for array in (g, h, rhs, columns, *onehot.values()):
+    gather = np.vstack([np.zeros((1, 8), int), columns, 1 + margins + np.arange(32).reshape(4, 8)])
+    for array in (g, h, rhs, gather, *onehot.values()):
         array.setflags(write=False)
-    return _Polytope(g, h, rhs, columns, onehot)
+    return _Polytope(g, h, rhs, onehot, gather)
+
+
+# The conditionals at the last _TAIL settings multiply the weights one
+# setting at a time; the factors before them are gathered and multiplied
+# once per distinct combination, one vertex in 2 ** _TAIL. So no
+# temporary is larger than the weights, where a gather of every factor
+# of every vertex would be ten times their size.
+_TAIL = 3
+
+
+def _weight_plan(onehot: dict[str, np.ndarray]) -> tuple:
+    """Where ``_vertex_weights`` finds each vertex weight's factors.
+
+    Its values are a 1, each order's leader marginals (2, inputs) and the
+    follower conditionals [order, l, f, m]; ``factors`` holds them as
+    they start, 1 for the 1 and 0.5 for each conditional. Vertex k's
+    factors, in ``enumerate_strategies`` order, are the leader's answers
+    to its inputs, then the follower's at m = 0..7, each conditioned on
+    the leader answer at the input read there; an order whose leader
+    reads fewer inputs than the other's starts on that many 1s. All but
+    the last ``_TAIL`` depend only on k >> _TAIL: column j of ``head``
+    lists them for vertices j << _TAIL on, ``spread`` is k >> _TAIL, and
+    row i of ``tail`` is each vertex's factor at setting 8 - _TAIL + i.
+    ``leaders`` holds, for each order, its onehot map, the settings per
+    input and its slice of the values.
+    """
+    inputs = [array.shape[1] for array in onehot.values()]
+    starts = np.cumsum([1, *(2 * k for k in inputs)]).tolist()  # each leader block, then the conditionals
+    depth = max(inputs) + 8
+    blocks, leaders = [], []
+    for order, (reads, hot) in enumerate(zip(READS.values(), onehot.values())):
+        k = hot.shape[1]
+        answers = np.indices((2,) * (k + 8)).reshape(k + 8, -1)  # [leader answer per input, follower per m]
+        leader = starts[order] + k * answers[:k] + np.arange(k)[:, None]
+        follower = starts[-1] + 32 * order + 16 * answers[reads] + 8 * answers[k:] + np.arange(8)[:, None]
+        blocks.append(np.vstack([np.zeros((depth - k - 8, answers.shape[1]), int), leader, follower]))
+        leaders.append((hot, hot.sum(axis=0), slice(*starts[order : order + 2])))
+    factors = np.concatenate([[1.0], np.zeros(starts[-1] - 1), np.full(64, 0.5)])
+    plan = np.hstack(blocks).astype(np.intp)  # [factor, vertex]
+    head = np.ascontiguousarray(plan[:-_TAIL, :: 2**_TAIL])
+    spread, tail = np.arange(plan.shape[1]) >> _TAIL, plan[-_TAIL:].copy()
+    for array in (factors, head, spread, tail, *(counts for _, counts, _ in leaders)):
+        array.setflags(write=False)
+    return factors, head, spread, tail, tuple(leaders)
 
 
 @dataclass(frozen=True)
@@ -137,38 +191,44 @@ def oracle_bound(spec: GameSpec) -> float:
     return _causal_max(spec.functional)
 
 
-def _order_weights(part: np.ndarray, order: str) -> np.ndarray:
-    """Weights over one order's vertices whose mixture is ``part``.
+def _vertex_weights(split: np.ndarray) -> np.ndarray:
+    """Convex weights over both orders' vertices whose mixtures are the parts.
 
-    ``part[l, f, m]`` is indexed by the leader's answer, the follower's
-    answer and the setting m = 4a + 2b + bp, at which the leader reads the
-    input ``READS[order]`` names. A vertex's weight is the leader's joint
-    answer mass times the follower's conditional answer at each setting,
-    laid out in ``enumerate_strategies`` order: the leader's answers to
-    its inputs, then the follower's at m = 0..7, the last one varying
-    fastest; so the map fixes the output size, 1024 for a leader with two
-    inputs. Where a leader answer has no mass the follower's conditional
-    is arbitrary (1/2 each); its vertices weigh 0.
+    ``split[order, l, f, m]`` holds each order's part indexed by the
+    leader's answer, the follower's answer and the setting m = 4a + 2b +
+    bp, at which the leader reads the input ``READS[order]`` names. A
+    vertex's weight is the leader's joint answer mass times the
+    follower's conditional answer at each setting: the leader's mean
+    marginal on its first input over mass ** (inputs - 1) (the other
+    inputs' marginals also sum to mass), its marginals on the others,
+    then the conditionals at m = 0..7, multiplied left to right as
+    ``_weight_plan`` lays them out, both orders at once. The orders
+    follow ``enumerate_strategies``, each ``2 ** (inputs + 8)`` long.
+    Where a leader answer has no mass the follower's conditional is
+    arbitrary (1/2 each); an order whose part has no mass weighs 0
+    throughout.
     """
-    onehot = _polytope().onehot[order]
-    inputs = onehot.shape[1]
-    part = np.maximum(part, 0.0)
-    marginal = part.sum(axis=1)  # [l, m]
-    follower = np.divide(
-        part, marginal[:, None], out=np.full_like(part, 0.5), where=marginal[:, None] > 0.0
+    factors, head, spread, tail, leaders = _polytope().weight_plan
+    part = np.maximum(split, 0.0)
+    marginal = part.sum(axis=2)  # [order, l, m]
+    values = factors.copy()
+    np.divide(
+        part,
+        marginal[:, :, None],
+        out=values[-64:].reshape(2, 2, 2, 8),
+        where=marginal[:, :, None] > 0.0,
     )
-    leader = marginal @ onehot / onehot.sum(axis=0)  # [l, input]: mean over its settings
-    mass = leader[:, 0].sum()
-    if mass <= 0.0:
-        return np.zeros(2 ** (inputs + 8))
-    weights = leader[:, 0] / mass ** (inputs - 1)  # the other inputs' axes also sum to mass
-    for i in range(1, inputs):  # one axis per leader input
-        weights = weights[..., None] * leader[:, i]
-    for m, read in enumerate(READS[order]):
-        shape = [1] * (m + inputs + 1)
-        shape[read] = shape[-1] = 2  # the leader answer it reads, its own answer
-        weights = weights[..., None] * follower[:, :, m].reshape(shape)
-    return weights.reshape(-1)
+    for order, (onehot, counts, block) in enumerate(leaders):
+        leader = values[block].reshape(2, counts.size)
+        np.matmul(marginal[order], onehot, out=leader)
+        leader /= counts  # the mean over its settings
+        low, high = leader[:, 0].tolist()
+        if low + high > 0.0:  # else both first factors are +0.0, and so is every weight of the order
+            leader[:, 0] /= (low + high) ** (counts.size - 1)
+    weights = np.multiply.reduce(values.take(head), axis=0).take(spread)
+    for row in tail:
+        weights *= values.take(row)
+    return weights
 
 
 @dataclass(frozen=True)
@@ -219,7 +279,7 @@ def is_causal(table) -> CausalDecision:
     if not isinstance(table, JointDistribution):
         table = JointDistribution(table)
     p = table.table.reshape(32)
-    g, h, rhs, columns, _ = _polytope()
+    g, h, rhs, _, gather = _polytope()
     result = phase_one(np.vstack([g.T, h @ p]), rhs)
     if not result.converged:
         raise RuntimeError(
@@ -239,23 +299,20 @@ def is_causal(table) -> CausalDecision:
             bland=result.bland,
         )
     z = result.certificate[:-1] / -result.certificate[-1]  # G z <= H p: Farkas for the dual
-    lam, alpha, beta = np.full(8, z[0]), *z[columns]
-    q = p.reshape(4, 8)  # [2x + y, m]
-    t = (_LOW @ np.vstack([lam, alpha, beta, q])).max(axis=0)  # each block at its least t
-    bottom = [q[0] + q[2] - beta - t, lam - alpha - q[0] - q[2] + beta + t]  # columns less top
-    alice_first = np.array([[t, alpha - t], bottom])  # [x, y, m]
-    bob_first = q.reshape(2, 2, 8) - alice_first
-    weights = np.concatenate(
-        [
-            _order_weights(alice_first, "a_first"),
-            _order_weights(bob_first.transpose(1, 0, 2), "b_first"),  # [y, x, m]: Bob leads
-        ]
-    )
+    stack = np.concatenate([z, p])[gather]  # [lambda, alpha, beta, p[x, y]] by setting
+    lam, alpha, beta, q0, _, q2, _ = stack
+    split = np.empty((2, 2, 2, 8))  # [order, leader answer, follower answer, m]
+    alice_first = split[0]  # [x, y, m]
+    t = (_LOW @ stack).max(axis=0, out=alice_first[0, 0])  # each block at its least t
+    np.subtract(alpha, t, out=alice_first[0, 1])
+    np.subtract(q0 + q2 - beta, t, out=alice_first[1, 0])  # columns less top
+    np.add(lam - alpha - q0 - q2 + beta, t, out=alice_first[1, 1])
+    np.subtract(p.reshape(2, 2, 8).transpose(1, 0, 2), alice_first.transpose(1, 0, 2), out=split[1])
     return CausalDecision(
         is_causal=True,
-        residual=float(max(0.0, -alice_first.min(), -bob_first.min())),
+        residual=float(max(0.0, -split.min())),
         iterations=result.iterations,
-        weights=weights,
-        parts=(alice_first.reshape(2, 2, 2, 2, 2), bob_first.reshape(2, 2, 2, 2, 2)),
+        weights=_vertex_weights(split),
+        parts=(alice_first.reshape(2, 2, 2, 2, 2), split[1].transpose(1, 0, 2).reshape(2, 2, 2, 2, 2)),
         bland=result.bland,
     )

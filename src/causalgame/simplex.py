@@ -44,9 +44,9 @@ class FeasibilityResult:
     bland: bool = False
 
 
-def _ratios(column: np.ndarray, x_basic: np.ndarray) -> dict[int, float]:
+def _ratios(column: list[float], x_basic: np.ndarray) -> dict[int, float]:
     """The ratio test's x_B[i] / column[i] by row i where column[i] > PIVOT_TOL, in Python floats."""
-    return {i: x / c for i, (c, x) in enumerate(zip(column.tolist(), x_basic.tolist())) if c > PIVOT_TOL}
+    return {i: x / c for i, (c, x) in enumerate(zip(column, x_basic.tolist())) if c > PIVOT_TOL}
 
 
 def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
@@ -56,7 +56,8 @@ def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     diag(sign(b)) and ``a`` is read as given, never copied or sign-flipped.
     Where row i has b_i >= 0 and ``a`` has a unit column e_i, the first
     such column starts basic in place of artificial i (the textbook slack
-    basis), which leaves that inverse unchanged.
+    basis), which leaves that inverse unchanged; the unit columns are found
+    by nonzero count, and only the columns with one nonzero are read.
     Only the columns of ``a`` are priced: an artificial that leaves the
     basis never returns, and the certificate's y.A <= 0 needs only the
     reduced costs of ``a``. B^-1 and x_B are kept side by side as one
@@ -86,10 +87,11 @@ def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     inverse, x_basic = tableau[:, :m], tableau[:, m]
     basis = list(range(n, n + m))
     nonzero = a != 0.0
-    rows = nonzero.argmax(axis=0)  # each column's first nonzero row
-    unit = (nonzero.sum(axis=0) == 1) & (a[rows, np.arange(n)] == 1.0) & (b[rows] >= 0.0)
-    for j, row in zip(np.flatnonzero(unit).tolist(), rows[unit].tolist()):
-        basis[row] = min(basis[row], j)  # the first unit column of a row takes it
+    single = np.flatnonzero(np.ones(m) @ nonzero == 1.0)  # the columns with one nonzero entry
+    rows = nonzero[:, single].argmax(axis=0)
+    for j, row, entry in zip(single.tolist(), rows.tolist(), a[rows, single].tolist()):
+        if entry == 1.0 and b.item(row) >= 0.0 and basis[row] >= n:
+            basis[row] = j  # the first unit column of a row takes it
 
     cost = np.array([float(k >= n) for k in basis])  # c_B: 1 on an artificial row, 0 once it pivots
     at = np.ascontiguousarray(a.T)
@@ -113,14 +115,16 @@ def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
         if iterations >= MAX_ITERS:
             break
         column = inverse @ at[j]
-        ratios = _ratios(column, x_basic)
+        entries = column.tolist()
+        ratios = _ratios(entries, x_basic)
         if not ratios:
             candidates = np.flatnonzero(prices > PIVOT_TOL)
             if not bland:
                 candidates = candidates[np.argsort(-prices[candidates], kind="stable")]
             for j in candidates.tolist():
                 column = inverse @ at[j]
-                ratios = _ratios(column, x_basic)
+                entries = column.tolist()
+                ratios = _ratios(entries, x_basic)
                 if ratios:
                     break
             else:
@@ -129,7 +133,7 @@ def phase_one(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
         ties = [i for i, ratio in ratios.items() if ratio <= low]
         pivot_row = min(ties, key=basis.__getitem__)  # the lowest basis index among ties
 
-        tableau[pivot_row] /= column[pivot_row]
+        tableau[pivot_row] /= entries[pivot_row]
         column[pivot_row] = 0.0
         tableau -= column[:, None] * tableau[pivot_row]
         basis[pivot_row] = j

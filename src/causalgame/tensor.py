@@ -117,9 +117,9 @@ def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[in
     qubit) to real coefficients, with coefficient(t) = Tr[M sigma(t)] / 16.
     Entries with |c| <= ``zero_atol`` are dropped; the default keeps
     everything nonzero at working precision. ``zero_atol`` must be finite
-    and non-negative, and not a bool. A matrix with a non-finite entry, or
-    one that fails the Hermiticity rule of ``_hermitian_part``, raises
-    ValueError.
+    and non-negative, and not a bool. A matrix with a non-finite entry, one
+    that fails the Hermiticity rule of ``_hermitian_part``, or one whose
+    coefficient sums overflow raises ValueError.
     """
     _check_tolerance("zero_atol", zero_atol)
     arr = np.asarray(matrix, dtype=complex)
@@ -130,7 +130,10 @@ def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[in
     _, residual, skewed = _hermitian_part(arr)
     if skewed:
         raise ValueError(f"input is {_not_hermitian(residual)}")
-    values = _coefficients(arr)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite entries can sum past the float range
+        values = _coefficients(arr)
+    if not np.isfinite(values).all():
+        raise ValueError("Pauli coefficients overflow: matrix entries are too large")
     kept = np.flatnonzero(np.abs(values) > zero_atol)
     return dict(zip(map(_WORDS.__getitem__, kept.tolist()), values[kept].tolist()))
 

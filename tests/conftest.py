@@ -3,11 +3,15 @@ import pytest
 
 from causalgame import (
     JointDistribution,
+    ObservableSpec,
+    alice_general,
     alice_z,
     bob_branch,
+    bob_general,
     causal_mixture,
     enumerate_strategies,
     joint_distribution,
+    oracle,
     ordered_identity_channel_process,
     success_probability,
     w_beta,
@@ -76,3 +80,45 @@ def membership_tables():
             float(q),
         )
         yield joint_distribution(mix, alice_z, bob_branch).table
+
+
+def general_mixture_tables():
+    """Ordered-process mixtures played with seeded general instruments: members."""
+    rng = np.random.default_rng(43)
+
+    def axis():
+        v = rng.standard_normal(3)
+        return v / np.linalg.norm(v)
+
+    for _ in range(40):
+        alice, bob = ObservableSpec(axis(), axis()), ObservableSpec(axis(), axis(), axis())
+        mix = causal_mixture(
+            ordered_identity_channel_process("b_to_a"),
+            ordered_identity_channel_process("a_to_b"),
+            float(rng.uniform(0.0, 1.0)),
+        )
+        yield joint_distribution(
+            mix, lambda x, a: alice_general(x, a, alice), lambda y, b, bp: bob_general(y, b, bp, bob)
+        ).table
+
+
+SETTINGS = np.arange(8)  # m = 4a + 2b + b'
+
+
+@pytest.fixture(
+    params=[
+        pytest.param((None, 2048, False), id="shipped"),
+        pytest.param((SETTINGS & 3, 5120, True), id="bob_reads_b_and_bprime"),
+    ]
+)
+def read_map(request, monkeypatch):
+    """(vertex stack, count, whether Bob reads b') under one leader read map:
+    the shipped ``oracle.READS``, or the full one in which the Bob-first
+    leader reads (b, b') instead of b alone."""
+    bob_reads, count, reads_bprime = request.param
+    if bob_reads is not None:
+        monkeypatch.setitem(oracle.READS, "b_first", bob_reads)
+    oracle._polytope.cache_clear()
+    vertices = np.stack([s.correlation_table().reshape(32) for s in enumerate_strategies()], axis=1)
+    yield vertices, count, reads_bprime
+    oracle._polytope.cache_clear()

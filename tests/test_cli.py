@@ -70,6 +70,17 @@ def test_a_large_hermitian_file_is_invalid_and_decomposes(capsys, tmp_path):
     npt.assert_allclose(read_process(written).matrix, matrix, rtol=0, atol=1e-6)
 
 
+def test_decompose_refuses_a_file_whose_pauli_coefficients_overflow(capsys, tmp_path):
+    matrix = np.eye(16, dtype=complex) / 4
+    matrix[0, 1] = matrix[1, 0] = 1.5e308
+    path, written = tmp_path / "huge.json", tmp_path / "huge.txt"
+    path.write_text(dense_text(ProcessMatrix(matrix)))
+    code, out, err = run(capsys, "decompose", "--process", str(path), "--form", "pauli", "--out", str(written))
+    assert (code, out) == (2, "")
+    assert err == "error: Pauli coefficients overflow: matrix entries are too large\n"
+    assert not written.exists()
+
+
 def test_validate_json_payload(capsys):
     code, out, _ = run(capsys, "validate", "w_ocb", "--json")
     assert code == 0

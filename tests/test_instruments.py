@@ -194,6 +194,26 @@ def test_joint_distribution_names_an_element_that_is_not_positive():
 
 
 @pytest.mark.parametrize(
+    "index, value, failure",
+    [
+        # Exactly Hermitian, but the Hermitian part (M + M^H) / 2 overflows.
+        ((0, 1), 1.5e308, "element 0 has a Hermitian part that overflows"),
+        # Positive, but the trace-preservation residual overflows its norm.
+        ((0, 0), 1e200, "summed map is not trace preserving: residual inf"),
+    ],
+    ids=["hermitian_part", "trace_residual"],
+)
+def test_joint_distribution_refuses_an_element_too_large_to_check(index, value, failure):
+    stack = np.array([[alice_z(x, a) for a in (0, 1)] for x in (0, 1)])
+    stack[0, 0][index] = stack[0, 0][index[::-1]] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            joint_distribution(w_ocb(), stack, bob_branch)
+    assert str(info.value) == f"party A instrument at setting (0,) is invalid: {failure}"
+
+
+@pytest.mark.parametrize(
     "kwargs",
     [
         {"measure": [np.nan, 0.0, 0.0], "encode": X_AXIS},

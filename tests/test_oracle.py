@@ -18,7 +18,7 @@ from causalgame import (
 )
 from causalgame import oracle, simplex
 from causalgame.simplex import phase_one
-from conftest import membership_tables, strategy_success
+from conftest import SETTINGS, general_mixture_tables, membership_tables, strategy_success
 
 
 def test_strategy_enumeration_covers_both_orders():
@@ -235,3 +235,105 @@ def test_blands_rule_from_the_first_pivot_reaches_the_same_membership_verdicts(m
         else:
             assert (result.solution >= -1e-12).all()
             npt.assert_allclose(a @ result.solution, b, rtol=0, atol=1e-9)
+
+
+def _reference_order_weights(part, order):
+    """One order's vertex weights with one broadcast product per factor."""
+    onehot = oracle._polytope().onehot[order]
+    inputs = onehot.shape[1]
+    part = np.maximum(part, 0.0)
+    marginal = part.sum(axis=1)  # [l, m]
+    follower = np.divide(
+        part, marginal[:, None], out=np.full_like(part, 0.5), where=marginal[:, None] > 0.0
+    )
+    leader = marginal @ onehot / onehot.sum(axis=0)
+    mass = leader[:, 0].sum()
+    if mass <= 0.0:
+        return np.zeros(2 ** (inputs + 8))
+    weights = leader[:, 0] / mass ** (inputs - 1)
+    for i in range(1, inputs):
+        weights = weights[..., None] * leader[:, i]
+    for m, read in enumerate(oracle.READS[order]):
+        shape = [1] * (m + inputs + 1)
+        shape[read] = shape[-1] = 2
+        weights = weights[..., None] * follower[:, :, m].reshape(shape)
+    return weights.reshape(-1)
+
+
+def _reference_evidence(table):
+    """Every field of ``is_causal(table)``, the parts built from z and p row
+    by row and each order's weights by ``_reference_order_weights``."""
+    p = table.reshape(32)
+    g, h, rhs = oracle._polytope()[:3]
+    result = phase_one(np.vstack([g.T, h @ p]), rhs)
+    fields = {"iterations": result.iterations, "bland": result.bland}
+    if result.objective <= oracle.MEMBERSHIP_TOL:
+        u = result.solution
+        functional = -(h.T @ u).reshape(2, 2, 2, 2, 2)
+        return fields | {
+            "is_causal": False,
+            "residual": float(1.0 / u.sum()),
+            "weights": None,
+            "parts": None,
+            "functional": functional,
+            "bound": oracle._causal_max(functional),
+            "value": float(functional.reshape(32) @ p),
+        }
+    alice = oracle._polytope().onehot["a_first"].shape[1]
+    columns = np.stack([1 + oracle.READS["a_first"], 1 + alice + oracle.READS["b_first"]])
+    z = result.certificate[:-1] / -result.certificate[-1]
+    lam, alpha, beta = np.full(8, z[0]), *z[columns]
+    q = p.reshape(4, 8)
+    t = (oracle._LOW @ np.vstack([lam, alpha, beta, q])).max(axis=0)
+    bottom = [q[0] + q[2] - beta - t, lam - alpha - q[0] - q[2] + beta + t]
+    alice_first = np.array([[t, alpha - t], bottom])
+    bob_first = q.reshape(2, 2, 8) - alice_first
+    weights = np.concatenate(
+        [
+            _reference_order_weights(alice_first, "a_first"),
+            _reference_order_weights(bob_first.transpose(1, 0, 2), "b_first"),
+        ]
+    )
+    return fields | {
+        "is_causal": True,
+        "residual": float(max(0.0, -alice_first.min(), -bob_first.min())),
+        "weights": weights,
+        "parts": (alice_first.reshape(2, 2, 2, 2, 2), bob_first.reshape(2, 2, 2, 2, 2)),
+        "functional": None,
+        "bound": None,
+        "value": None,
+    }
+
+
+def _bits(value):
+    """A field as comparable bytes: arrays with their shape, floats as float64."""
+    if value is None or isinstance(value, (bool, int)):
+        return value
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return value.dtype, value.shape, value.tobytes()
+
+
+def test_every_decision_field_equals_the_reference_arithmetic_bit_for_bit(read_map):
+    vertices, count, _ = read_map
+    rng = np.random.default_rng(59)
+    mixtures = []
+    for _ in range(200):
+        k = int(rng.integers(2, 8))
+        mixtures.append(vertices[:, rng.choice(count, size=k, replace=False)] @ rng.dirichlet(np.ones(k)))
+    a, b = SETTINGS >> 2, (SETTINGS >> 1) & 1
+    pure = {}  # one vertex of each order only: the other order's part has no mass
+    for order, (x, y) in (("a_first", (a, a)), ("b_first", (b, b))):
+        pure[order] = np.zeros((2, 2, 8))
+        pure[order][x, y, SETTINGS] = 1.0
+    tables = [*membership_tables(), *general_mixture_tables(), *mixtures, *pure.values()]
+    for table in tables:
+        table = np.asarray(table).reshape(2, 2, 2, 2, 2)
+        decision, reference = is_causal(table), _reference_evidence(table)
+        for name, expected in reference.items():
+            assert _bits(getattr(decision, name)) == _bits(expected), name
+    split = 2 ** (oracle._polytope().onehot["a_first"].shape[1] + 8)  # where the Bob-first weights start
+    assert is_causal(pure["a_first"].reshape(2, 2, 2, 2, 2)).weights[split:].tolist() == [0.0] * (count - split)
+    assert is_causal(pure["b_first"].reshape(2, 2, 2, 2, 2)).weights[:split].tolist() == [0.0] * split

@@ -8,29 +8,10 @@ vertex weights) must follow the map with no other edit.
 
 import numpy as np
 import numpy.testing as npt
-import pytest
 
-from causalgame import GameSpec, enumerate_strategies, is_causal, oracle
+from causalgame import GameSpec, is_causal
 from causalgame.oracle import _causal_max
-
-SETTINGS = np.arange(8)  # m = 4a + 2b + b'
-
-
-@pytest.fixture(
-    params=[
-        pytest.param((None, 2048, False), id="shipped"),
-        pytest.param((SETTINGS & 3, 5120, True), id="bob_reads_b_and_bprime"),
-    ]
-)
-def read_map(request, monkeypatch):
-    """(vertex stack, count, whether Bob reads b') under one read map."""
-    bob_reads, count, reads_bprime = request.param
-    if bob_reads is not None:
-        monkeypatch.setitem(oracle.READS, "b_first", bob_reads)
-    oracle._polytope.cache_clear()
-    vertices = np.stack([s.correlation_table().reshape(32) for s in enumerate_strategies()], axis=1)
-    yield vertices, count, reads_bprime
-    oracle._polytope.cache_clear()
+from conftest import SETTINGS
 
 
 def test_vertex_count_follows_the_map(read_map):

@@ -2,19 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from causalgame import (
-    ObservableSpec,
-    alice_general,
-    bob_general,
-    causal_mixture,
-    is_causal,
-    joint_distribution,
-    oracle,
-    ordered_identity_channel_process,
-    simplex,
-)
+from causalgame import is_causal, oracle, simplex
 from causalgame.simplex import FeasibilityResult, phase_one
-from conftest import membership_tables
+from conftest import general_mixture_tables, membership_tables
 
 
 def test_feasible_system_returns_a_feasible_point():
@@ -255,32 +245,39 @@ def _reference_phase_one(a, b):
     return FeasibilityResult(float(objective), solution[:n], duals, iterations, converged, bland)
 
 
-def _general_mixture_tables():
-    """Ordered-process mixtures played with seeded general instruments: members."""
-    rng = np.random.default_rng(43)
-
-    def axis():
-        v = rng.standard_normal(3)
-        return v / np.linalg.norm(v)
-
-    for _ in range(40):
-        alice, bob = ObservableSpec(axis(), axis()), ObservableSpec(axis(), axis(), axis())
-        mix = causal_mixture(
-            ordered_identity_channel_process("b_to_a"),
-            ordered_identity_channel_process("a_to_b"),
-            float(rng.uniform(0.0, 1.0)),
-        )
-        yield joint_distribution(
-            mix, lambda x, a: alice_general(x, a, alice), lambda y, b, bp: bob_general(y, b, bp, bob)
-        ).table
-
-
 def _near_degenerate_systems():
     """Right sides within 2e-15 of zero: the ratios differ by less than the
     1e-15 tie band, so the band and the tie-break decide the pivots."""
     rng = np.random.default_rng(47)
     for _ in range(20):
         yield rng.standard_normal((6, 15)), rng.uniform(-2e-15, 2e-15, 6)
+
+
+def _slack_start_systems():
+    """Columns on either side of the slack basis's test for e_i."""
+    yield (  # columns 0 and 1 are both e_0: the first starts basic
+        np.array([[1.0, 1.0, 0.0, 2.0, 0.0], [0.0, 0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0, 2.0]]),
+        np.array([1.0, 2.0, 1.0]),
+    )
+    yield (  # column 0 is e_0, but b_0 < 0 keeps row 0 on its artificial
+        np.array([[1.0, 0.0, -1.0, -2.0], [0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 3.0]]),
+        np.array([-1.0, 2.0, 1.0]),
+    )
+    third = np.array([2.0, 2.0, -1.0]) / 3.0  # column 0: three nonzeros that sum to 1
+    assert third.sum() == 1.0
+    yield np.column_stack([third, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]), np.ones(3)
+    yield (  # a lone -1 in column 1
+        np.array([[1.0, 0.0, 1.0], [0.0, -1.0, 1.0], [1.0, 0.0, 2.0]]),
+        np.array([1.0, 1.0, 2.0]),
+    )
+    yield (  # a lone 1.0 with a 1e-300 below it in column 0
+        np.array([[1.0, 1.0, 0.0], [1e-300, 0.0, 1.0], [0.0, 1.0, 1.0]]),
+        np.ones(3),
+    )
+    yield (  # column 0's sum overflows; columns 1 and 2 start basic
+        np.array([[1e308, 1.0, 0.0], [1e308, 0.0, 1.0]]),
+        np.ones(2),
+    )
 
 
 def _dual_systems(tables):
@@ -293,8 +290,9 @@ def _systems_for_identity():
         *_random_feasible_systems(),
         *_random_infeasible_systems(),
         *_near_degenerate_systems(),
+        *_slack_start_systems(),
         *_dual_systems(membership_tables()),
-        *_dual_systems(_general_mixture_tables()),
+        *_dual_systems(general_mixture_tables()),
     ]
 
 
@@ -302,7 +300,7 @@ def _systems_for_identity():
 def test_every_result_field_equals_the_array_reference_bit_for_bit(monkeypatch, stall_pivots):
     monkeypatch.setattr(simplex, "STALL_PIVOTS", stall_pivots)
     systems = _systems_for_identity()
-    assert len(systems) == 140
+    assert len(systems) == 146
     for a, b in systems:
         result, reference = phase_one(a, b), _reference_phase_one(a, b)
         for name in ("solution", "certificate"):

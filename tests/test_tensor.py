@@ -1,3 +1,4 @@
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -174,3 +175,13 @@ def test_decompose_refuses_non_finite_entries(entries):
         matrix[index] = value
     with pytest.raises(ValueError, match="^matrix entries must be finite$"):
         pauli_decompose(matrix)
+
+
+def test_decompose_refuses_coefficient_sums_that_overflow():
+    # Finite and exactly Hermitian, but the sums for IIIX to ZZZX pass 1.8e308.
+    matrix = np.eye(16, dtype=complex) / 4
+    matrix[0, 1] = matrix[1, 0] = 1.5e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^Pauli coefficients overflow: matrix entries are too large$"):
+            pauli_decompose(matrix)
