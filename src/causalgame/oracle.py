@@ -5,8 +5,9 @@ the party acting first answers from its own inputs and the party acting
 second may read everything upstream. ``READS`` names the input the leader
 answers from at each setting, and ``_polytope`` derives from it, on first
 use, all that depends on that choice: the 2048 vertices, the sums of the
-exact bound (a nested max/sum, no vertex list) and the membership system,
-five unknowns in a six-row Farkas dual with 72 columns. A causal table is
+exact bound (a nested max/sum, no vertex list), the membership system,
+five unknowns in a six-row Farkas dual with 72 columns, and the plan of
+the vertex weights. A causal table is
 the sum of an Alice-first and a Bob-first part, each fixed by one
 no-signaling condition; one small solve of that dual gives both parts and
 convex vertex weights in closed form, or a violated causal inequality.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -41,13 +42,8 @@ _LOW = np.array(
 _PAIRS = ((0, 2), (0, 3), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (3, 1))
 
 
-class _Polytope(namedtuple("_Polytope", "g h rhs onehot gather")):
-    """What ``_polytope`` derives from ``READS``."""
-
-    @cached_property
-    def weight_plan(self) -> tuple:
-        """``_weight_plan`` of this map, built on the first member's weights."""
-        return _weight_plan(self.onehot)
+# What ``_polytope`` derives from ``READS``.
+_Polytope = namedtuple("_Polytope", "g h rhs onehot gather weight_plan")
 
 
 @cache
@@ -64,7 +60,8 @@ def _polytope() -> _Polytope:
     alpha in [0, lambda] and each beta in [0, 1 - lambda], 1 read as the
     sum of p / 8; then eight rows per setting m say l_i <= l_j + p_s[j]
     (the first rows imply the four other pairs i != j). The Farkas dual
-    is [G'; (H p)'] u = ``rhs``.
+    is [G'; (H p)'] u = ``rhs``. ``weight_plan`` is ``_weight_plan`` of
+    ``onehot``: where a member's vertex weights find their factors.
     """
     onehot = {order: np.eye(reads.max() + 1)[reads] for order, reads in READS.items()}
     alice, bob = onehot["a_first"].shape[1], onehot["b_first"].shape[1]
@@ -82,7 +79,7 @@ def _polytope() -> _Polytope:
     gather = np.vstack([np.zeros((1, 8), int), columns, 1 + margins + np.arange(32).reshape(4, 8)])
     for array in (g, h, rhs, gather, *onehot.values()):
         array.setflags(write=False)
-    return _Polytope(g, h, rhs, onehot, gather)
+    return _Polytope(g, h, rhs, onehot, gather, _weight_plan(onehot))
 
 
 # The conditionals at the last _TAIL settings multiply the weights one
@@ -279,7 +276,7 @@ def is_causal(table) -> CausalDecision:
     if not isinstance(table, JointDistribution):
         table = JointDistribution(table)
     p = table.table.reshape(32)
-    g, h, rhs, _, gather = _polytope()
+    g, h, rhs, _, gather, _ = _polytope()
     result = phase_one(np.vstack([g.T, h @ p]), rhs)
     if not result.converged:
         raise RuntimeError(

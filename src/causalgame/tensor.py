@@ -34,16 +34,17 @@ _WORDS = tuple(itertools.product(range(4), repeat=4))
 
 
 @cache
-def _trace_pattern() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero entry of each column of every four-qubit Pauli word.
+def _trace_pattern() -> tuple[np.ndarray, np.ndarray]:
+    """Where each four-qubit Pauli word reads and writes a 16x16 complex matrix.
 
     Column r of sigma(t) is nonzero only in row c = r ^ x(t), where x(t)
     flags the X and Y factors, and that entry is the product of the
-    per-qubit phases, one of 1, -1, 1j and -1j. Returns c, the entry, and
-    the real part of M[r, c] * entry as an index into the float view of a
-    flattened 16x16 complex M with the sign it carries there: M[r, c].real
-    for a phase of +-1, M[r, c].imag for +-1j. All four are (16, 256)
-    arrays indexed by r and the flat word t.
+    per-qubit phases, one of 1, -1, 1j and -1j. Returns the real part of
+    M[r, c] * entry as an index into the float view of a flattened 16x16
+    complex M with the sign it carries there: M[r, c].real for a phase of
+    +-1, M[r, c].imag for +-1j. Since sigma(t)[r, c] is the conjugate of
+    that entry, the same part with the same sign is where sigma(t) itself
+    holds +-1. Both are (16, 256) arrays indexed by r and the flat word t.
     """
     rows = np.arange(16)[:, None]
     words = np.arange(256)[None, :]
@@ -58,9 +59,9 @@ def _trace_pattern() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     imaginary = phase.imag != 0
     part = 2 * (cols + 16 * rows) + imaginary
     sign = np.where(imaginary, -phase.imag, phase.real)
-    for shared in (cols, phase, part, sign):  # shared by every caller
+    for shared in (part, sign):  # shared by every caller
         shared.flags.writeable = False
-    return cols, phase, part, sign
+    return part, sign
 
 
 def _check_tolerance(name: str, value) -> None:
@@ -97,7 +98,7 @@ def _coefficients(arr: np.ndarray) -> np.ndarray:
     Word t = (t0, t1, t2, t3) sits at flat index 64 t0 + 16 t1 + 4 t2 + t3,
     the order of ``_WORDS``.
     """
-    _, _, part, sign = _trace_pattern()
+    part, sign = _trace_pattern()
     # Tr[M sigma(t)] = sum_r M[r, c] sigma(t)[c, r] over the one nonzero c of
     # each column of sigma(t). That entry is +-1 or +-1j, so the real part
     # of each product is exactly +- one part of M[r, c]: the real part for
@@ -140,17 +141,18 @@ def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[in
 
 def pauli_compose(coefficients: dict[tuple[int, ...], float]) -> np.ndarray:
     """Rebuild the 16x16 matrix from a sparse four-qubit Pauli coefficient map."""
-    words = list(coefficients)
-    if not (set(map(len, words)) <= {4} and set().union(*words) <= {0, 1, 2, 3}):
-        for word in words:  # name the first bad word
-            if len(word) != 4:
-                raise ValueError(f"index tuple {word} does not match {len(LABELS)} subsystems")
-            if any(i not in (0, 1, 2, 3) for i in word):
-                raise ValueError(f"Pauli indices must lie in 0..3, got {word}")
-    cols, phase, _, _ = _trace_pattern()
-    flat = np.array(words, dtype=np.intp).reshape(-1, 4) @ (64, 16, 4, 1)
+    for word in coefficients:  # name the first bad word
+        if len(word) != 4:
+            raise ValueError(f"index tuple {word} does not match {len(LABELS)} subsystems")
+        if not {0, 1, 2, 3}.issuperset(word):
+            raise ValueError(f"Pauli indices must lie in 0..3, got {word}")
+    part, sign = _trace_pattern()
+    flat = np.array(list(coefficients), dtype=np.intp).reshape(-1, 4) @ (64, 16, 4, 1)
     out = np.zeros((16, 16), dtype=complex)
-    # Each term adds into its word's one nonzero entry per column, in dict order.
-    terms = np.array(list(coefficients.values())) * phase[:, flat]
-    np.add.at(out, (cols[:, flat], np.arange(16)[:, None]), terms)
+    # Each term adds +-value into one part of its word's one nonzero entry
+    # per row, in dict order. The complex sum would also add +-0.0 to the
+    # other part, which changes no value but -0.0, and a part summed from
+    # +0.0 is never -0.0: the same bits.
+    terms = np.array(list(coefficients.values())) * sign[:, flat]
+    np.add.at(out.reshape(-1).view(float), part[:, flat], terms)
     return out

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from causalgame import (
     JointDistribution,
     ObservableSpec,
+    PAULI,
     alice_general,
     alice_z,
     bob_branch,
@@ -41,6 +44,20 @@ VALID_SUPPORTS = frozenset(
 def word_at(flat):
     """The Pauli word (0=I, 1=X, 2=Y, 3=Z on A_I, A_O, B_I, B_O) at flat index 64 t0 + 16 t1 + 4 t2 + t3."""
     return (flat >> 6, (flat >> 4) & 3, (flat >> 2) & 3, flat & 3)
+
+
+@functools.cache
+def word_entries():
+    """Each Pauli word's one nonzero row c of each column r, and the entry sigma(t)[c, r] there.
+
+    Read from the Kronecker product of the word's ``PAULI`` factors; both are
+    (16, 256) arrays indexed by r and the flat word t, the word ``word_at(t)``.
+    """
+    sigma = np.array([functools.reduce(np.kron, [PAULI[i] for i in word_at(t)]) for t in range(256)])
+    rows = np.abs(sigma).argmax(axis=1)  # [t, r]
+    entries = np.take_along_axis(sigma, rows[:, None, :], axis=1)[:, 0]
+    # C order: numpy then sums over r one row at a time, the order the references are written for.
+    return np.ascontiguousarray(rows.T), np.ascontiguousarray(entries.T)
 
 
 def support(word):

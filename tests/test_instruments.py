@@ -193,6 +193,21 @@ def test_joint_distribution_names_an_element_that_is_not_positive():
     )
 
 
+def test_joint_distribution_names_a_fault_at_the_last_bob_setting():
+    # i times a Hermitian term added at y = 0 and taken away at y = 1 of
+    # setting (b, b') = (1, 1) alone: the summed map stays trace preserving.
+    stack = np.array([[[bob_branch(y, b, bp) for bp in (0, 1)] for b in (0, 1)] for y in (0, 1)])
+    term = 0.3j * np.kron(PAULI[1], PAULI[0])
+    stack[0, 1, 1] += term
+    stack[1, 1, 1] -= term
+    skewed = "is not Hermitian: residual 6.000e-01 exceeds 1.0e-12"
+    expected = f"party B instrument at setting (1, 1) is invalid: element 0 {skewed}; element 1 {skewed}"
+    for bob in (stack, lambda y, b, bp: stack[y, b, bp]):
+        with pytest.raises(ValueError) as info:
+            joint_distribution(w_ocb(), alice_z, bob)
+        assert str(info.value) == expected
+
+
 @pytest.mark.parametrize(
     "index, value, failure",
     [

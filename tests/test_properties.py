@@ -43,8 +43,8 @@ from causalgame import instruments
 from causalgame.instruments import UNIT_ATOL, X_AXIS, Z_AXIS, _check_stack, _proven
 from causalgame.oracle import _causal_max
 from causalgame.processes import ValidityReport, term_label
-from causalgame.tensor import _hermitian_part, _trace_pattern, pauli_compose, pauli_decompose
-from conftest import VALID_SUPPORTS, support, word_at
+from causalgame.tensor import _hermitian_part, pauli_compose, pauli_decompose
+from conftest import VALID_SUPPORTS, support, word_at, word_entries
 
 # Deterministic examples keep the suite reproducible run to run.
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -494,7 +494,7 @@ def test_validate_reports_on_every_hermitian_matrix_and_never_raises(seed, scale
 def _reference_coefficients(matrix):
     """All 256 Pauli coefficients as they were read before the flat gather: by take_along_axis."""
     arr = np.asarray(matrix, dtype=complex)
-    cols, phase = _trace_pattern()[:2]
+    cols, phase = word_entries()
     coeffs = (np.take_along_axis(arr, cols, axis=1) * phase).sum(axis=0) / 16
     return coeffs.real
 

@@ -12,7 +12,8 @@ from causalgame import (
     pauli_compose,
     pauli_decompose,
 )
-from causalgame.tensor import _coefficients, _hermitian_part, _trace_pattern
+from causalgame.tensor import _coefficients, _hermitian_part
+from conftest import word_entries
 
 
 def test_pauli_algebra():
@@ -55,6 +56,22 @@ def test_compose_is_bit_identical_to_the_dense_sum():
         coefficients = dict(zip(words, values.tolist()))
         actual, expected = pauli_compose(coefficients), _reference_compose(coefficients)
         assert actual.tobytes() == expected.tobytes(), coefficients
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        {(0, 0, 0, 0): 1e300, (3, 0, 0, 3): -1e300, (1, 2, 3, 1): 9.9e299, (2, 2, 2, 2): -1.1e300},
+        {(0, 0, 0, 0): 1e-300, (3, 3, 0, 0): -1e-300, (0, 1, 2, 0): 1.2e-300, (2, 0, 0, 2): -0.9e-300},
+        {(0, 0, 0, 0): 5e-324, (0, 0, 0, 3): -5e-324, (1, 0, 0, 0): 5e-324, (2, 0, 0, 0): -0.0},
+        # XX and YY on A_I, A_O have the same nonzero entries: they cancel where YY is -1 and add where it is +1.
+        {(1, 1, 0, 0): 0.3, (2, 2, 0, 0): 0.3, (3, 0, 1, 2): -1e-300, (0, 3, 1, 2): -0.0},
+        {},
+    ],
+    ids=["near_1e300", "near_1e-300", "subnormal", "cancelling", "empty"],
+)
+def test_compose_is_bit_identical_to_the_dense_sum_at_its_edges(coefficients):
+    assert pauli_compose(coefficients).tobytes() == _reference_compose(coefficients).tobytes()
 
 
 def test_decompose_isolates_a_single_word():
@@ -101,7 +118,7 @@ def test_decompose_is_bit_identical_to_one_contraction():
 
 def _complex_product_coefficients(arr):
     """The coefficients as the complex products M[r, c] * sigma(t)[c, r], summed over rows, real part last."""
-    cols, phase = _trace_pattern()[:2]
+    cols, phase = word_entries()
     flat = cols + 16 * np.arange(16)[:, None]
     return ((arr.ravel().take(flat) * phase).sum(axis=0) / 16).real
 
