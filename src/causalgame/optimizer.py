@@ -18,7 +18,6 @@ carries a closed-form upper bound on what any point could score.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -42,8 +41,9 @@ ANSATZ_CEILING = 0.25 * (2.0 + math.sqrt(2.0))
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """``seed`` is a non-negative integer of any size; restart k draws its
-    start from ``default_rng(SeedSequence(seed).spawn(restarts)[k])``."""
+    """``seed`` is a non-negative integer of any size. Each search makes one
+    ``numpy.random.default_rng(seed)`` and draws every restart's start
+    from it as one block per quantity, row k for restart k."""
 
     restarts: int = 64
     seed: int = 0
@@ -96,62 +96,6 @@ class OptimizationResult:
         ``REEVAL_ATOL``; a rounding-sized excess reads as 0.
         """
         return max(self.upper_bound - self.value, 0.0)
-
-
-def _fold(words: np.ndarray) -> np.ndarray:
-    """SeedSequence's hash tail on uint64 lanes, in place: keep 32 bits, then w ^= w >> 16."""
-    words &= np.uint64(0xFFFFFFFF)
-    return words ^ (words >> np.uint64(16))
-
-
-@functools.cache
-def _consts(init: int, mult: int, skip: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hash constants at steps skip .. skip + count - 1: xor before, multiplier after each step."""
-    steps = np.array([init * pow(mult, i, 2**32) % 2**32 for i in range(skip, skip + count + 1)], np.uint64)
-    steps.flags.writeable = False  # shared by every draw
-    return steps[:-1], steps[1:]
-
-
-@functools.cache
-def _row_seed():
-    """An ``ISeedSequence`` that hands PCG64 its precomputed row; numpy.random loads on first use."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    @dataclass
-    class RowSeed(ISeedSequence):
-        state: np.ndarray
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    return RowSeed
-
-
-@functools.lru_cache(maxsize=8)
-def _states(seed: int, restarts: int) -> np.ndarray:
-    """Read-only (restarts, 4) PCG64 seeds of ``SeedSequence(seed).spawn(restarts)``,
-    bit for bit, from one pass: child k's pool is the parent's with k
-    hashed into its four words (16 hash steps in, 4 more per seed word
-    past the fourth), and its seed is that pool hashed into 8 uint32
-    words. Both searches of one config share one hash."""
-    skip = 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - 4)
-    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
-    xors, mults = _consts(0x43B0D7E5, 0x931E8875, skip, 4)
-    keys = _fold((np.arange(restarts, dtype=np.uint64)[:, None] ^ xors) * mults)
-    mixed = _fold(np.uint64(0xCA01F9DD) * pool - np.uint64(0x4973F715) * keys)
-    xors, mults = _consts(0x8B51F9DD, 0x58F38DED, 0, 8)
-    words = _fold((np.tile(mixed, 2) ^ xors) * mults)
-    states = words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
-    states.flags.writeable = False
-    return states
-
-
-def _draw(config: OptimizerConfig, draw) -> np.ndarray:
-    """Stacked start, one row per restart: row k is drawn by ``draw`` from
-    ``default_rng(SeedSequence(seed).spawn(restarts)[k])``, bit for bit."""
-    row_seed, generator = _row_seed(), np.random.default_rng
-    states = _states(int(config.seed), int(config.restarts))
-    return np.array([draw(generator(row_seed(state))) for state in states])
 
 
 def _ascend(objective, sweep, theta: np.ndarray):
@@ -230,6 +174,15 @@ def _instrument_sweep(theta: np.ndarray, corr3: np.ndarray, pair2: np.ndarray) -
     return theta
 
 
+def _instrument_starts(config: OptimizerConfig) -> np.ndarray:
+    """Every restart's instrument start: one ``normal`` block of shape
+    (restarts, 15) from ``default_rng(seed)``, each Bloch vector normalized."""
+    theta = np.random.default_rng(config.seed).normal(size=(config.restarts, 15))
+    blocks = theta.reshape(-1, 3)
+    _set_unit(blocks, blocks)
+    return theta
+
+
 def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) -> OptimizationResult:
     """Best success probability of a fixed process over one instrument family.
 
@@ -255,13 +208,10 @@ def maximize_instruments(w, beta: float, config: OptimizerConfig | None = None) 
     corr3 = words[1:, 0, 1:, 1:] + 0.0
     pair2 = words[0, 1:, 1:, 0] + 0.0
 
-    theta0 = _draw(config, lambda rng: rng.normal(size=15))
-    blocks = theta0.reshape(-1, 3)
-    _set_unit(blocks, blocks)
     point, searched, trace, converged = _ascend(
         lambda theta: _instrument_objective(theta, corr3, pair2, beta),
         lambda theta: _instrument_sweep(theta, corr3, pair2),
-        theta0,
+        _instrument_starts(config),
     )
 
     alice_spec = ObservableSpec(measure=point[0:3], encode=point[3:6])
@@ -356,28 +306,22 @@ def _ansatz_sweep(theta: np.ndarray, alpha: float) -> np.ndarray:
     return theta
 
 
-def _ansatz_row(rng) -> np.ndarray:
-    """Row (c0..c5, t0, t1, t2, scale): six normal coefficients, a scale
-    uniform on [0.2, 0.95), then three normal axis entries, in draw order."""
-    row = np.empty(10)
-    row[0:6] = rng.normal(size=6)
-    row[9] = rng.uniform(0.2, 0.95)
-    row[6:9] = rng.normal(size=3)
-    return row
-
-
 def _ansatz_starts(config: OptimizerConfig) -> np.ndarray:
-    """Every restart's ansatz start, its axis (columns 6-8) normalized.
+    """Every restart's ansatz start (c0..c5, t0, t1, t2, scale) from one
+    ``default_rng(seed)``, drawn as three blocks in this order: the six
+    normal coefficients, the scale uniform on [0.2, 0.95), the three
+    normal axis entries. The axes (columns 6-8) come out normalized.
 
     A stack of (1, 3) @ (3, 1) products runs numpy's ``dot`` loop once
     per row, as the 1-D ``np.linalg.norm`` does, so each axis comes out
     as ``axis / np.linalg.norm(axis)``; an ``einsum`` or a row sum of
     squares can differ in the last bit.
     """
-    theta = _draw(config, _ansatz_row)
-    axes = theta[:, 6:9]
+    rng, restarts = np.random.default_rng(config.seed), config.restarts
+    coeffs, scale = rng.normal(size=(restarts, 6)), rng.uniform(0.2, 0.95, restarts)
+    axes = rng.normal(size=(restarts, 3))
     axes /= np.sqrt(axes[:, None, :] @ axes[:, :, None])[:, 0]
-    return theta
+    return np.column_stack([coeffs, axes, scale])
 
 
 def maximize_ansatz(alpha: float, config: OptimizerConfig | None = None) -> OptimizationResult:

@@ -31,6 +31,9 @@ _PAULI_STACK = np.stack(PAULI)
 LABELS = ("A_I", "A_O", "B_I", "B_O")
 # Every four-qubit Pauli word as an index tuple, at its flat index 64 t0 + 16 t1 + 4 t2 + t3.
 _WORDS = tuple(itertools.product(range(4), repeat=4))
+# The types a Pauli coefficient may have (bool, a subclass of int, is refused apart):
+# concrete types, because an isinstance test against numbers.Real is several times slower.
+_REAL_TYPES = (int, float, np.integer, np.floating)
 
 
 @cache
@@ -140,12 +143,18 @@ def pauli_decompose(matrix: np.ndarray, zero_atol: float = 0.0) -> dict[tuple[in
 
 
 def pauli_compose(coefficients: dict[tuple[int, ...], float]) -> np.ndarray:
-    """Rebuild the 16x16 matrix from a sparse four-qubit Pauli coefficient map."""
-    for word in coefficients:  # name the first bad word
+    """Rebuild the 16x16 matrix from a sparse four-qubit Pauli coefficient map.
+
+    Each coefficient must be a finite Python or NumPy integer or float;
+    a bool is refused.
+    """
+    for word, value in coefficients.items():  # name the first bad word
         if len(word) != 4:
             raise ValueError(f"index tuple {word} does not match {len(LABELS)} subsystems")
         if not {0, 1, 2, 3}.issuperset(word):
             raise ValueError(f"Pauli indices must lie in 0..3, got {word}")
+        if isinstance(value, bool) or not isinstance(value, _REAL_TYPES) or not math.isfinite(value):
+            raise ValueError(f"coefficient of {word} must be a finite real number, got {value!r}")
     part, sign = _trace_pattern()
     flat = np.array(list(coefficients), dtype=np.intp).reshape(-1, 4) @ (64, 16, 4, 1)
     out = np.zeros((16, 16), dtype=complex)

@@ -81,8 +81,8 @@ def test_distribution_guards():
     with pytest.raises(ValueError, match="shape"):
         JointDistribution(np.zeros((2, 2)))
     lopsided = np.zeros((2, 2, 2, 2, 2))
-    lopsided[0, 0] = 0.4  # sums to 1.6 per setting
-    with pytest.raises(ValueError):
+    lopsided[0, 0] = 0.4  # outcome (0, 0) only: sums to 0.4 per setting
+    with pytest.raises(ValueError, match=r"^settings are not normalized: worst residual 6\.000e-01$"):
         JointDistribution(lopsided)
 
 
@@ -345,7 +345,7 @@ def test_a_complex_table_is_refused_unless_exactly_real():
         for imag in (1e-3, 1e-300, np.nan):
             noisy = table.astype(complex)
             noisy[0, 0, 0, 0, 0] += 1j * imag
-            with pytest.raises(ValueError, match="imaginary"):
+            with pytest.raises(ValueError, match="^table entries must be real, got a nonzero imaginary part$"):
                 JointDistribution(noisy)
             with pytest.raises(ValueError, match="imaginary"):
                 is_causal(noisy)

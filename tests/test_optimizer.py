@@ -5,8 +5,6 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from causalgame import (
     NumericalIntegrityError,
@@ -57,19 +55,18 @@ def test_config_accepts_numpy_and_huge_integer_seeds(seed):
     assert OptimizerConfig(seed=seed).seed == seed
 
 
-def _instrument_start(rng):
-    return rng.normal(size=15)
+def _instrument_block(seed, restarts):
+    """The instrument search's start, spelled with NumPy's own default_rng."""
+    blocks = np.random.default_rng(seed).normal(size=(restarts, 15)).reshape(-1, 3)
+    return (blocks / np.linalg.norm(blocks, axis=1, keepdims=True)).reshape(restarts, 15)
 
 
-def _ansatz_start(rng):  # the same draws, in the same order, as maximize_ansatz's start
-    coeffs, scale, axis = rng.normal(size=6), rng.uniform(0.2, 0.95), rng.normal(size=3)
-    return np.concatenate([coeffs, axis / np.linalg.norm(axis), [scale]])
-
-
-def _spawned(seed, restarts, draw):
-    """The seeding contract, spelled with NumPy's own SeedSequence.spawn."""
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    return np.vstack([draw(np.random.default_rng(child)) for child in children])
+def _ansatz_block(seed, restarts):
+    """The family search's start: the same three block draws, in the same order."""
+    rng = np.random.default_rng(seed)
+    coeffs, scale = rng.normal(size=(restarts, 6)), rng.uniform(0.2, 0.95, size=restarts)
+    axes = np.array([axis / np.linalg.norm(axis) for axis in rng.normal(size=(restarts, 3))])
+    return np.hstack([coeffs, axes, scale[:, None]])
 
 
 def _assert_same_bits(fast, reference):
@@ -77,52 +74,28 @@ def _assert_same_bits(fast, reference):
     assert np.array_equal(fast.view(np.uint64), reference.view(np.uint64))
 
 
-# Each reference draw, with the stacked starts its search builds.
+# Each search's stacked starts, with their reference draw.
 STARTS = {
-    _instrument_start: lambda config: optimizer._draw(config, _instrument_start),
-    _ansatz_start: optimizer._ansatz_starts,
+    "instruments": (optimizer._instrument_starts, _instrument_block),
+    "ansatz": (optimizer._ansatz_starts, _ansatz_block),
 }
 
-
-def _assert_bit_identical(seed, restarts, draw):
-    fast = STARTS[draw](OptimizerConfig(restarts=restarts, seed=seed))
-    _assert_same_bits(fast, _spawned(seed, restarts, draw))
-
-
 SEEDS = [0, 1, 7, 12345, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 3, 2**128 + 9, 2**200 + 1]
-SEEDS += [np.uint64(2**63 + 1)]  # a NumPy integer has no bit_length
+SEEDS += [np.uint64(2**63 + 1)]  # a NumPy integer seed
 
 
-@pytest.mark.parametrize("draw", [_instrument_start, _ansatz_start])
+@pytest.mark.parametrize("search", list(STARTS))
 @pytest.mark.parametrize("restarts", [1, 16, 64])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_draw_matches_seed_sequence_spawn_bit_for_bit(seed, restarts, draw):
-    _assert_bit_identical(seed, restarts, draw)
+def test_starts_match_one_default_rng_block_draw_bit_for_bit(seed, restarts, search):
+    starts, reference = STARTS[search]
+    _assert_same_bits(starts(OptimizerConfig(restarts=restarts, seed=seed)), reference(seed, restarts))
 
 
-# Seeds of every bit length up to 200 alike, so seeds of more than four 32-bit words are common.
-SEEDS_TO_2_200 = st.sampled_from(range(201)).flatmap(lambda bits: st.integers(2**bits >> 1, 2**bits - 1))
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(seed=SEEDS_TO_2_200, restarts=st.integers(1, 40))
-def test_draw_matches_seed_sequence_spawn_for_any_seed(seed, restarts):
-    _assert_bit_identical(seed, restarts, _ansatz_start)
-
-
-def test_both_searches_of_one_config_hash_its_seeds_once(monkeypatch):
-    folds = []
-    fold = optimizer._fold
-    monkeypatch.setattr(optimizer, "_fold", lambda words: folds.append(1) or fold(words))
-    optimizer._states.cache_clear()
-    config = OptimizerConfig(restarts=16, seed=2**70 + 11)
-    first = optimizer._draw(config, _instrument_start)
-    hashed = len(folds)
-    second = optimizer._ansatz_starts(config)
-    assert hashed > 0 and len(folds) == hashed
-    _assert_same_bits(first, _spawned(config.seed, 16, _instrument_start))
-    _assert_same_bits(second, _spawned(config.seed, 16, _ansatz_start))
-    assert not optimizer._states(config.seed, 16).flags.writeable
+def test_instrument_starts_keep_their_rows_as_restarts_grow():
+    # One normal block is one stream, so row k does not depend on the restart count.
+    few, many = (optimizer._instrument_starts(OptimizerConfig(restarts=r, seed=2**70 + 11)) for r in (16, 64))
+    _assert_same_bits(many[:16], few)
 
 
 def _set_unit_reference(block, direction):

@@ -1,3 +1,4 @@
+import re
 import warnings
 from functools import reduce
 
@@ -167,6 +168,18 @@ def test_compose_rejects_malformed_words():
         pauli_compose({(0, 0, 0, 4): 1.0})
     with pytest.raises(ValueError, match=r"0\.\.3, got \(0, 5, 0, 0\)"):  # the first bad word
         pauli_compose({(0, 0, 0, 0): 1.0, (0, 5, 0, 0): 1.0, (0, 0): 1.0})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1j, 0.5 + 0.5j, float("nan"), float("inf"), -float("inf"), True],
+    ids=["imaginary", "complex", "nan", "inf", "minus_inf", "bool"],
+)
+def test_compose_refuses_a_coefficient_that_is_not_a_finite_real(value):
+    # Casting would drop an imaginary part, pass NaN and inf into the matrix and read True as 1.
+    message = rf"^coefficient of \(0, 3, 0, 0\) must be a finite real number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):  # the first bad word, in dict order
+        pauli_compose({(0, 0, 0, 0): 1.0, (0, 3, 0, 0): value, (3, 0, 0, 0): value, (0, 0): 1.0})
 
 
 def test_decompose_refuses_by_the_entry_residual():
